@@ -17,8 +17,8 @@
 // time), filtering scheduler noise. Prints one JSON line per row:
 //
 //   {"bench": "BM_RlTrain", "mode": "serial|parallel", "actors": K,
-//    "env_steps_per_sec": ..., "train_transitions_per_sec": ...,
-//    "speedup_vs_serial": ...}
+//    "threads": N, "cores": C, "env_steps_per_sec": ...,
+//    "train_transitions_per_sec": ..., "speedup_vs_serial": ...}
 //
 // so BENCH_rl_throughput.json baselines can be diffed across PRs.
 //
@@ -35,6 +35,7 @@
 
 using namespace au;
 using namespace au::apps;
+using bench::machineFields;
 using bench::scaled;
 
 namespace {
@@ -100,10 +101,11 @@ Throughput measure(int Actors, long Steps, bool Learning, int Reps = 3) {
 void emit(const char *Mode, int Actors, const Throughput &T,
           double SerialSteps) {
   std::printf("{\"bench\": \"BM_RlTrain\", \"mode\": \"%s\", "
-              "\"actors\": %d, \"env_steps_per_sec\": %.0f, "
+              "\"actors\": %d, %s, \"env_steps_per_sec\": %.0f, "
               "\"train_transitions_per_sec\": %.0f, "
               "\"speedup_vs_serial\": %.2f}\n",
-              Mode, Actors, T.EnvStepsPerSec, T.TrainedPerSec,
+              Mode, Actors, machineFields().c_str(), T.EnvStepsPerSec,
+              T.TrainedPerSec,
               SerialSteps > 0 ? T.EnvStepsPerSec / SerialSteps : 0.0);
 }
 
@@ -124,14 +126,14 @@ int main() {
   // Acting-only: rollout + fused inference, no training updates.
   Throughput SerialAct = measure(0, Steps, /*Learning=*/false);
   std::printf("{\"bench\": \"BM_RlActOnly\", \"mode\": \"serial\", "
-              "\"actors\": 1, \"env_steps_per_sec\": %.0f}\n",
-              SerialAct.EnvStepsPerSec);
+              "\"actors\": 1, %s, \"env_steps_per_sec\": %.0f}\n",
+              machineFields().c_str(), SerialAct.EnvStepsPerSec);
   for (int Actors : {2, 8}) {
     Throughput T = measure(Actors, Steps, /*Learning=*/false);
     std::printf("{\"bench\": \"BM_RlActOnly\", \"mode\": \"parallel\", "
-                "\"actors\": %d, \"env_steps_per_sec\": %.0f, "
+                "\"actors\": %d, %s, \"env_steps_per_sec\": %.0f, "
                 "\"speedup_vs_serial\": %.2f}\n",
-                Actors, T.EnvStepsPerSec,
+                Actors, machineFields().c_str(), T.EnvStepsPerSec,
                 SerialAct.EnvStepsPerSec > 0
                     ? T.EnvStepsPerSec / SerialAct.EnvStepsPerSec
                     : 0.0);

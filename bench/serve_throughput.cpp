@@ -13,8 +13,8 @@
 // Output: one JSON line per case,
 //
 //   {"bench": "BM_Serve", "api": "per_call|batched", "sessions": K,
-//    "calls_per_sec": ..., "p50_us": ..., "p99_us": ...,
-//    "speedup_vs_per_call": ...}
+//    "threads": N, "cores": C, "calls_per_sec": ..., "p50_us": ...,
+//    "p99_us": ..., "speedup_vs_per_call": ...}
 //
 // so BENCH_serve_throughput.json baselines can be diffed across PRs.
 // Latency is per client call: a batched client's call completes when its
@@ -159,8 +159,10 @@ ServeResult serveBatched(Engine &Eng, NameId ModelId, int K, long Rounds) {
 
 void emit(const char *Api, int K, const ServeResult &R, double Speedup) {
   std::printf("{\"bench\": \"BM_Serve\", \"api\": \"%s\", \"sessions\": %d, "
-              "\"calls_per_sec\": %.0f, \"p50_us\": %.2f, \"p99_us\": %.2f",
-              Api, K, R.CallsPerSec, R.P50Us, R.P99Us);
+              "%s, \"calls_per_sec\": %.0f, \"p50_us\": %.2f, "
+              "\"p99_us\": %.2f",
+              Api, K, machineFields().c_str(), R.CallsPerSec, R.P50Us,
+              R.P99Us);
   if (Speedup > 0)
     std::printf(", \"speedup_vs_per_call\": %.2f", Speedup);
   std::printf("}\n");

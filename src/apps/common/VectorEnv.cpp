@@ -5,16 +5,6 @@
 #include "support/ThreadPool.h"
 
 #include <cassert>
-#include <chrono>
-
-namespace {
-
-/// Serial batches estimated under this run inline; the ThreadPool
-/// queue/wake/join cycle costs a handful of microseconds, so dispatching
-/// cheaper batches than this to the pool is a net loss.
-constexpr double SerialCutoffNs = 20000.0;
-
-} // namespace
 
 using namespace au;
 using namespace au::apps;
@@ -42,40 +32,13 @@ void VectorEnv::resetAll(const std::function<uint64_t(int)> &SeedOf) {
 void VectorEnv::stepWhere(const uint8_t *Active, const int *Actions,
                           float *Rewards, uint8_t *Terminals) {
   assert(Actions && Rewards && Terminals && "null step buffers");
-  const size_t K = static_cast<size_t>(size());
-  size_t NumActive = K;
-  if (Active) {
-    NumActive = 0;
-    for (size_t A = 0; A != K; ++A)
-      NumActive += Active[A] ? 1 : 0;
-    if (NumActive == 0)
-      return;
-  }
-  auto Body = [&](size_t B, size_t E) {
-    for (size_t A = B; A != E; ++A) {
-      if (Active && !Active[A])
-        continue;
-      Rewards[A] = Envs[A]->step(Actions[A]);
-      Terminals[A] = Envs[A]->terminal() ? 1 : 0;
-    }
-  };
-  // Inline serial short-circuit (see the header): first batch (AvgStepNs
-  // still 0) runs serially to seed the estimate; after escalating, only an
-  // estimate under half the cutoff de-escalates (hysteresis).
-  const double Est = static_cast<double>(NumActive) * AvgStepNs;
-  const bool RunSerial =
-      Escalated ? Est < SerialCutoffNs * 0.5 : Est < SerialCutoffNs;
-  if (RunSerial) {
-    Escalated = false;
-    auto T0 = std::chrono::steady_clock::now();
-    Body(0, K);
-    double Ns = std::chrono::duration<double, std::nano>(
-                    std::chrono::steady_clock::now() - T0)
-                    .count() /
-                static_cast<double>(NumActive);
-    AvgStepNs = AvgStepNs == 0.0 ? Ns : 0.875 * AvgStepNs + 0.125 * Ns;
-    return;
-  }
-  Escalated = true;
-  ThreadPool::global().parallelFor(0, K, 1, Body);
+  ThreadPool::global().parallelFor(
+      0, static_cast<size_t>(size()), 1, [&](size_t B, size_t E) {
+        for (size_t A = B; A != E; ++A) {
+          if (Active && !Active[A])
+            continue;
+          Rewards[A] = Envs[A]->step(Actions[A]);
+          Terminals[A] = Envs[A]->terminal() ? 1 : 0;
+        }
+      });
 }

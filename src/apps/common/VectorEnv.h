@@ -69,29 +69,12 @@ public:
 
   /// stepAll restricted to actors with \p Active[k] != 0 (null = all).
   /// Inactive actors' reward/terminal slots are left untouched.
-  ///
-  /// Dispatch: a batch whose estimated serial cost (active actors times an
-  /// EWMA of the measured per-step cost) is below a threshold steps inline
-  /// on the calling thread instead of paying the ThreadPool handoff —
-  /// cheap-env pools with few actors (BM_RlActOnly at 2 actors) lose more
-  /// to the queue/wake/join cycle than they gain from concurrency. Actors
-  /// are independent, so serial and parallel stepping produce identical
-  /// results. Escalation to the pool is sticky with hysteresis so the
-  /// dispatcher does not flap around the threshold.
   void stepWhere(const uint8_t *Active, const int *Actions, float *Rewards,
                  uint8_t *Terminals);
 
 private:
   std::vector<std::unique_ptr<GameEnv>> Envs;
   std::vector<Rng> Streams;
-
-  /// EWMA of one actor-step's measured cost in ns, updated while stepping
-  /// serially (0 until the first batch, which therefore runs serially and
-  /// seeds it).
-  double AvgStepNs = 0.0;
-  /// Sticky escalation flag: once a batch estimate crosses SerialCutoffNs
-  /// the pool is used until the estimate falls below half the cutoff.
-  bool Escalated = false;
 };
 
 } // namespace apps

@@ -6,7 +6,6 @@
 #include "nn/Loss.h"
 #include "nn/Workspace.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -77,36 +76,8 @@ double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
 
   const bool Batched = backend() != Backend::Naive;
   size_t NX = Data.front().X.size(), NY = Data.front().Y.size();
-  // Double-buffered minibatch staging: while the engine trains on one slot,
-  // a pool worker extracts (normalizes and packs) the next minibatch into
-  // the other (the SL prefetch stage of DESIGN.md §8). The fill is a pure
-  // function of (Data, Order, Start), so overlap cannot change any value;
-  // with no workers the fill simply runs inline before each batch.
-  struct BatchSlot {
-    Tensor X, Y;
-    size_t Bn = 0;
-  };
-  BatchSlot Slots[2];
-  Tensor GradB;
-  auto fillSlot = [&](BatchSlot &S, size_t Start) {
-    size_t Bn =
-        std::min<size_t>(static_cast<size_t>(BatchSize), Order.size() - Start);
-    if (S.X.rank() != 2 || S.X.dim(0) != static_cast<int>(Bn)) {
-      S.X = Tensor({static_cast<int>(Bn), static_cast<int>(NX)});
-      S.Y = Tensor({static_cast<int>(Bn), static_cast<int>(NY)});
-    }
-    S.Bn = Bn;
-    for (size_t R = 0; R != Bn; ++R) {
-      const Sample &Smp = Data[Order[Start + R]];
-      float *XRow = S.X.sampleData(static_cast<int>(R));
-      for (size_t I = 0; I != NX; ++I)
-        XRow[I] = (Smp.X[I] - XMean[I]) / XStd[I];
-      float *YRow = S.Y.sampleData(static_cast<int>(R));
-      for (size_t I = 0; I != NY; ++I)
-        YRow[I] = (Smp.Y[I] - YMean[I]) / YStd[I];
-    }
-  };
-  ThreadPool &Pool = ThreadPool::global();
+  // Minibatch staging tensors, reused across batches and epochs.
+  Tensor BatchX, BatchY, GradB;
 
   double EpochLoss = 0.0;
   for (int Ep = 0; Ep < Epochs; ++Ep) {
@@ -117,34 +88,30 @@ double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
     EpochLoss = 0.0;
     if (Batched) {
       // One batched forward/backward per minibatch; gradients accumulate
-      // summed over the batch exactly as the per-sample path does. The
-      // epoch's batch boundaries are fixed before it starts, so slot B+1
-      // can be produced while slot B trains.
-      size_t NumBatches =
-          (Order.size() + static_cast<size_t>(BatchSize) - 1) /
-          static_cast<size_t>(BatchSize);
-      fillSlot(Slots[0], 0);
-      ThreadPool::TaskHandle Prefetch;
-      for (size_t B = 0; B != NumBatches; ++B) {
-        size_t NextStart = (B + 1) * static_cast<size_t>(BatchSize);
-        if (NextStart < Order.size()) {
-          BatchSlot *NextSlot = &Slots[(B + 1) % 2];
-          if (Pool.hasWorkers())
-            Prefetch = Pool.async([&fillSlot, NextSlot, NextStart] {
-              fillSlot(*NextSlot, NextStart);
-            });
-          else // Inline fill: skip the task's type-erasure allocation.
-            fillSlot(*NextSlot, NextStart);
+      // summed over the batch exactly as the per-sample path does.
+      for (size_t Start = 0; Start < Order.size();
+           Start += static_cast<size_t>(BatchSize)) {
+        size_t Bn = std::min<size_t>(static_cast<size_t>(BatchSize),
+                                     Order.size() - Start);
+        if (BatchX.rank() != 2 || BatchX.dim(0) != static_cast<int>(Bn)) {
+          BatchX = Tensor({static_cast<int>(Bn), static_cast<int>(NX)});
+          BatchY = Tensor({static_cast<int>(Bn), static_cast<int>(NY)});
         }
-        BatchSlot &S = Slots[B % 2];
-        Tensor Pred = Net.forwardBatch(S.X);
-        EpochLoss += mseLossBatch(Pred, S.Y, GradB);
+        for (size_t R = 0; R != Bn; ++R) {
+          const Sample &Smp = Data[Order[Start + R]];
+          float *XRow = BatchX.sampleData(static_cast<int>(R));
+          for (size_t I = 0; I != NX; ++I)
+            XRow[I] = (Smp.X[I] - XMean[I]) / XStd[I];
+          float *YRow = BatchY.sampleData(static_cast<int>(R));
+          for (size_t I = 0; I != NY; ++I)
+            YRow[I] = (Smp.Y[I] - YMean[I]) / YStd[I];
+        }
+        Tensor Pred = Net.forwardBatch(BatchX);
+        EpochLoss += mseLossBatch(Pred, BatchY, GradB);
         Workspace::release(Pred);
         Tensor DIn = Net.backwardBatch(GradB);
         Workspace::release(DIn);
-        Opt.step(1.0 / static_cast<double>(S.Bn));
-        if (Prefetch.valid())
-          Prefetch.wait(); // The next slot must be complete before use.
+        Opt.step(1.0 / static_cast<double>(Bn));
       }
     } else {
       size_t InBatch = 0;

@@ -1,18 +1,33 @@
-//===- support/ThreadPool.cpp - Deterministic work-sharing pool ----------===//
+//===- support/ThreadPool.cpp - Deterministic fork-join team -------------===//
 
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <memory>
 
 using namespace au;
 
 namespace {
 
-/// Set while a thread is executing chunks of some job; nested parallelFor
-/// calls from such a thread run inline instead of re-entering the pool.
+/// Set on worker threads, and on an issuing thread while it runs chunks;
+/// nested parallelFor calls from such a thread run inline.
 thread_local bool InParallelRegion = false;
+
+/// The job word's low half: chunks not yet claimed.
+constexpr uint64_t ChunkMask = 0xffffffffu;
+
+/// A spinning thread reads the clock once per this many pauses.
+constexpr unsigned PausesPerClockRead = 64;
+
+void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 
 int defaultThreadCount() {
   if (const char *Env = std::getenv("AU_NN_THREADS")) {
@@ -25,107 +40,76 @@ int defaultThreadCount() {
 }
 
 std::mutex GlobalM;
-std::unique_ptr<ThreadPool> Global;
+std::unique_ptr<ThreadPool> Global; // Guarded by GlobalM.
+std::atomic<ThreadPool *> GlobalFast{nullptr};
 
 } // namespace
 
 ThreadPool::ThreadPool(int NumThreads) : Threads(std::max(1, NumThreads)) {
-  // The calling thread participates in every loop it issues, but workers are
-  // what bound concurrency while the caller waits, so spawn Threads workers
-  // when parallel execution is requested at all.
-  if (Threads > 1) {
-    Workers.reserve(Threads);
-    for (int I = 0; I < Threads; ++I)
-      Workers.emplace_back([this] { workerLoop(); });
-  }
+  Workers.reserve(static_cast<size_t>(Threads - 1));
+  for (int I = 1; I < Threads; ++I)
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> G(QueueM);
-    Stop = true;
-  }
-  QueueCv.notify_all();
+  Stop.store(true);
+  { std::lock_guard<std::mutex> G(ParkM); }
+  ParkCv.notify_all();
   for (std::thread &W : Workers)
     W.join();
 }
 
-void ThreadPool::help(Job &J) {
-  bool Saved = InParallelRegion;
-  InParallelRegion = true;
-  for (;;) {
-    size_t C = J.Next.fetch_add(1, std::memory_order_relaxed);
-    if (C >= J.NumChunks)
+uint64_t ThreadPool::awaitJob(uint64_t Seen) {
+  auto Ready = [&](uint64_t W) {
+    return (W >> 32) != Seen || Stop.load(std::memory_order_relaxed);
+  };
+  auto Deadline = std::chrono::steady_clock::now() + SpinBudget;
+  for (unsigned I = 1;; ++I) {
+    uint64_t W = JobWord.load(std::memory_order_relaxed);
+    if (Ready(W))
+      return W;
+    cpuRelax();
+    if (I % PausesPerClockRead == 0 &&
+        std::chrono::steady_clock::now() > Deadline)
       break;
-    size_t B = J.Begin + C * J.Grain;
-    size_t E = std::min(J.End, B + J.Grain);
-    J.Body(B, E);
-    if (J.Done.fetch_add(1, std::memory_order_acq_rel) + 1 == J.NumChunks) {
-      std::lock_guard<std::mutex> G(J.M);
-      J.Cv.notify_all();
-    }
   }
-  InParallelRegion = Saved;
+  // Park. The seq_cst increment and epoch load pair with the dispatcher's
+  // seq_cst epoch store and Parked load: either this worker sees the new
+  // epoch, or the dispatcher sees it parked and takes ParkM to notify.
+  std::unique_lock<std::mutex> Lk(ParkM);
+  Parked.fetch_add(1);
+  uint64_t W = 0;
+  ParkCv.wait(Lk, [&] { return Ready(W = JobWord.load()); });
+  Parked.fetch_sub(1, std::memory_order_relaxed);
+  return W;
+}
+
+void ThreadPool::runChunks(uint64_t Epoch) {
+  uint64_t W = JobWord.load(std::memory_order_relaxed);
+  while ((W >> 32) == Epoch && (W & ChunkMask) != 0) {
+    // A successful claim pins the job: its issuer cannot return, and so
+    // cannot overwrite the slot, until this chunk is counted off Pending.
+    if (!JobWord.compare_exchange_weak(W, W - 1, std::memory_order_acquire,
+                                       std::memory_order_relaxed))
+      continue;
+    size_t C = JobChunks - (W & ChunkMask);
+    size_t B = JobBegin + C * JobGrain;
+    (*JobBody)(B, std::min(JobEnd, B + JobGrain));
+    Pending.fetch_sub(1, std::memory_order_release);
+    W = JobWord.load(std::memory_order_relaxed);
+  }
 }
 
 void ThreadPool::workerLoop() {
+  InParallelRegion = true;
+  uint64_t Seen = 0;
   for (;;) {
-    std::shared_ptr<Job> J;
-    {
-      std::unique_lock<std::mutex> Lk(QueueM);
-      QueueCv.wait(Lk, [this] { return Stop || !Queue.empty(); });
-      if (Stop)
-        return;
-      J = Queue.front();
-      if (J->Next.load(std::memory_order_relaxed) >= J->NumChunks) {
-        // Exhausted job another thread is finishing; retire it.
-        Queue.pop_front();
-        continue;
-      }
-    }
-    help(*J);
+    uint64_t W = awaitJob(Seen);
+    if (Stop.load(std::memory_order_relaxed))
+      return;
+    Seen = W >> 32;
+    runChunks(Seen);
   }
-}
-
-ThreadPool::TaskHandle ThreadPool::async(std::function<void()> Fn) {
-  TaskHandle H;
-  if (Workers.empty()) {
-    Fn(); // No workers: run inline; wait() becomes a no-op.
-    return H;
-  }
-  auto J = std::make_shared<Job>();
-  J->Body = [F = std::move(Fn)](size_t, size_t) { F(); };
-  J->Begin = 0;
-  J->End = 1;
-  J->Grain = 1;
-  J->NumChunks = 1;
-  {
-    std::lock_guard<std::mutex> G(QueueM);
-    Queue.push_back(J);
-  }
-  QueueCv.notify_one();
-  H.J = std::move(J);
-  H.Pool = this;
-  return H;
-}
-
-void ThreadPool::TaskHandle::wait() {
-  if (!J)
-    return;
-  {
-    std::unique_lock<std::mutex> Lk(J->M);
-    J->Cv.wait(Lk, [&] {
-      return J->Done.load(std::memory_order_acquire) == J->NumChunks;
-    });
-  }
-  {
-    // Retire the job so workers never observe a stale head entry.
-    std::lock_guard<std::mutex> G(Pool->QueueM);
-    auto It = std::find(Pool->Queue.begin(), Pool->Queue.end(), J);
-    if (It != Pool->Queue.end())
-      Pool->Queue.erase(It);
-  }
-  J.reset();
 }
 
 void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Grain,
@@ -134,49 +118,56 @@ void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Grain,
     return;
   assert(Grain > 0 && "parallelFor grain must be positive");
   size_t N = End - Begin;
-  if (Workers.empty() || InParallelRegion || N <= Grain) {
+  if (Workers.empty() || InParallelRegion || N <= Grain ||
+      (N - 1) / Grain >= ChunkMask ||
+      Busy.exchange(true, std::memory_order_acquire)) {
     Body(Begin, End);
     return;
   }
-  auto J = std::make_shared<Job>();
-  // LoopBodyRef is two pointers and trivially copyable, so this capture fits
-  // std::function's small-object buffer — no heap allocation here.
-  J->Body = [Body](size_t B, size_t E) { Body(B, E); };
-  J->Begin = Begin;
-  J->End = End;
-  J->Grain = Grain;
-  J->NumChunks = (N + Grain - 1) / Grain;
-  {
-    std::lock_guard<std::mutex> G(QueueM);
-    Queue.push_back(J);
+  size_t Chunks = (N - 1) / Grain + 1;
+  JobBody = &Body;
+  JobBegin = Begin;
+  JobEnd = End;
+  JobGrain = Grain;
+  JobChunks = Chunks;
+  Pending.store(Chunks, std::memory_order_relaxed);
+  uint64_t Epoch =
+      ((JobWord.load(std::memory_order_relaxed) >> 32) + 1) & ChunkMask;
+  JobWord.store(Epoch << 32 | Chunks);
+  if (Parked.load() > 0) {
+    { std::lock_guard<std::mutex> G(ParkM); }
+    ParkCv.notify_all();
   }
-  QueueCv.notify_all();
-  help(*J);
-  {
-    std::unique_lock<std::mutex> Lk(J->M);
-    J->Cv.wait(Lk, [&] {
-      return J->Done.load(std::memory_order_acquire) == J->NumChunks;
-    });
+
+  InParallelRegion = true;
+  runChunks(Epoch);
+  InParallelRegion = false;
+
+  auto Deadline = std::chrono::steady_clock::now() + SpinBudget;
+  for (unsigned I = 1; Pending.load(std::memory_order_acquire) != 0; ++I) {
+    cpuRelax();
+    if (I % PausesPerClockRead == 0 &&
+        std::chrono::steady_clock::now() > Deadline)
+      std::this_thread::yield();
   }
-  {
-    // Retire the job so workers never observe a stale head entry.
-    std::lock_guard<std::mutex> G(QueueM);
-    auto It = std::find(Queue.begin(), Queue.end(), J);
-    if (It != Queue.end())
-      Queue.erase(It);
-  }
+  Busy.store(false, std::memory_order_release);
 }
 
 ThreadPool &ThreadPool::global() {
+  if (ThreadPool *P = GlobalFast.load(std::memory_order_acquire))
+    return *P;
   std::lock_guard<std::mutex> G(GlobalM);
-  if (!Global)
+  if (!Global) {
     Global = std::make_unique<ThreadPool>(defaultThreadCount());
+    GlobalFast.store(Global.get(), std::memory_order_release);
+  }
   return *Global;
 }
 
 void ThreadPool::setGlobalThreads(int NumThreads) {
   std::lock_guard<std::mutex> G(GlobalM);
   Global = std::make_unique<ThreadPool>(NumThreads);
+  GlobalFast.store(Global.get(), std::memory_order_release);
 }
 
 void au::parallelShardedSum(size_t Items, size_t ShardGrain, size_t AccSize,

@@ -5,10 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small persistent thread pool exposing a parallelFor primitive, used by
-/// the NN compute engine for row-parallel GEMM and minibatch data
-/// parallelism. Two properties make results reproducible at any thread
-/// count:
+/// A persistent fork-join team exposing a parallelFor primitive, used by the
+/// NN compute engine for row-parallel GEMM and minibatch data parallelism,
+/// and by the actor and serving loops for per-lane work.
+///
+/// A pool of N threads is N - 1 workers plus the thread that issues a loop,
+/// so N threads run on N cores. A parallelFor publishes its range, grain and
+/// body into one preallocated job slot, bumps an epoch, runs chunks itself
+/// and joins on an atomic counter: no allocation, no lock and no condition
+/// variable on a hot team. Idle workers poll the epoch for SpinBudget, then
+/// park; a dispatch takes the park mutex only when some worker is parked.
+/// Nested loops, and loops issued while another thread's loop owns the team,
+/// run inline on the calling thread, so concurrent callers never queue.
+///
+/// Two properties make results reproducible at any thread count:
 ///
 ///  * parallelFor splits the iteration space into chunks whose boundaries
 ///    depend only on the range and the grain size — never on the number of
@@ -20,8 +30,7 @@
 ///    rounding is identical for 1, 2, or 64 threads.
 ///
 /// The global pool is sized by the AU_NN_THREADS environment variable
-/// (default: the hardware concurrency). Nested parallel regions execute
-/// inline on the calling thread.
+/// (default: the hardware concurrency), counting the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,11 +38,10 @@
 #define AU_SUPPORT_THREADPOOL_H
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <memory>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -44,8 +52,7 @@ namespace au {
 /// Non-owning reference to a `void(size_t, size_t)` loop body. parallelFor
 /// joins before returning, so the referenced callable always outlives its
 /// use; taking this instead of std::function keeps the steady-state hot path
-/// free of type-erasure heap allocations. Two pointers, trivially copyable —
-/// it fits std::function's small-object buffer when a Job must store it.
+/// free of type-erasure heap allocations. Two pointers, trivially copyable.
 class LoopBodyRef {
 public:
   template <typename F,
@@ -86,11 +93,12 @@ private:
   void (*Call)(void *, size_t, size_t, float *);
 };
 
-/// A fixed-size pool of worker threads executing chunked parallel loops.
+/// A fork-join team of worker threads executing chunked parallel loops.
 class ThreadPool {
 public:
-  /// Creates a pool that runs loop bodies on \p NumThreads threads total.
-  /// With NumThreads <= 1 no workers are spawned and every parallelFor runs
+  /// Creates a team that runs loop bodies on \p NumThreads threads total:
+  /// NumThreads - 1 workers plus whichever thread issues the loop. With
+  /// NumThreads <= 1 no workers are spawned and every parallelFor runs
   /// inline on the calling thread.
   explicit ThreadPool(int NumThreads);
   ~ThreadPool();
@@ -100,40 +108,17 @@ public:
 
   int numThreads() const { return Threads; }
 
-  /// Whether async() can actually overlap work with the caller (a pool of
-  /// one thread runs submitted tasks inline).
-  bool hasWorkers() const { return !Workers.empty(); }
-
-  struct Job;
-
-  /// Handle for a task submitted with async().
-  class TaskHandle {
-    friend class ThreadPool;
-
-  public:
-    /// Blocks until the task finishes (no-op for a task that ran inline).
-    void wait();
-    bool valid() const { return J != nullptr; }
-
-  private:
-    std::shared_ptr<Job> J;
-    ThreadPool *Pool = nullptr;
-  };
-
-  /// Submits \p Fn to run once on a worker thread and returns immediately.
-  /// With no workers the task runs inline before returning, so callers that
-  /// need genuine overlap (producer/consumer pipelines) should check
-  /// hasWorkers() and fall back to a serial schedule. Tasks may issue
-  /// parallelFor; it runs inline on the worker (nested-region rule), so a
-  /// producer can never deadlock the pool.
-  TaskHandle async(std::function<void()> Fn);
+  /// How long an idle worker polls for the next loop before it parks on a
+  /// condition variable.
+  static constexpr std::chrono::microseconds SpinBudget{100};
 
   /// Runs \p Body over [Begin, End), partitioned into chunks of at most
   /// \p Grain iterations. Body receives half-open sub-ranges. Chunk
   /// boundaries are a pure function of the range and grain, so any
   /// computation whose chunks write disjoint data is deterministic at every
-  /// thread count. Nested calls (from inside a Body) run inline. Joins
-  /// before returning, so passing a reference to a stack callable is safe.
+  /// thread count. Runs inline when called from inside a Body (nested) or
+  /// while another thread's loop occupies the team. Joins before returning,
+  /// so passing a reference to a stack callable is safe.
   void parallelFor(size_t Begin, size_t End, size_t Grain, LoopBodyRef Body);
 
   /// The process-wide pool, created on first use with AU_NN_THREADS threads
@@ -144,28 +129,39 @@ public:
   /// race with parallel work; intended for tests and benchmarks.
   static void setGlobalThreads(int NumThreads);
 
-  struct Job {
-    std::function<void(size_t, size_t)> Body;
-    size_t Begin = 0;
-    size_t Grain = 1;
-    size_t NumChunks = 0;
-    size_t End = 0;
-    std::atomic<size_t> Next{0};
-    std::atomic<size_t> Done{0};
-    std::mutex M;
-    std::condition_variable Cv;
-  };
-
 private:
   void workerLoop();
-  static void help(Job &J);
+  /// Blocks until the published epoch differs from \p Seen (or the pool
+  /// stops) and returns the job word.
+  uint64_t awaitJob(uint64_t Seen);
+  /// Claims and runs chunks of the job of epoch \p Epoch until none is left.
+  void runChunks(uint64_t Epoch);
 
-  int Threads;
+  const int Threads;
+
+  /// The job word: epoch << 32 | chunks not yet claimed. Each parallelFor
+  /// bumps the epoch; participants claim chunks by CAS, which fails once
+  /// the epoch has moved on, so a late worker never reads a later job's
+  /// fields.
+  alignas(64) std::atomic<uint64_t> JobWord{0};
+  /// Chunks not yet finished; the issuing thread joins when it reaches 0.
+  alignas(64) std::atomic<size_t> Pending{0};
+
+  /// The job slot, written by the issuing thread before it publishes the
+  /// epoch and read by a participant only after it has claimed a chunk.
+  alignas(64) const LoopBodyRef *JobBody = nullptr;
+  size_t JobBegin = 0, JobEnd = 0, JobGrain = 1, JobChunks = 0;
+
+  /// Set while some thread's loop owns the team.
+  std::atomic<bool> Busy{false};
+  std::atomic<bool> Stop{false};
+
+  /// Workers waiting on ParkCv; a dispatch takes ParkM only when nonzero.
+  std::atomic<int> Parked{0};
+  std::mutex ParkM;
+  std::condition_variable ParkCv;
+
   std::vector<std::thread> Workers;
-  std::mutex QueueM;
-  std::condition_variable QueueCv;
-  std::deque<std::shared_ptr<Job>> Queue;
-  bool Stop = false;
 };
 
 /// Data-parallel accumulation over [0, Items) with reproducible rounding:

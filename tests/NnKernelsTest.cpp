@@ -22,8 +22,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <numeric>
+#include <thread>
 
 //===----------------------------------------------------------------------===//
 // Global allocation counter: every heap allocation in this binary ticks it,
@@ -113,37 +115,98 @@ TEST_F(NnKernelsTest, ParallelForCoversRangeExactlyOnce) {
   }
 }
 
-TEST_F(NnKernelsTest, AsyncTaskRunsAndWaitCompletes) {
-  for (int Threads : {1, 4}) {
-    ThreadPool Pool(Threads);
-    std::atomic<int> Ran{0};
-    ThreadPool::TaskHandle H = Pool.async([&] { Ran.fetch_add(1); });
-    H.wait();
-    EXPECT_EQ(Ran.load(), 1) << "threads=" << Threads;
-    // With no workers (Threads == 1) the task runs inline and the handle
-    // is already invalid; either way wait() is idempotent.
-    H.wait();
-    EXPECT_FALSE(H.valid());
-  }
+TEST_F(NnKernelsTest, ConcurrentCallersEachCoverTheirRangeOnce) {
+  // Eight threads issue loops on one 4-thread team at once: whichever finds
+  // the team busy runs its loop inline, and every index of every loop must
+  // still run exactly once.
+  ThreadPool Pool(4);
+  constexpr int Callers = 8, Loops = 200;
+  constexpr size_t Items = 97;
+  std::vector<std::vector<std::atomic<int>>> Hits(Callers);
+  for (auto &H : Hits)
+    H = std::vector<std::atomic<int>>(Items);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < Callers; ++T)
+    Threads.emplace_back([&, T] {
+      for (int L = 0; L < Loops; ++L)
+        Pool.parallelFor(0, Items, 3, [&](size_t B, size_t E) {
+          for (size_t I = B; I != E; ++I)
+            ++Hits[T][I];
+        });
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (int T = 0; T < Callers; ++T)
+    for (size_t I = 0; I != Items; ++I)
+      ASSERT_EQ(Hits[T][I], Loops) << "caller=" << T << " index=" << I;
 }
 
-TEST_F(NnKernelsTest, AsyncTaskMayIssueParallelFor) {
-  // The SL prefetch producer normalizes batches with parallelFor from
-  // inside an async task; the nested region must run inline rather than
-  // deadlock the pool.
+TEST_F(NnKernelsTest, NestedParallelForRunsInline) {
   ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Hits(256);
-  for (auto &H : Hits)
-    H = 0;
-  ThreadPool::TaskHandle T = Pool.async([&] {
-    Pool.parallelFor(0, Hits.size(), 16, [&](size_t B, size_t E) {
+  std::vector<std::atomic<int>> Hits(64 * 16);
+  std::atomic<int> Foreign{0};
+  Pool.parallelFor(0, 64, 1, [&](size_t B, size_t E) {
+    std::thread::id Outer = std::this_thread::get_id();
+    for (size_t I = B; I != E; ++I)
+      Pool.parallelFor(0, 16, 1, [&](size_t NB, size_t NE) {
+        if (std::this_thread::get_id() != Outer)
+          ++Foreign;
+        for (size_t J = NB; J != NE; ++J)
+          ++Hits[I * 16 + J];
+      });
+  });
+  EXPECT_EQ(Foreign.load(), 0) << "a nested chunk left its issuing thread";
+  for (size_t I = 0; I != Hits.size(); ++I)
+    ASSERT_EQ(Hits[I], 1) << "index=" << I;
+}
+
+TEST_F(NnKernelsTest, PoolSurvivesParkingAndDestruction) {
+  auto CoversOnce = [](ThreadPool &Pool) {
+    std::vector<std::atomic<int>> Hits(300);
+    Pool.parallelFor(0, Hits.size(), 2, [&](size_t B, size_t E) {
       for (size_t I = B; I != E; ++I)
         ++Hits[I];
     });
-  });
-  T.wait();
-  for (size_t I = 0; I != Hits.size(); ++I)
-    ASSERT_EQ(Hits[I], 1) << "index=" << I;
+    for (size_t I = 0; I != Hits.size(); ++I)
+      if (Hits[I] != 1)
+        return false;
+    return true;
+  };
+  const auto PastSpin = 20 * ThreadPool::SpinBudget;
+  {
+    // Destroyed right after a loop, while its workers still spin.
+    ThreadPool Pool(4);
+    EXPECT_TRUE(CoversOnce(Pool));
+  }
+  {
+    // Destroyed with every worker parked.
+    ThreadPool Pool(4);
+    EXPECT_TRUE(CoversOnce(Pool));
+    std::this_thread::sleep_for(PastSpin);
+  }
+  {
+    // A loop issued to a parked team wakes it and still covers its range.
+    ThreadPool Pool(4);
+    for (int Round = 0; Round < 3; ++Round) {
+      std::this_thread::sleep_for(PastSpin);
+      EXPECT_TRUE(CoversOnce(Pool)) << "round " << Round;
+    }
+  }
+}
+
+TEST_F(NnKernelsTest, GlobalThreadCountTogglesBetweenLoops) {
+  for (int Threads : {1, 4, 1, 4}) {
+    ThreadPool::setGlobalThreads(Threads);
+    ASSERT_EQ(ThreadPool::global().numThreads(), Threads);
+    std::vector<std::atomic<int>> Hits(500);
+    ThreadPool::global().parallelFor(0, Hits.size(), 5,
+                                     [&](size_t B, size_t E) {
+      for (size_t I = B; I != E; ++I)
+        ++Hits[I];
+    });
+    for (size_t I = 0; I != Hits.size(); ++I)
+      ASSERT_EQ(Hits[I], 1) << "threads=" << Threads << " index=" << I;
+  }
 }
 
 TEST_F(NnKernelsTest, ShardedSumMatchesSerialAtAnyThreadCount) {
@@ -547,8 +610,12 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterParamLoad) {
 // Zero-allocation steady state (workspace arena + retained layer caches)
 //===----------------------------------------------------------------------===//
 
-TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocate) {
-  ThreadPool::setGlobalThreads(1); // Allocation counting needs one thread.
+namespace {
+
+/// Runs warm forward passes of a DNN and a CNN on a pool of \p Threads and
+/// checks that a further eight allocate nothing on any thread.
+void expectSteadyStateForwardBatchDoesNotAllocate(int Threads) {
+  ThreadPool::setGlobalThreads(Threads);
   for (Backend B : comparableBackends()) {
     if (B == Backend::Naive)
       continue; // The reference engine makes no zero-alloc promise.
@@ -565,24 +632,45 @@ TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocate) {
     // make the zero-alloc assertion below pass vacuously.
     ASSERT_GT(GHeapAllocs.load(std::memory_order_relaxed), 0);
 
-    // Warm-up: buffers converge on the workload's high-water mark.
-    for (int I = 0; I < 3; ++I) {
+    auto Pass = [&] {
       Tensor A = Dnn.forwardBatch(DnnIn);
       Workspace::release(A);
       Tensor C = Cnn.forwardBatch(CnnIn);
       Workspace::release(C);
-    }
+    };
+    // Warm-up: buffers converge on the workload's high-water mark, on every
+    // thread that runs chunks. Chunks go to whichever thread claims them
+    // first, so first run one pass on each thread of the team: chunks that
+    // wait for one another run on distinct threads, and the loops nested in
+    // a pass run inline there. The passes take turns (one network).
+    std::atomic<int> Arrived{0};
+    std::mutex PassM;
+    ThreadPool::global().parallelFor(0, Threads, 1, [&](size_t, size_t) {
+      ++Arrived;
+      while (Arrived.load() < Threads)
+        std::this_thread::yield();
+      std::lock_guard<std::mutex> G(PassM);
+      Pass();
+    });
+    for (int I = 0; I < 3; ++I)
+      Pass();
 
     long Before = GHeapAllocs.load(std::memory_order_relaxed);
-    for (int I = 0; I < 8; ++I) {
-      Tensor A = Dnn.forwardBatch(DnnIn);
-      Workspace::release(A);
-      Tensor C = Cnn.forwardBatch(CnnIn);
-      Workspace::release(C);
-    }
+    for (int I = 0; I < 8; ++I)
+      Pass();
     long After = GHeapAllocs.load(std::memory_order_relaxed);
     EXPECT_EQ(After, Before)
         << "steady-state forwardBatch allocated under backend "
-        << backendName(B);
+        << backendName(B) << " at " << Threads << " threads";
   }
+}
+
+} // namespace
+
+TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocate) {
+  expectSteadyStateForwardBatchDoesNotAllocate(1);
+}
+
+TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocateAtFourThreads) {
+  expectSteadyStateForwardBatchDoesNotAllocate(4);
 }
