@@ -10,19 +10,27 @@
 //
 // followed by a speedup line per case, so the perf trajectory can be
 // tracked across PRs. The simd rows only appear when the CPU supports
-// AVX2+FMA. Thread counts swept: 1 and 4 (plus AU_NN_THREADS if set to
-// something else).
+// AVX2+FMA. Thread counts swept: 1 and 4.
+//
+// The dqn_step_flappy_* rows split one DQN minibatch step on the Flappy
+// {5, 32, 32, 2} network at batch 32 (the step that dominates the RL game
+// loops) into target forward, online forward, backward and Adam step, per
+// batched backend; their ns_per_iter is per minibatch step, not per sample.
 //
 //===----------------------------------------------------------------------===//
 
 #include "nn/Gemm.h"
 #include "nn/Layers.h"
 #include "nn/Network.h"
+#include "nn/Optimizer.h"
 #include "nn/Supervised.h"
+#include "nn/Workspace.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -230,6 +238,102 @@ void benchEndToEndEpoch(const std::vector<int> &ThreadsSet) {
   }
 }
 
+/// One DQN minibatch step on the Flappy network, timed phase by phase:
+/// target forward, online forward, backward (Huber gradient at the taken
+/// action, as QLearner::trainStep), and the Adam step. Minibatches are
+/// drawn from a fixed pool of random transitions and the target network
+/// syncs every 250 steps, outside the timed phases, so the moments see
+/// gradients like a replay buffer's rather than one batch fitted to zero.
+void benchDqnStepCase(const std::vector<int> &ThreadsSet) {
+  const int In = 5, Actions = 2, Batch = 32, Pool = 4096;
+  const std::vector<int> Hidden = {32, 32};
+  Rng DataRand(6);
+  Tensor States = randomBatch({Pool, In}, DataRand);
+  Tensor Next = randomBatch({Pool, In}, DataRand);
+  std::vector<int> Act(Pool);
+  std::vector<float> Reward(Pool);
+  std::vector<bool> Terminal(Pool);
+  for (int I = 0; I < Pool; ++I) {
+    Act[I] = static_cast<int>(DataRand.uniformInt(Actions));
+    Reward[I] = static_cast<float>(DataRand.uniform(-1, 1));
+    Terminal[I] = DataRand.chance(0.1);
+  }
+  using Clock = std::chrono::steady_clock;
+  auto Ns = [](Clock::time_point A, Clock::time_point B) {
+    return std::chrono::duration<double, std::nano>(B - A).count();
+  };
+  const char *Phases[] = {"target_fwd", "online_fwd", "backward", "adam"};
+  for (Backend Be : batchedBackends()) {
+    setBackend(Be);
+    for (int T : ThreadsSet) {
+      ThreadPool::setGlobalThreads(T);
+      Rng NetRand(3);
+      Network Online = buildDnn(In, Hidden, Actions, NetRand);
+      Network Target = buildDnn(In, Hidden, Actions, NetRand);
+      Target.copyParamsFrom(Online);
+      Adam Opt(Online, 5e-4);
+      Tensor S({Batch, In}), N({Batch, In}), Grad({Batch, Actions});
+      std::vector<int> Rows(Batch);
+      Rng PickRand(7);
+      double Total[4] = {0, 0, 0, 0};
+      auto Step = [&](bool Timed) {
+        for (int B = 0; B < Batch; ++B) {
+          Rows[B] = static_cast<int>(PickRand.uniformInt(Pool));
+          std::copy(States.sampleData(Rows[B]), States.sampleData(Rows[B]) + In,
+                    S.sampleData(B));
+          std::copy(Next.sampleData(Rows[B]), Next.sampleData(Rows[B]) + In,
+                    N.sampleData(B));
+        }
+        Clock::time_point T0 = Clock::now();
+        Tensor NextQ = Target.forwardBatch(N);
+        Clock::time_point T1 = Clock::now();
+        Tensor Pred = Online.forwardBatch(S);
+        Grad.fill(0.0f);
+        for (int B = 0; B < Batch; ++B) {
+          int R = Rows[B];
+          float Y = Reward[R];
+          if (!Terminal[R]) {
+            const float *Q = NextQ.sampleData(B);
+            Y += 0.97f * *std::max_element(Q, Q + Actions);
+          }
+          float Diff = Pred.sampleData(B)[Act[R]] - Y;
+          Grad.sampleData(B)[Act[R]] = std::clamp(Diff, -1.0f, 1.0f);
+        }
+        Workspace::release(NextQ);
+        Workspace::release(Pred);
+        Clock::time_point T2 = Clock::now();
+        Tensor DIn = Online.backwardBatch(Grad);
+        Workspace::release(DIn);
+        Clock::time_point T3 = Clock::now();
+        Opt.step(1.0 / Batch);
+        Clock::time_point T4 = Clock::now();
+        if (Timed) {
+          Total[0] += Ns(T0, T1);
+          Total[1] += Ns(T1, T2);
+          Total[2] += Ns(T2, T3);
+          Total[3] += Ns(T3, T4);
+        }
+      };
+      for (int I = 0; I < 500; ++I) // Warm-up: caches and moments settle.
+        Step(false);
+      long Iters = 0;
+      Timer Wall;
+      while (Iters < 1000 || Wall.seconds() < 0.5) {
+        Step(true);
+        if (++Iters % 250 == 0)
+          Target.copyParamsFrom(Online);
+      }
+      double Sum = 0.0;
+      for (int P = 0; P < 4; ++P) {
+        printCase(std::string("dqn_step_flappy_") + Phases[P],
+                  backendName(Be), T, Total[P] / Iters);
+        Sum += Total[P];
+      }
+      printCase("dqn_step_flappy_total", backendName(Be), T, Sum / Iters);
+    }
+  }
+}
+
 } // namespace
 
 int main() {
@@ -251,5 +355,8 @@ int main() {
   benchDenseCase("dense_fwd_bwd_1024x64", 1024, 64, 32, ThreadsSet);
 
   benchEndToEndEpoch(ThreadsSet);
+
+  // One DQN minibatch step on the Flappy network, phase by phase.
+  benchDqnStepCase(ThreadsSet);
   return 0;
 }

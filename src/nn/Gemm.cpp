@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -52,10 +53,10 @@ Backend readBackendFromEnv() {
 
 Backend ActiveBackend = readBackendFromEnv();
 
-// Per-thread packing scratch. Packing happens on the thread issuing the GEMM
-// (before any parallel region), so concurrent GEMMs from different pool
-// workers never share a buffer; capacity persists, so steady-state calls do
-// not allocate.
+// Per-thread packing scratch (the blocked engine's transposes and the simd
+// engine's B panels). Packing happens on the thread issuing the GEMM (before
+// any parallel region), so concurrent GEMMs from different pool workers never
+// share a buffer; capacity persists, so steady-state calls do not allocate.
 thread_local std::vector<float> PackABuf;
 thread_local std::vector<float> PackBBuf;
 
@@ -67,6 +68,14 @@ void packTranspose(const float *Src, int Rows, int Cols, int Ld, float *Dst) {
     for (int C = 0; C < Cols; ++C)
       Dst[static_cast<size_t>(C) * Rows + R] = SrcRow[C];
   }
+}
+
+/// Flushes a subnormal Adam moment to a zero of the same sign. A moment
+/// whose gradient stays 0 decays to the smallest subnormal and sticks there
+/// (0.9 * 2^-149 rounds back up), costing a microcode assist on every later
+/// step; the weight step it would drive is below one ulp of the weight.
+float flushSubnormal(float X) {
+  return std::fabs(X) < FLT_MIN ? std::copysign(0.0f, X) : X;
 }
 
 /// Grows \p Buf without shrinking so its capacity converges on the session
@@ -106,7 +115,13 @@ Backend au::nn::packEngine() {
   return ActiveBackend == Backend::Simd ? Backend::Simd : Backend::Blocked;
 }
 
-bool au::nn::simdKernelsActive() { return ActiveBackend == Backend::Simd; }
+namespace {
+
+/// Whether the elementwise and optimizer kernels take their vectorized simd
+/// forms (active backend is simd, which setBackend clamps to the hardware).
+bool simdKernelsActive() { return ActiveBackend == Backend::Simd; }
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Blocked-scalar SGEMM (portable fallback; reference rounding for tests)
@@ -164,22 +179,23 @@ void sgemmBlockedCore(int M, int N, int K, float Alpha, const float *AP,
   });
 }
 
-/// Panel-packed simd GEMM core: row panels of 6 are distributed across the
-/// pool; panel boundaries are a pure function of M, and each C element is one
-/// k-ascending FMA chain, so results are thread-count independent. BiasRow,
-/// when non-null, seeds each output row's accumulators (conv forward fusion;
-/// requires Alpha == 1, Beta == 0).
-void sgemmSimdCore(int M, int N, int K, float Alpha, const float *APanels,
-                   const float *BPanels, float Beta, float *C, int Ldc,
-                   const float *BiasRow = nullptr) {
-  size_t NPanels = static_cast<size_t>(simd::numAPanels(M));
+/// Simd GEMM core over in-place op(A) and packed B panels: row panels of 6
+/// are distributed across the pool; panel boundaries are a pure function of
+/// M, and each C element is one k-ascending FMA chain, so results are
+/// thread-count independent. BiasRow, when non-null, seeds each output row's
+/// accumulators (conv forward fusion; requires Alpha == 1, Beta == 0).
+void sgemmSimdCore(bool TransA, int M, int N, int K, float Alpha,
+                   const float *A, int Lda, const float *BPanels, float Beta,
+                   float *C, int Ldc, const float *BiasRow = nullptr) {
+  size_t NPanels = static_cast<size_t>(simd::numRowPanels(M));
   size_t FlopsPerPanel =
       static_cast<size_t>(simd::MR) * std::max(1, K) * std::max(1, N);
   size_t Grain = std::max<size_t>(1, 262144 / FlopsPerPanel);
   ThreadPool::global().parallelFor(0, NPanels, Grain,
                                    [&](size_t PB, size_t PE) {
     simd::microKernelRange(static_cast<int>(PB), static_cast<int>(PE), M, N,
-                           K, Alpha, APanels, BPanels, Beta, BiasRow, C, Ldc);
+                           K, Alpha, A, Lda, TransA, BPanels, Beta, BiasRow,
+                           C, Ldc);
   });
 }
 
@@ -210,11 +226,9 @@ void au::nn::sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
   }
 
   if (packEngine() == Backend::Simd) {
-    float *AP = reserveScratch(PackABuf, simd::aPanelsSize(M, K));
-    simd::packAPanels(A, Lda, TransA, M, K, AP);
     float *BP = reserveScratch(PackBBuf, simd::bPanelsSize(K, N));
     simd::packBPanels(B, Ldb, TransB, K, N, BP);
-    sgemmSimdCore(M, N, K, Alpha, AP, BP, Beta, C, Ldc);
+    sgemmSimdCore(TransA, M, N, K, Alpha, A, Lda, BP, Beta, C, Ldc);
     return;
   }
 
@@ -242,35 +256,6 @@ void au::nn::sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
 //===----------------------------------------------------------------------===//
 // Pre-packed operands
 //===----------------------------------------------------------------------===//
-
-void au::nn::ensurePackedA(PackedOperand &P, uint64_t Gen, bool TransA, int M,
-                           int K, const float *A, int Lda) {
-  Backend Engine = packEngine();
-  if (P.fresh(Engine, Gen) && P.Rows == M && P.Cols == K)
-    return;
-  P.Rows = M;
-  P.Cols = K;
-  P.For = Engine;
-  P.Gen = Gen;
-  P.Present = true;
-  if (Engine == Backend::Simd) {
-    size_t Need = simd::aPanelsSize(M, K);
-    if (P.Data.size() < Need)
-      P.Data.resize(Need);
-    simd::packAPanels(A, Lda, TransA, M, K, P.Data.data());
-    return;
-  }
-  // Blocked layout: plain row-major op(A)[M][K].
-  size_t Need = static_cast<size_t>(M) * K;
-  if (P.Data.size() < Need)
-    P.Data.resize(Need);
-  if (TransA)
-    packTranspose(A, K, M, Lda, P.Data.data());
-  else
-    for (int I = 0; I < M; ++I)
-      std::memcpy(P.Data.data() + static_cast<size_t>(I) * K,
-                  A + static_cast<size_t>(I) * Lda, sizeof(float) * K);
-}
 
 void au::nn::ensurePackedB(PackedOperand &P, uint64_t Gen, bool TransB, int K,
                            int N, const float *B, int Ldb) {
@@ -300,34 +285,6 @@ void au::nn::ensurePackedB(PackedOperand &P, uint64_t Gen, bool TransB, int K,
                   B + static_cast<size_t>(I) * Ldb, sizeof(float) * N);
 }
 
-void au::nn::sgemmPackedA(const PackedOperand &PA, bool TransB, int M, int N,
-                          int K, float Alpha, const float *B, int Ldb,
-                          float Beta, float *C, int Ldc) {
-  assert(PA.Present && PA.For == packEngine() && "stale packed operand");
-  assert(PA.Rows == M && PA.Cols == K && "packed operand extent mismatch");
-  if (M == 0 || N == 0)
-    return;
-  if (K == 0) {
-    scaleC(M, N, Beta, C, Ldc);
-    return;
-  }
-  if (PA.For == Backend::Simd) {
-    float *BP = reserveScratch(PackBBuf, simd::bPanelsSize(K, N));
-    simd::packBPanels(B, Ldb, TransB, K, N, BP);
-    sgemmSimdCore(M, N, K, Alpha, PA.Data.data(), BP, Beta, C, Ldc);
-    return;
-  }
-  const float *BP = B;
-  int BLd = Ldb;
-  if (TransB) {
-    float *Buf = reserveScratch(PackBBuf, static_cast<size_t>(K) * N);
-    packTranspose(B, N, K, Ldb, Buf);
-    BP = Buf;
-    BLd = N;
-  }
-  sgemmBlockedCore(M, N, K, Alpha, PA.Data.data(), K, BP, BLd, Beta, C, Ldc);
-}
-
 void au::nn::sgemmPackedB(bool TransA, const PackedOperand &PB, int M, int N,
                           int K, float Alpha, const float *A, int Lda,
                           float Beta, float *C, int Ldc) {
@@ -340,9 +297,8 @@ void au::nn::sgemmPackedB(bool TransA, const PackedOperand &PB, int M, int N,
     return;
   }
   if (PB.For == Backend::Simd) {
-    float *AP = reserveScratch(PackABuf, simd::aPanelsSize(M, K));
-    simd::packAPanels(A, Lda, TransA, M, K, AP);
-    sgemmSimdCore(M, N, K, Alpha, AP, PB.Data.data(), Beta, C, Ldc);
+    sgemmSimdCore(TransA, M, N, K, Alpha, A, Lda, PB.Data.data(), Beta, C,
+                  Ldc);
     return;
   }
   const float *AP = A;
@@ -412,34 +368,42 @@ double au::nn::mseBatchKernel(const float *P, const float *T, float *G,
 }
 
 void au::nn::adamUpdateKernel(float *W, float *G, float *M, float *V,
-                              size_t N, float Lr, float B1, float B2,
-                              float Eps, float InvBias1, float InvBias2,
-                              float Scale) {
+                              size_t N, double Lr, double B1, double B2,
+                              double Eps, double Bias1, double Bias2,
+                              double Scale) {
   if (simdKernelsActive()) {
-    simd::adamUpdateAvx(W, G, M, V, N, Lr, B1, B2, Eps, InvBias1, InvBias2,
-                        Scale);
+    // Fused single-precision pass: moments, bias correction, parameter
+    // step, and gradient clear in one vectorized sweep.
+    simd::adamUpdateAvx(W, G, M, V, N, static_cast<float>(Lr),
+                        static_cast<float>(B1), static_cast<float>(B2),
+                        static_cast<float>(Eps),
+                        static_cast<float>(1.0 / Bias1),
+                        static_cast<float>(1.0 / Bias2),
+                        static_cast<float>(Scale));
     return;
   }
+  // Scalar reference: double-precision arithmetic over float storage.
   for (size_t I = 0; I != N; ++I) {
-    float Gs = G[I] * Scale;
-    M[I] = B1 * M[I] + (1.0f - B1) * Gs;
-    V[I] = B2 * V[I] + (1.0f - B2) * Gs * Gs;
-    float MHat = M[I] * InvBias1;
-    float VHat = V[I] * InvBias2;
-    W[I] -= Lr * MHat / (std::sqrt(VHat) + Eps);
+    double Gd = G[I] * Scale;
+    M[I] = flushSubnormal(static_cast<float>(B1 * M[I] + (1.0 - B1) * Gd));
+    V[I] = flushSubnormal(
+        static_cast<float>(B2 * V[I] + (1.0 - B2) * Gd * Gd));
+    double MHat = M[I] / Bias1;
+    double VHat = V[I] / Bias2;
+    W[I] -= static_cast<float>(Lr * MHat / (std::sqrt(VHat) + Eps));
     G[I] = 0.0f;
   }
 }
 
-void au::nn::sgemmConvBias(const PackedOperand &PA, int M, int N, int K,
+void au::nn::sgemmConvBias(int M, int N, int K, const float *A, int Lda,
                            const float *B, int Ldb, const float *Bias,
                            float *C, int Ldc) {
-  assert(PA.Present && PA.For == Backend::Simd && "needs simd-packed A");
-  assert(PA.Rows == M && PA.Cols == K && "packed operand extent mismatch");
+  assert(packEngine() == Backend::Simd && "conv bias fusion is simd-only");
   assert(M > 0 && N > 0 && K > 0 && "degenerate conv GEMM");
   float *BP = reserveScratch(PackBBuf, simd::bPanelsSize(K, N));
   simd::packBPanels(B, Ldb, /*Trans=*/false, K, N, BP);
-  sgemmSimdCore(M, N, K, 1.0f, PA.Data.data(), BP, 0.0f, C, Ldc, Bias);
+  sgemmSimdCore(/*TransA=*/false, M, N, K, 1.0f, A, Lda, BP, 0.0f, C, Ldc,
+                Bias);
 }
 
 //===----------------------------------------------------------------------===//

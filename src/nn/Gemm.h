@@ -14,16 +14,17 @@
 ///
 /// Three engines are selectable at runtime via AU_NN_BACKEND:
 ///
-///  * simd    — AVX2/FMA 6x16 register-tile micro-kernel over panel-packed
-///              operands (the default when the CPU supports AVX2 and FMA).
+///  * simd    — AVX2/FMA 6x16 register-tile micro-kernel that reads A in
+///              place and B from packed panels (the default when the CPU
+///              supports AVX2 and FMA).
 ///  * blocked — the portable blocked-scalar kernel ("gemm" is accepted as a
 ///              legacy alias); also the fallback on CPUs without AVX2/FMA.
 ///  * naive   — the original scalar per-sample layer kernels, kept as the
 ///              reference implementation for differential testing.
 ///
-/// Weight matrices can be pre-packed once into the active engine's fast
-/// layout and cached on the layer (a PackedOperand), invalidated by the
-/// layer's parameter-generation counter; see DESIGN.md §9.
+/// Right-hand weight operands can be pre-packed once into the active
+/// engine's fast layout and cached on the layer (a PackedOperand),
+/// invalidated by the layer's parameter-generation counter; see DESIGN.md §9.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,11 +78,12 @@ void sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
 // Pre-packed weight operands (DESIGN.md §9: packing lifecycle)
 //===----------------------------------------------------------------------===//
 
-/// One GEMM operand held in the active engine's fast layout: the blocked
-/// engine stores plain row-major op(X); the simd engine stores register-tile
-/// panels (6-row panels for the A side, 16-column panels for the B side).
-/// A layer caches one of these per weight-consuming GEMM and re-packs only
-/// when its parameter generation or the active engine changes.
+/// One right-hand GEMM operand op(B) held in the active engine's fast
+/// layout: the blocked engine stores plain row-major op(B); the simd engine
+/// stores 16-column register-tile panels. The left operand needs no cache:
+/// the simd micro-kernel reads op(A) in place from the stored matrix. A layer
+/// caches one of these per weight-consuming GEMM and re-packs only when its
+/// parameter generation or the active engine changes.
 struct PackedOperand {
   std::vector<float> Data;
   int Rows = 0, Cols = 0;            ///< Logical op(X) extents.
@@ -99,35 +101,25 @@ struct PackedOperand {
 /// backend (naive still routes explicit sgemm calls through blocked).
 Backend packEngine();
 
-/// Ensures \p P holds op(A) = M x K (stored \p A with row stride \p Lda,
-/// transposed per \p TransA) packed for the active engine at parameter
+/// Ensures \p P holds op(B) = K x N (stored \p B with row stride \p Ldb,
+/// transposed per \p TransB) packed for the active engine at parameter
 /// generation \p Gen; re-packs only when stale. Not thread-safe: call before
 /// entering any parallel region that consumes \p P.
-void ensurePackedA(PackedOperand &P, uint64_t Gen, bool TransA, int M, int K,
-                   const float *A, int Lda);
-
-/// Ensures \p P holds op(B) = K x N packed for the active engine (see
-/// ensurePackedA).
 void ensurePackedB(PackedOperand &P, uint64_t Gen, bool TransB, int K, int N,
                    const float *B, int Ldb);
 
-/// sgemm with a pre-packed left operand (\p PA from ensurePackedA, same
+/// sgemm with a pre-packed right operand (\p PB from ensurePackedB, same
 /// active engine). Safe to call concurrently from disjoint-output tasks.
-void sgemmPackedA(const PackedOperand &PA, bool TransB, int M, int N, int K,
-                  float Alpha, const float *B, int Ldb, float Beta, float *C,
-                  int Ldc);
-
-/// sgemm with a pre-packed right operand (\p PB from ensurePackedB).
 void sgemmPackedB(bool TransA, const PackedOperand &PB, int M, int N, int K,
                   float Alpha, const float *A, int Lda, float Beta, float *C,
                   int Ldc);
 
-/// Simd-only conv forward GEMM: C = op(A) * B + bias[row], where \p PA is a
-/// simd-packed weight matrix and \p B is the K x N im2col column matrix
-/// (row stride \p Ldb). The per-output-channel bias seeds the micro-kernel
-/// accumulators, so no separate bias fill or Beta read-modify pass touches
-/// C. Safe to call concurrently from disjoint-output tasks.
-void sgemmConvBias(const PackedOperand &PA, int M, int N, int K,
+/// Simd-only conv forward GEMM: C = A * B + bias[row], where \p A is the
+/// M x K weight matrix (row stride \p Lda) and \p B is the K x N im2col
+/// column matrix (row stride \p Ldb). The per-output-channel bias seeds the
+/// micro-kernel accumulators, so no separate bias fill or Beta read-modify
+/// pass touches C. Safe to call concurrently from disjoint-output tasks.
+void sgemmConvBias(int M, int N, int K, const float *A, int Lda,
                    const float *B, int Ldb, const float *Bias, float *C,
                    int Ldc);
 
@@ -152,16 +144,16 @@ void biasAddRowsKernel(float *Y, const float *Bias, int Rows, int Cols);
 double mseBatchKernel(const float *P, const float *T, float *G, int Rows,
                       int Cols);
 
-/// Fused Adam update over one parameter tensor under the simd engine:
-/// single-precision moment update, bias correction, parameter step, and
-/// gradient clear in one pass. InvBias1/InvBias2 are 1 / (1 - beta^t).
+/// Adam update over one parameter tensor: moment update, bias correction,
+/// parameter step, and gradient clear in one pass. Bias1/Bias2 are
+/// 1 - beta^t; Scale multiplies the accumulated gradient. The simd engine
+/// runs a fused single-precision pass; the others compute in double over
+/// the float storage. Every engine flushes moments with |x| < FLT_MIN to a
+/// zero of the same sign, so parameters whose gradient stays 0 do not pin
+/// their moments on subnormals.
 void adamUpdateKernel(float *W, float *G, float *M, float *V, size_t N,
-                      float Lr, float B1, float B2, float Eps, float InvBias1,
-                      float InvBias2, float Scale);
-
-/// Whether the elementwise/optimizer kernels above take their vectorized
-/// simd forms (active backend is simd on supported hardware).
-bool simdKernelsActive();
+                      double Lr, double B1, double B2, double Eps,
+                      double Bias1, double Bias2, double Scale);
 
 //===----------------------------------------------------------------------===//
 // im2col / col2im

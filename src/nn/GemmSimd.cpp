@@ -7,9 +7,10 @@
 //
 // The SGEMM micro-kernel computes a 6x16 register tile: 12 ymm accumulators
 // (6 rows x two 8-lane vectors) fed by one broadcast per A element and two
-// FMAs, the classic BLIS-style inner loop. Each C element is produced by a
-// single k-ascending FMA chain, so results do not depend on how row panels
-// are scheduled across threads.
+// FMAs, the classic BLIS-style inner loop. A is broadcast straight from the
+// stored matrix through a row stride and a k stride; only B is packed. Each
+// C element is produced by a single k-ascending FMA chain, so results do not
+// depend on how row panels are scheduled across threads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <cassert>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <immintrin.h>
@@ -34,6 +36,14 @@ inline __m256i tailMask(int N) {
   alignas(32) static const int Bits[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                            0,  0,  0,  0,  0,  0,  0,  0};
   return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Bits + 8 - N));
+}
+
+/// Flushes a subnormal Adam moment to a zero of the same sign (see
+/// adamUpdateKernel in Gemm.cpp). Gemm.cpp keeps its own copy: an inline
+/// function shared with this -mavx2 file could link AVX code into the
+/// baseline path.
+inline float flushSubnormal(float X) {
+  return std::fabs(X) < FLT_MIN ? std::copysign(0.0f, X) : X;
 }
 
 /// Writes one 8-lane group of C: C = Alpha * Acc + Beta * C over the first
@@ -59,16 +69,18 @@ inline void storeGroup(float *Dst, __m256 Acc, int Count, __m256 AlphaV,
 }
 
 /// One R x 16 register tile: rows [RowBase, RowBase + R) of C against one
-/// B panel. R is a compile-time constant and every accumulator is an
-/// individually named __m256 guarded by if constexpr — an Acc[R] array here
-/// makes GCC spill the whole tile to the stack on every k iteration,
-/// roughly halving throughput. A non-null \p BiasRow seeds each row's
-/// accumulators with BiasRow[row] (requires Alpha == 1, Beta == 0), fusing
-/// the conv bias fill into the GEMM.
+/// B panel. \p ARow points at op(A)[RowBase][0] in the stored matrix;
+/// op(A)[RowBase + r][k] is ARow[r * Rs + k * Ks]. R is a compile-time
+/// constant and every accumulator is an individually named __m256 guarded
+/// by if constexpr — an Acc[R] array here makes GCC spill the whole tile to
+/// the stack on every k iteration, roughly halving throughput. A non-null
+/// \p BiasRow seeds each row's accumulators with BiasRow[row] (requires
+/// Alpha == 1, Beta == 0), fusing the conv bias fill into the GEMM.
 template <int R>
-void panelTile(const float *APan, const float *BPan, int RowBase, int J0,
-               int Cols, int K, __m256 AlphaV, float Beta, __m256 BetaV,
-               const float *BiasRow, float *C, int Ldc) {
+void panelTile(const float *ARow, size_t Rs, size_t Ks, const float *BPan,
+               int RowBase, int J0, int Cols, int K, __m256 AlphaV,
+               float Beta, __m256 BetaV, const float *BiasRow, float *C,
+               int Ldc) {
   static_assert(R >= 1 && R <= MR, "row count exceeds the register tile");
   {
     __m256 Z = _mm256_setzero_ps();
@@ -87,36 +99,36 @@ void panelTile(const float *APan, const float *BPan, int RowBase, int J0,
       if constexpr (R > 5)
         Acc50 = Acc51 = _mm256_set1_ps(BiasRow[RowBase + 5]);
     }
-    const float *AK = APan;
+    const float *AK = ARow;
     const float *BK = BPan;
-    for (int Kk = 0; Kk < K; ++Kk, AK += MR, BK += NR) {
+    for (int Kk = 0; Kk < K; ++Kk, AK += Ks, BK += NR) {
       __m256 B0 = _mm256_loadu_ps(BK);
       __m256 B1 = _mm256_loadu_ps(BK + 8);
       __m256 A = _mm256_broadcast_ss(AK);
       Acc00 = _mm256_fmadd_ps(A, B0, Acc00);
       Acc01 = _mm256_fmadd_ps(A, B1, Acc01);
       if constexpr (R > 1) {
-        A = _mm256_broadcast_ss(AK + 1);
+        A = _mm256_broadcast_ss(AK + Rs);
         Acc10 = _mm256_fmadd_ps(A, B0, Acc10);
         Acc11 = _mm256_fmadd_ps(A, B1, Acc11);
       }
       if constexpr (R > 2) {
-        A = _mm256_broadcast_ss(AK + 2);
+        A = _mm256_broadcast_ss(AK + 2 * Rs);
         Acc20 = _mm256_fmadd_ps(A, B0, Acc20);
         Acc21 = _mm256_fmadd_ps(A, B1, Acc21);
       }
       if constexpr (R > 3) {
-        A = _mm256_broadcast_ss(AK + 3);
+        A = _mm256_broadcast_ss(AK + 3 * Rs);
         Acc30 = _mm256_fmadd_ps(A, B0, Acc30);
         Acc31 = _mm256_fmadd_ps(A, B1, Acc31);
       }
       if constexpr (R > 4) {
-        A = _mm256_broadcast_ss(AK + 4);
+        A = _mm256_broadcast_ss(AK + 4 * Rs);
         Acc40 = _mm256_fmadd_ps(A, B0, Acc40);
         Acc41 = _mm256_fmadd_ps(A, B1, Acc41);
       }
       if constexpr (R > 5) {
-        A = _mm256_broadcast_ss(AK + 5);
+        A = _mm256_broadcast_ss(AK + 5 * Rs);
         Acc50 = _mm256_fmadd_ps(A, B0, Acc50);
         Acc51 = _mm256_fmadd_ps(A, B1, Acc51);
       }
@@ -157,8 +169,9 @@ void panelTile(const float *APan, const float *BPan, int RowBase, int J0,
 /// stored, halving the FMA work the zero-padded lanes would otherwise burn.
 /// Live lanes see the identical k-ascending chain, so results are unchanged.
 template <int R>
-void panelTileHalf(const float *APan, const float *BPan, int RowBase, int J0,
-                   int Cols, int K, __m256 AlphaV, float Beta, __m256 BetaV,
+void panelTileHalf(const float *ARow, size_t Rs, size_t Ks,
+                   const float *BPan, int RowBase, int J0, int Cols, int K,
+                   __m256 AlphaV, float Beta, __m256 BetaV,
                    const float *BiasRow, float *C, int Ldc) {
   static_assert(R >= 1 && R <= MR, "row count exceeds the register tile");
   __m256 Z = _mm256_setzero_ps();
@@ -176,21 +189,21 @@ void panelTileHalf(const float *APan, const float *BPan, int RowBase, int J0,
     if constexpr (R > 5)
       Acc5 = _mm256_set1_ps(BiasRow[RowBase + 5]);
   }
-  const float *AK = APan;
+  const float *AK = ARow;
   const float *BK = BPan;
-  for (int Kk = 0; Kk < K; ++Kk, AK += MR, BK += NR) {
+  for (int Kk = 0; Kk < K; ++Kk, AK += Ks, BK += NR) {
     __m256 B0 = _mm256_loadu_ps(BK);
     Acc0 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK), B0, Acc0);
     if constexpr (R > 1)
-      Acc1 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 1), B0, Acc1);
+      Acc1 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + Rs), B0, Acc1);
     if constexpr (R > 2)
-      Acc2 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 2), B0, Acc2);
+      Acc2 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 2 * Rs), B0, Acc2);
     if constexpr (R > 3)
-      Acc3 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 3), B0, Acc3);
+      Acc3 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 3 * Rs), B0, Acc3);
     if constexpr (R > 4)
-      Acc4 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 4), B0, Acc4);
+      Acc4 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 4 * Rs), B0, Acc4);
     if constexpr (R > 5)
-      Acc5 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 5), B0, Acc5);
+      Acc5 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 5 * Rs), B0, Acc5);
   }
   float *CRow = C + static_cast<size_t>(RowBase) * Ldc + J0;
   storeGroup(CRow, Acc0, Cols, AlphaV, Beta, BetaV);
@@ -219,47 +232,20 @@ void panelTileHalf(const float *APan, const float *BPan, int RowBase, int J0,
 /// Dispatches one register tile at compile-time row count \p R, taking the
 /// half-width path when the panel has at most 8 live columns.
 template <int R>
-inline void panelTileDispatch(const float *APan, const float *BPan,
-                              int RowBase, int J0, int Cols, int K,
-                              __m256 AlphaV, float Beta, __m256 BetaV,
-                              const float *BiasRow, float *C, int Ldc) {
+inline void panelTileDispatch(const float *ARow, size_t Rs, size_t Ks,
+                              const float *BPan, int RowBase, int J0,
+                              int Cols, int K, __m256 AlphaV, float Beta,
+                              __m256 BetaV, const float *BiasRow, float *C,
+                              int Ldc) {
   if (Cols <= 8)
-    panelTileHalf<R>(APan, BPan, RowBase, J0, Cols, K, AlphaV, Beta, BetaV,
-                     BiasRow, C, Ldc);
+    panelTileHalf<R>(ARow, Rs, Ks, BPan, RowBase, J0, Cols, K, AlphaV, Beta,
+                     BetaV, BiasRow, C, Ldc);
   else
-    panelTile<R>(APan, BPan, RowBase, J0, Cols, K, AlphaV, Beta, BetaV,
-                 BiasRow, C, Ldc);
+    panelTile<R>(ARow, Rs, Ks, BPan, RowBase, J0, Cols, K, AlphaV, Beta,
+                 BetaV, BiasRow, C, Ldc);
 }
 
 } // namespace
-
-void simd::packAPanels(const float *A, int Lda, bool Trans, int M, int K,
-                       float *Dst) {
-  const int NPanels = numAPanels(M);
-  for (int P = 0; P < NPanels; ++P) {
-    int Row0 = P * MR;
-    int Live = M - Row0 < MR ? M - Row0 : MR;
-    float *Pan = Dst + static_cast<size_t>(P) * K * MR;
-    if (Live < MR)
-      std::memset(Pan, 0, static_cast<size_t>(K) * MR * sizeof(float));
-    if (Trans) {
-      // op(A)(i, k) = A[k * Lda + i]: stream rows of the stored matrix.
-      for (int Kk = 0; Kk < K; ++Kk) {
-        const float *Src = A + static_cast<size_t>(Kk) * Lda + Row0;
-        float *Out = Pan + static_cast<size_t>(Kk) * MR;
-        for (int I = 0; I < Live; ++I)
-          Out[I] = Src[I];
-      }
-    } else {
-      for (int I = 0; I < Live; ++I) {
-        const float *Src = A + static_cast<size_t>(Row0 + I) * Lda;
-        float *Out = Pan + I;
-        for (int Kk = 0; Kk < K; ++Kk)
-          Out[static_cast<size_t>(Kk) * MR] = Src[Kk];
-      }
-    }
-  }
-}
 
 void simd::packBPanels(const float *B, int Ldb, bool Trans, int K, int N,
                        float *Dst) {
@@ -290,7 +276,7 @@ void simd::packBPanels(const float *B, int Ldb, bool Trans, int K, int N,
 }
 
 void simd::microKernelRange(int PanelBegin, int PanelEnd, int M, int N, int K,
-                            float Alpha, const float *APanels,
+                            float Alpha, const float *A, int Lda, bool TransA,
                             const float *BPanels, float Beta,
                             const float *BiasRow, float *C, int Ldc) {
   assert((!BiasRow || (Alpha == 1.0f && Beta == 0.0f)) &&
@@ -298,9 +284,12 @@ void simd::microKernelRange(int PanelBegin, int PanelEnd, int M, int N, int K,
   const int NPanels = numBPanels(N);
   const __m256 AlphaV = _mm256_set1_ps(Alpha);
   const __m256 BetaV = _mm256_set1_ps(Beta);
+  // op(A)[i][k] sits at A[i * Rs + k * Ks] in the stored matrix.
+  const size_t Rs = TransA ? 1 : static_cast<size_t>(Lda);
+  const size_t Ks = TransA ? static_cast<size_t>(Lda) : 1;
   // B panels on the outside: one K x 16 panel stays L1-resident while every
-  // A panel of this thread's range streams past it. The full B panel set can
-  // exceed L1 (e.g. 50KB for the CNN stage-2 conv), so the P-outer order
+  // row panel of this thread's range streams past it. The full B panel set
+  // can exceed L1 (e.g. 50KB for the CNN stage-2 conv), so the P-outer order
   // would re-stream it once per row panel. Tile order does not change
   // results: each C element is still one k-ascending FMA chain.
   for (int Q = 0; Q < NPanels; ++Q) {
@@ -308,33 +297,33 @@ void simd::microKernelRange(int PanelBegin, int PanelEnd, int M, int N, int K,
     const int J0 = Q * NR;
     const int Cols = N - J0; // >= 1; may exceed NR on interior panels.
     for (int P = PanelBegin; P < PanelEnd; ++P) {
-      const float *APan = APanels + static_cast<size_t>(P) * K * MR;
       int Row0 = P * MR;
+      const float *ARow = A + static_cast<size_t>(Row0) * Rs;
       int Live = M - Row0 < MR ? M - Row0 : MR;
       switch (Live) {
       case 1:
-        panelTileDispatch<1>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
+        panelTileDispatch<1>(ARow, Rs, Ks, BPan, Row0, J0, Cols, K, AlphaV,
+                             Beta, BetaV, BiasRow, C, Ldc);
         break;
       case 2:
-        panelTileDispatch<2>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
+        panelTileDispatch<2>(ARow, Rs, Ks, BPan, Row0, J0, Cols, K, AlphaV,
+                             Beta, BetaV, BiasRow, C, Ldc);
         break;
       case 3:
-        panelTileDispatch<3>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
+        panelTileDispatch<3>(ARow, Rs, Ks, BPan, Row0, J0, Cols, K, AlphaV,
+                             Beta, BetaV, BiasRow, C, Ldc);
         break;
       case 4:
-        panelTileDispatch<4>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
+        panelTileDispatch<4>(ARow, Rs, Ks, BPan, Row0, J0, Cols, K, AlphaV,
+                             Beta, BetaV, BiasRow, C, Ldc);
         break;
       case 5:
-        panelTileDispatch<5>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
+        panelTileDispatch<5>(ARow, Rs, Ks, BPan, Row0, J0, Cols, K, AlphaV,
+                             Beta, BetaV, BiasRow, C, Ldc);
         break;
       default:
-        panelTileDispatch<6>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
+        panelTileDispatch<6>(ARow, Rs, Ks, BPan, Row0, J0, Cols, K, AlphaV,
+                             Beta, BetaV, BiasRow, C, Ldc);
         break;
       }
     }
@@ -463,13 +452,24 @@ void simd::adamUpdateAvx(float *W, float *G, float *M, float *V, size_t N,
   const __m256 IB1 = _mm256_set1_ps(InvBias1), IB2 = _mm256_set1_ps(InvBias2);
   const __m256 ScaleV = _mm256_set1_ps(Scale);
   const __m256 Zero = _mm256_setzero_ps();
+  const __m256 SignV = _mm256_set1_ps(-0.0f);
+  const __m256 MinNormV = _mm256_set1_ps(FLT_MIN);
+  // The 8-lane flushSubnormal: keeps only the sign bit of lanes with
+  // |X| < FLT_MIN, so subnormals become signed zeros and everything else,
+  // NaN included, passes unchanged.
+  auto FlushSubnormalV = [&](__m256 X) {
+    __m256 Tiny =
+        _mm256_cmp_ps(_mm256_andnot_ps(SignV, X), MinNormV, _CMP_LT_OQ);
+    return _mm256_andnot_ps(_mm256_andnot_ps(SignV, Tiny), X);
+  };
   size_t I = 0;
   for (; I + 8 <= N; I += 8) {
     __m256 Gv = _mm256_mul_ps(_mm256_loadu_ps(G + I), ScaleV);
-    __m256 Mv = _mm256_fmadd_ps(B1V, _mm256_loadu_ps(M + I),
-                                _mm256_mul_ps(C1V, Gv));
-    __m256 Vv = _mm256_fmadd_ps(B2V, _mm256_loadu_ps(V + I),
-                                _mm256_mul_ps(C2V, _mm256_mul_ps(Gv, Gv)));
+    __m256 Mv = FlushSubnormalV(_mm256_fmadd_ps(B1V, _mm256_loadu_ps(M + I),
+                                               _mm256_mul_ps(C1V, Gv)));
+    __m256 Vv = FlushSubnormalV(
+        _mm256_fmadd_ps(B2V, _mm256_loadu_ps(V + I),
+                        _mm256_mul_ps(C2V, _mm256_mul_ps(Gv, Gv))));
     _mm256_storeu_ps(M + I, Mv);
     _mm256_storeu_ps(V + I, Vv);
     __m256 MHat = _mm256_mul_ps(Mv, IB1);
@@ -481,8 +481,8 @@ void simd::adamUpdateAvx(float *W, float *G, float *M, float *V, size_t N,
   }
   for (; I < N; ++I) {
     float Gs = G[I] * Scale;
-    M[I] = B1 * M[I] + (1.0f - B1) * Gs;
-    V[I] = B2 * V[I] + (1.0f - B2) * Gs * Gs;
+    M[I] = flushSubnormal(B1 * M[I] + (1.0f - B1) * Gs);
+    V[I] = flushSubnormal(B2 * V[I] + (1.0f - B2) * Gs * Gs);
     float MHat = M[I] * InvBias1;
     float VHat = V[I] * InvBias2;
     W[I] -= Lr * MHat / (std::sqrt(VHat) + Eps);
@@ -504,15 +504,12 @@ namespace {
 [[noreturn]] void unreachableSimd() { std::abort(); }
 } // namespace
 
-void simd::packAPanels(const float *, int, bool, int, int, float *) {
-  unreachableSimd();
-}
 void simd::packBPanels(const float *, int, bool, int, int, float *) {
   unreachableSimd();
 }
-void simd::microKernelRange(int, int, int, int, int, float, const float *,
-                            const float *, float, const float *, float *,
-                            int) {
+void simd::microKernelRange(int, int, int, int, int, float, const float *, int,
+                            bool, const float *, float, const float *,
+                            float *, int) {
   unreachableSimd();
 }
 void simd::im2colAvx(const float *, int, int, int, int, int, float *) {

@@ -10,9 +10,10 @@
 /// compiled with -mavx2 -mfma). Nothing here may be called unless
 /// simdSupported() returned true; the dispatcher guards every call site.
 ///
-/// Panel layouts (MR = 6 rows, NR = 16 columns):
-///  * A panels: ceil(M/6) panels of [K][6] — APanels[p][k*6 + r] holds
-///    op(A)[p*6 + r][k], zero-padded past row M.
+/// Operand layouts (MR = 6 rows, NR = 16 columns):
+///  * A is read in place from the stored matrix through a row stride and a
+///    k stride: op(A)[i][k] = A[i * Lda + k], or A[k * Lda + i] when
+///    transposed. Nothing is packed on the A side.
 ///  * B panels: ceil(N/16) panels of [K][16] — BPanels[q][k*16 + c] holds
 ///    op(B)[k][q*16 + c], zero-padded past column N.
 ///
@@ -30,31 +31,26 @@ namespace simd {
 constexpr int MR = 6;  ///< Micro-tile rows (ymm broadcast operands).
 constexpr int NR = 16; ///< Micro-tile columns (two 8-lane ymm vectors).
 
-inline int numAPanels(int M) { return (M + MR - 1) / MR; }
+inline int numRowPanels(int M) { return (M + MR - 1) / MR; }
 inline int numBPanels(int N) { return (N + NR - 1) / NR; }
-inline size_t aPanelsSize(int M, int K) {
-  return static_cast<size_t>(numAPanels(M)) * K * MR;
-}
 inline size_t bPanelsSize(int K, int N) {
   return static_cast<size_t>(numBPanels(N)) * K * NR;
 }
-
-/// Packs op(A) (M x K; stored transposed when \p Trans) into A panels.
-void packAPanels(const float *A, int Lda, bool Trans, int M, int K,
-                 float *Dst);
 
 /// Packs op(B) (K x N; stored transposed when \p Trans) into B panels.
 void packBPanels(const float *B, int Ldb, bool Trans, int K, int N,
                  float *Dst);
 
-/// C[Rows x N] = Alpha * panels product + Beta * C for the row-panel range
-/// [PanelBegin, PanelEnd). Each C element accumulates k-ascending in a
-/// single FMA chain, so results are independent of panel scheduling. When
+/// C = Alpha * op(A) * panels + Beta * C for the 6-row panel range
+/// [PanelBegin, PanelEnd), reading op(A) (M x K) in place from the stored
+/// \p A (row stride \p Lda, transposed when \p TransA). Each C element
+/// accumulates k-ascending in a single FMA chain, so results are
+/// independent of panel scheduling. When
 /// \p BiasRow is non-null the accumulators start at BiasRow[row] instead of
 /// zero (the conv-forward epilogue fusion); that path requires Alpha == 1
 /// and Beta == 0, matching "fill C with bias, then accumulate on top".
 void microKernelRange(int PanelBegin, int PanelEnd, int M, int N, int K,
-                      float Alpha, const float *APanels,
+                      float Alpha, const float *A, int Lda, bool TransA,
                       const float *BPanels, float Beta, const float *BiasRow,
                       float *C, int Ldc);
 

@@ -259,10 +259,6 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   float *OutD = OutT.data();
   size_t PlaneSz = static_cast<size_t>(OH) * OW;
   const bool Simd = packEngine() == Backend::Simd;
-  // Pack the filter matrix once (on this thread, before the parallel
-  // region); every per-sample GEMM then consumes the cached panels.
-  ensurePackedA(PackedW, paramGen(), /*TransA=*/false, OutC, CKK, W.data(),
-                CKK);
   // Samples are independent: lower each to columns and run the per-sample
   // GEMM Out_b = W * Col_b (+ bias) in parallel across the batch. The simd
   // engine seeds its accumulators with the bias (no fill pass, no Beta
@@ -274,14 +270,14 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
       im2col(InD + Bi * InSz, InC, H, Wd, K, S, Col);
       float *O = OutD + Bi * OutSz;
       if (Simd) {
-        sgemmConvBias(PackedW, OutC, OH * OW, CKK, Col, OH * OW, B.data(), O,
-                      OH * OW);
+        sgemmConvBias(OutC, OH * OW, CKK, W.data(), CKK, Col, OH * OW,
+                      B.data(), O, OH * OW);
         continue;
       }
       for (int Oc = 0; Oc < OutC; ++Oc)
         std::fill(O + Oc * PlaneSz, O + (Oc + 1) * PlaneSz, B[Oc]);
-      sgemmPackedA(PackedW, /*TransB=*/false, OutC, OH * OW, CKK, 1.0f, Col,
-                   OH * OW, 1.0f, O, OH * OW);
+      sgemm(/*TransA=*/false, /*TransB=*/false, OutC, OH * OW, CKK, 1.0f,
+            W.data(), CKK, Col, OH * OW, 1.0f, O, OH * OW);
     }
   });
   return OutT;
@@ -334,14 +330,12 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
   GradIn.fill(0.0f);
   float *GID = GradIn.data();
   size_t InSz = GradIn.sampleSize();
-  ensurePackedA(PackedWTA, paramGen(), /*TransA=*/true, CKK, OutC, W.data(),
-                CKK);
   ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi) {
       float *DCol = &DColB[Bi * ColSz];
-      sgemmPackedA(PackedWTA, /*TransB=*/false, CKK, OH * OW, OutC, 1.0f,
-                   GD + Bi * GSz, OH * OW, 0.0f, DCol, OH * OW);
+      sgemm(/*TransA=*/true, /*TransB=*/false, CKK, OH * OW, OutC, 1.0f,
+            W.data(), CKK, GD + Bi * GSz, OH * OW, 0.0f, DCol, OH * OW);
       col2im(DCol, InC, H, Wd, K, S, GID + Bi * InSz);
     }
   });

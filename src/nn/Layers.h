@@ -119,8 +119,6 @@ private:
   std::vector<float> DColB;
   std::vector<int> InShapeB; // Cached batched input shape.
   int LastOH = 0, LastOW = 0;
-  PackedOperand PackedW;   // Forward operand op(A) = W [OutC x CKK].
-  PackedOperand PackedWTA; // Backward operand op(A) = W^T [CKK x OutC].
 };
 
 /// 2x2 max pooling with stride 2 over (channels, height, width) tensors.

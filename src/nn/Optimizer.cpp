@@ -52,34 +52,10 @@ void Adam::step(double BatchScale) {
   ++Step;
   double Bias1 = 1.0 - std::pow(B1, Step);
   double Bias2 = 1.0 - std::pow(B2, Step);
-  if (simdKernelsActive()) {
-    // Fused single-precision update: moments, bias correction, parameter
-    // step, and gradient clear in one vectorized pass per tensor.
-    for (size_t T = 0, E = Params.size(); T != E; ++T) {
-      ParamView &P = Params[T];
-      adamUpdateKernel(P.Values, P.Grads, M[T].data(), V[T].data(), P.Count,
-                       static_cast<float>(Lr), static_cast<float>(B1),
-                       static_cast<float>(B2), static_cast<float>(Eps),
-                       static_cast<float>(1.0 / Bias1),
-                       static_cast<float>(1.0 / Bias2),
-                       static_cast<float>(BatchScale));
-    }
-    Net->bumpParamGeneration();
-    return;
-  }
   for (size_t T = 0, E = Params.size(); T != E; ++T) {
     ParamView &P = Params[T];
-    std::vector<float> &Mt = M[T];
-    std::vector<float> &Vt = V[T];
-    for (size_t I = 0; I != P.Count; ++I) {
-      double G = P.Grads[I] * BatchScale;
-      Mt[I] = static_cast<float>(B1 * Mt[I] + (1.0 - B1) * G);
-      Vt[I] = static_cast<float>(B2 * Vt[I] + (1.0 - B2) * G * G);
-      double MHat = Mt[I] / Bias1;
-      double VHat = Vt[I] / Bias2;
-      P.Values[I] -= static_cast<float>(Lr * MHat / (std::sqrt(VHat) + Eps));
-      P.Grads[I] = 0.0f;
-    }
+    adamUpdateKernel(P.Values, P.Grads, M[T].data(), V[T].data(), P.Count, Lr,
+                     B1, B2, Eps, Bias1, Bias2, BatchScale);
   }
   Net->bumpParamGeneration();
 }

@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <numeric>
@@ -75,6 +76,15 @@ Tensor randomTensor(std::vector<int> Shape, Rng &Rand) {
   for (float &V : T.values())
     V = static_cast<float>(Rand.uniform(-1.5, 1.5));
   return T;
+}
+
+/// The engines worth comparing pairwise: the two batched ones, and simd
+/// only where the CPU can run it.
+std::vector<Backend> comparableBackends() {
+  std::vector<Backend> Bs = {Backend::Naive, Backend::Blocked};
+  if (simdSupported())
+    Bs.push_back(Backend::Simd);
+  return Bs;
 }
 
 /// Collects a layer's parameter gradients as one flat vector.
@@ -237,34 +247,108 @@ TEST_F(NnKernelsTest, ShardedSumMatchesSerialAtAnyThreadCount) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(NnKernelsTest, SgemmMatchesReferenceAllTransposeCombos) {
-  const int M = 5, N = 7, K = 11;
+  struct Extent {
+    int M, N, K;
+  } Extents[] = {
+      {5, 7, 11},   // One partial row panel, one half-width column panel.
+      {13, 37, 19}, // Full and partial 6-row panels, three column panels.
+      {12, 16, 3},  // Exact panel multiples.
+  };
+  // Every stored matrix has padded rows (row stride = width + Pad) and sits
+  // in a heap buffer that ends at its last element, so ASan flags any read
+  // past the last row or k. The padding holds random values, so a kernel
+  // that reads it also fails the comparison.
+  const int Pad = 3;
+  const float Alpha = 0.75f, Beta = 0.5f;
+  auto Fill = [](float *P, size_t N, Rng &Rand) {
+    for (size_t I = 0; I != N; ++I)
+      P[I] = static_cast<float>(Rand.uniform(-1.5, 1.5));
+  };
   Rng Rand(42);
-  ThreadPool::setGlobalThreads(4);
-  for (bool TA : {false, true})
-    for (bool TB : {false, true}) {
-      // Stored shapes: A is MxK (or KxM when transposed), B is KxN / NxK.
-      Tensor A = randomTensor(TA ? std::vector<int>{K, M}
-                                 : std::vector<int>{M, K}, Rand);
-      Tensor B = randomTensor(TB ? std::vector<int>{N, K}
-                                 : std::vector<int>{K, N}, Rand);
-      Tensor C = randomTensor({M, N}, Rand);
-      Tensor Ref = C;
-      const float Alpha = 0.75f, Beta = 0.5f;
-      for (int I = 0; I < M; ++I)
-        for (int J = 0; J < N; ++J) {
-          double Acc = 0.0;
-          for (int Kk = 0; Kk < K; ++Kk) {
-            float AV = TA ? A[Kk * M + I] : A[I * K + Kk];
-            float BV = TB ? B[J * K + Kk] : B[Kk * N + J];
-            Acc += static_cast<double>(AV) * BV;
+  for (Backend Be : comparableBackends()) {
+    if (Be == Backend::Naive)
+      continue; // Naive routes explicit sgemm calls through blocked.
+    setBackend(Be);
+    for (const Extent &E : Extents)
+      for (bool TA : {false, true})
+        for (bool TB : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << backendName(Be) << " M=" << E.M << " N=" << E.N
+                       << " K=" << E.K << " TA=" << TA << " TB=" << TB);
+          // Stored shapes: A is MxK (or KxM when transposed), B is KxN / NxK.
+          int AW = TA ? E.M : E.K, BW = TB ? E.K : E.N;
+          int Lda = AW + Pad, Ldb = BW + Pad, Ldc = E.N + Pad;
+          size_t ASz = static_cast<size_t>((TA ? E.K : E.M) - 1) * Lda + AW;
+          size_t BSz = static_cast<size_t>((TB ? E.N : E.K) - 1) * Ldb + BW;
+          std::unique_ptr<float[]> A(new float[ASz]);
+          std::unique_ptr<float[]> B(new float[BSz]);
+          Fill(A.get(), ASz, Rand);
+          Fill(B.get(), BSz, Rand);
+          std::vector<float> C0(static_cast<size_t>(E.M) * Ldc);
+          Fill(C0.data(), C0.size(), Rand);
+          std::vector<float> Ref = C0; // Padding columns must stay as is.
+          for (int I = 0; I < E.M; ++I)
+            for (int J = 0; J < E.N; ++J) {
+              double Acc = 0.0;
+              for (int Kk = 0; Kk < E.K; ++Kk) {
+                float AV = TA ? A[Kk * Lda + I] : A[I * Lda + Kk];
+                float BV = TB ? B[J * Ldb + Kk] : B[Kk * Ldb + J];
+                Acc += static_cast<double>(AV) * BV;
+              }
+              Ref[I * Ldc + J] =
+                  static_cast<float>(Alpha * Acc + Beta * C0[I * Ldc + J]);
+            }
+          std::vector<float> AtOneThread;
+          for (int Threads : {1, 4}) {
+            ThreadPool::setGlobalThreads(Threads);
+            std::vector<float> C = C0;
+            sgemm(TA, TB, E.M, E.N, E.K, Alpha, A.get(), Lda, B.get(), Ldb,
+                  Beta, C.data(), Ldc);
+            expectClose(C, Ref, "sgemm");
+            if (Threads == 1)
+              AtOneThread = C;
+            else
+              EXPECT_EQ(C, AtOneThread) << "sgemm differs across threads";
           }
-          Ref[I * N + J] = static_cast<float>(Alpha * Acc + Beta *
-                                              Ref[I * N + J]);
         }
-      sgemm(TA, TB, M, N, K, Alpha, A.data(), TA ? M : K, B.data(),
-            TB ? K : N, Beta, C.data(), N);
-      expectClose(C.values(), Ref.values(), "sgemm");
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Adam
+//===----------------------------------------------------------------------===//
+
+TEST_F(NnKernelsTest, AdamMomentsNeverStayOnSubnormals) {
+  // 19 elements: the simd kernel runs its 8-lane body twice and its scalar
+  // tail. Gradient magnitudes fall from 1 to 1e-18: the smallest put V
+  // below FLT_MIN on the first step, and without a flush every M decays
+  // onto a subnormal that 0.9 * M rounds back to within the 2000
+  // zero-gradient steps.
+  constexpr size_t N = 19;
+  const double Lr = 1e-3, B1 = 0.9, B2 = 0.999, Eps = 1e-8;
+  for (Backend Be : comparableBackends()) {
+    setBackend(Be);
+    std::vector<float> W(N), G(N), M(N, 0.0f), V(N, 0.0f);
+    Rng Rand(19);
+    for (size_t I = 0; I != N; ++I) {
+      W[I] = static_cast<float>(Rand.uniform(-1, 1));
+      double Sign = Rand.chance(0.5) ? -1.0 : 1.0;
+      G[I] = static_cast<float>(Sign * std::pow(10.0, -static_cast<int>(I)));
     }
+    // The kernel clears G, so every step after the first sees zeros.
+    for (int Step = 1; Step <= 2001; ++Step) {
+      adamUpdateKernel(W.data(), G.data(), M.data(), V.data(), N, Lr, B1, B2,
+                       Eps, 1.0 - std::pow(B1, Step),
+                       1.0 - std::pow(B2, Step), 1.0);
+      for (size_t I = 0; I != N; ++I) {
+        ASSERT_NE(std::fpclassify(M[I]), FP_SUBNORMAL)
+            << backendName(Be) << " step " << Step << " M[" << I << "]";
+        ASSERT_NE(std::fpclassify(V[I]), FP_SUBNORMAL)
+            << backendName(Be) << " step " << Step << " V[" << I << "]";
+        ASSERT_EQ(G[I], 0.0f);
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -484,19 +568,6 @@ TEST_F(NnKernelsTest, MaxPoolHandlesArbitrarilyNegativeInputs) {
 //===----------------------------------------------------------------------===//
 // Cross-backend layer equivalence (naive vs blocked vs simd)
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// The engines worth comparing pairwise: the two batched ones, and simd
-/// only where the CPU can run it.
-std::vector<Backend> comparableBackends() {
-  std::vector<Backend> Bs = {Backend::Naive, Backend::Blocked};
-  if (simdSupported())
-    Bs.push_back(Backend::Simd);
-  return Bs;
-}
-
-} // namespace
 
 TEST_F(NnKernelsTest, LayersEquivalentAcrossBackends) {
   ThreadPool::setGlobalThreads(2);
