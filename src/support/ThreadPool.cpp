@@ -21,6 +21,28 @@ constexpr uint64_t ChunkMask = 0xffffffffu;
 /// A spinning thread reads the clock once per this many pauses.
 constexpr unsigned PausesPerClockRead = 64;
 
+/// What an issuing thread last measured for one loop site: the estimated
+/// time to run all its chunks on one thread, and its calls. Direct-mapped and
+/// thread_local, so a lookup neither allocates nor writes a shared line.
+struct SiteCost {
+  uintptr_t Site;
+  size_t Chunks;
+  int64_t SerialNs;
+  uint32_t Calls;
+};
+thread_local SiteCost SiteCosts[64];
+
+/// A dispatched run estimates the serial cost from the issuer's time in chunk
+/// bodies (or, if it ran none, the loop's wall time), which includes
+/// cross-core misses an inline run does not pay. So a dispatched site
+/// estimated below ReprobeFactor * InlineBelow runs inline on its second call
+/// and on every ReprobeEvery-th call after, to measure itself again.
+constexpr int64_t ReprobeFactor = 4;
+constexpr uint32_t ReprobeEvery = 64;
+
+using Clock = std::chrono::steady_clock;
+using Ns = std::chrono::nanoseconds;
+
 void cpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -84,7 +106,8 @@ uint64_t ThreadPool::awaitJob(uint64_t Seen) {
   return W;
 }
 
-void ThreadPool::runChunks(uint64_t Epoch) {
+size_t ThreadPool::runChunks(uint64_t Epoch, int64_t *BodyNs) {
+  size_t Ran = 0;
   uint64_t W = JobWord.load(std::memory_order_relaxed);
   while ((W >> 32) == Epoch && (W & ChunkMask) != 0) {
     // A successful claim pins the job: its issuer cannot return, and so
@@ -94,10 +117,15 @@ void ThreadPool::runChunks(uint64_t Epoch) {
       continue;
     size_t C = JobChunks - (W & ChunkMask);
     size_t B = JobBegin + C * JobGrain;
+    auto T0 = BodyNs ? Clock::now() : Clock::time_point();
     (*JobBody)(B, std::min(JobEnd, B + JobGrain));
+    if (BodyNs)
+      *BodyNs += Ns(Clock::now() - T0).count();
     Pending.fetch_sub(1, std::memory_order_release);
+    ++Ran;
     W = JobWord.load(std::memory_order_relaxed);
   }
+  return Ran;
 }
 
 void ThreadPool::workerLoop() {
@@ -113,18 +141,35 @@ void ThreadPool::workerLoop() {
 }
 
 void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Grain,
-                             LoopBodyRef Body) {
+                             LoopBodyRef Body, uintptr_t Site) {
   if (Begin >= End)
     return;
   assert(Grain > 0 && "parallelFor grain must be positive");
   size_t N = End - Begin;
   if (Workers.empty() || InParallelRegion || N <= Grain ||
-      (N - 1) / Grain >= ChunkMask ||
-      Busy.exchange(true, std::memory_order_acquire)) {
+      (N - 1) / Grain >= ChunkMask) {
     Body(Begin, End);
     return;
   }
   size_t Chunks = (N - 1) / Grain + 1;
+  SiteCost &Slot = SiteCosts[((Site ^ uint64_t(Chunks) << 48) *
+                              0x9e3779b97f4a7c15ull) >> 58]; // Fibonacci hash.
+  SiteCost Cost = Slot;
+  if (Cost.Site != Site || Cost.Chunks != Chunks)
+    Cost = {Site, Chunks, INT64_MAX, 0}; // Unmeasured: dispatch.
+  int64_t Cutoff = InlineBelow.count();
+  bool Inline = Cost.SerialNs < Cutoff ||
+                (Cost.SerialNs < ReprobeFactor * Cutoff &&
+                 Cost.Calls % ReprobeEvery == 1);
+  ++Cost.Calls;
+  if (Inline || Busy.exchange(true, std::memory_order_acquire)) {
+    auto T0 = Clock::now();
+    Body(Begin, End);
+    Cost.SerialNs = Ns(Clock::now() - T0).count();
+    Slot = Cost; // The body's own loops may have taken the slot meanwhile.
+    return;
+  }
+  auto T0 = Clock::now();
   JobBody = &Body;
   JobBegin = Begin;
   JobEnd = End;
@@ -140,7 +185,8 @@ void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Grain,
   }
 
   InParallelRegion = true;
-  runChunks(Epoch);
+  int64_t BodyNs = 0;
+  size_t Ran = runChunks(Epoch, &BodyNs);
   InParallelRegion = false;
 
   auto Deadline = std::chrono::steady_clock::now() + SpinBudget;
@@ -150,6 +196,10 @@ void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Grain,
         std::chrono::steady_clock::now() > Deadline)
       std::this_thread::yield();
   }
+  // An issuer that got no chunk of its own takes the loop's wall time.
+  Cost.SerialNs = Ran ? BodyNs / int64_t(Ran) * int64_t(Chunks)
+                      : Ns(Clock::now() - T0).count();
+  Slot = Cost;
   Busy.store(false, std::memory_order_release);
 }
 
@@ -185,6 +235,7 @@ void au::parallelShardedSum(size_t Items, size_t ShardGrain, size_t AccSize,
   static thread_local std::vector<float> ShardBufs;
   std::vector<float> &Bufs = ShardBufs;
   Bufs.assign(NumShards * AccSize, 0.0f);
+  // Measured under the caller's site: the wrapper serves every caller.
   ThreadPool::global().parallelFor(0, NumShards, 1, [&](size_t B, size_t E) {
     for (size_t S = B; S != E; ++S) {
       size_t Lo = S * Span;
@@ -192,7 +243,7 @@ void au::parallelShardedSum(size_t Items, size_t ShardGrain, size_t AccSize,
       if (Lo < Hi)
         Body(Lo, Hi, &Bufs[S * AccSize]);
     }
-  });
+  }, Body.site());
   // Pairwise tree reduction in fixed order: shard i absorbs shard i + Step.
   for (size_t Step = 1; Step < NumShards; Step *= 2)
     for (size_t I = 0; I + Step < NumShards; I += 2 * Step) {

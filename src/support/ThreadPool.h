@@ -18,6 +18,11 @@
 /// Nested loops, and loops issued while another thread's loop owns the team,
 /// run inline on the calling thread, so concurrent callers never queue.
 ///
+/// A loop also runs inline when its issuing thread last measured its call
+/// site below InlineBelow, about the cost of a dispatch; an unmeasured site
+/// is dispatched. Any loop may thus run all its chunks on one thread, so no
+/// chunk may wait on another.
+///
 /// Two properties make results reproducible at any thread count:
 ///
 ///  * parallelFor splits the iteration space into chunks whose boundaries
@@ -66,6 +71,9 @@ public:
 
   void operator()(size_t B, size_t E) const { Call(Obj, B, E); }
 
+  /// The call thunk, unique per callable type: names the loop's call site.
+  uintptr_t site() const { return reinterpret_cast<uintptr_t>(Call); }
+
 private:
   void *Obj;
   void (*Call)(void *, size_t, size_t);
@@ -87,6 +95,9 @@ public:
   void operator()(size_t B, size_t E, float *Acc) const {
     Call(Obj, B, E, Acc);
   }
+
+  /// The call thunk, unique per callable type: names the caller's site.
+  uintptr_t site() const { return reinterpret_cast<uintptr_t>(Call); }
 
 private:
   void *Obj;
@@ -112,14 +123,24 @@ public:
   /// condition variable.
   static constexpr std::chrono::microseconds SpinBudget{100};
 
+  /// A loop whose last measured serial cost is below this runs inline. A
+  /// dispatch costs about 2 us, and a team of N saves a loop of serial time W
+  /// at most W (N - 1) / N, less the misses of moving its data across cores;
+  /// DESIGN.md section 6 has the sweep that sized it.
+  static constexpr std::chrono::nanoseconds InlineBelow{8000};
+
   /// Runs \p Body over [Begin, End), partitioned into chunks of at most
   /// \p Grain iterations. Body receives half-open sub-ranges. Chunk
   /// boundaries are a pure function of the range and grain, so any
   /// computation whose chunks write disjoint data is deterministic at every
-  /// thread count. Runs inline when called from inside a Body (nested) or
-  /// while another thread's loop occupies the team. Joins before returning,
-  /// so passing a reference to a stack callable is safe.
-  void parallelFor(size_t Begin, size_t End, size_t Grain, LoopBodyRef Body);
+  /// thread count. Runs inline when called from inside a Body (nested),
+  /// while another thread's loop occupies the team, or when this thread last
+  /// measured this call site below InlineBelow; a site it has not measured is
+  /// dispatched. A chunk must therefore never wait for another chunk. Joins
+  /// before returning, so passing a reference to a stack callable is safe.
+  void parallelFor(size_t Begin, size_t End, size_t Grain, LoopBodyRef Body) {
+    parallelFor(Begin, End, Grain, Body, Body.site());
+  }
 
   /// The process-wide pool, created on first use with AU_NN_THREADS threads
   /// (default: hardware concurrency).
@@ -130,12 +151,18 @@ public:
   static void setGlobalThreads(int NumThreads);
 
 private:
+  friend void parallelShardedSum(size_t, size_t, size_t, ShardBodyRef,
+                                 float *);
+  /// parallelFor, with its cost measured under \p Site.
+  void parallelFor(size_t Begin, size_t End, size_t Grain, LoopBodyRef Body,
+                   uintptr_t Site);
   void workerLoop();
   /// Blocks until the published epoch differs from \p Seen (or the pool
   /// stops) and returns the job word.
   uint64_t awaitJob(uint64_t Seen);
-  /// Claims and runs chunks of the job of epoch \p Epoch until none is left.
-  void runChunks(uint64_t Epoch);
+  /// Claims and runs chunks of the job of epoch \p Epoch until none is left;
+  /// returns how many this thread ran and, given \p BodyNs, adds their time.
+  size_t runChunks(uint64_t Epoch, int64_t *BodyNs = nullptr);
 
   const int Threads;
 

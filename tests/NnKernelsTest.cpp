@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -95,6 +97,55 @@ std::vector<float> gradSnapshot(Layer &L) {
   return Out;
 }
 
+/// Holds the calling thread for \p D. It yields meanwhile, so that on an
+/// oversubscribed CPU the team's other threads still get to claim chunks.
+void spinFor(std::chrono::microseconds D) {
+  auto Until = std::chrono::steady_clock::now() + D;
+  while (std::chrono::steady_clock::now() < Until)
+    std::this_thread::yield();
+}
+
+/// Records whether a loop's chunks ran off the thread that issued it.
+/// awaitTeam() holds a chunk until that has happened, for at most a second
+/// after construction: on a loaded machine a woken worker can take long to
+/// be scheduled, and a test of the team must not turn on that.
+class TeamWatch {
+public:
+  void ran() {
+    if (std::this_thread::get_id() != Caller)
+      Left = true;
+  }
+  void awaitTeam() const {
+    while (!Left && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::yield();
+  }
+  bool left() const { return Left; }
+
+private:
+  std::thread::id Caller = std::this_thread::get_id();
+  std::chrono::steady_clock::time_point Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  std::atomic<bool> Left{false};
+};
+
+/// Runs one loop of eight single-iteration chunks on \p Pool, each calling
+/// \p Chunk, and returns whether some chunk ran on a thread other than the
+/// caller; with \p AwaitTeam each chunk then waits for that. Each lambda
+/// type passed in is its own call site.
+template <typename F>
+bool leavesCaller(ThreadPool &Pool, const F &Chunk, bool AwaitTeam = false) {
+  TeamWatch Watch;
+  Pool.parallelFor(0, 8, 1, [&](size_t B, size_t E) {
+    for (size_t I = B; I != E; ++I) {
+      Watch.ran();
+      Chunk();
+      if (AwaitTeam)
+        Watch.awaitTeam();
+    }
+  });
+  return Watch.left();
+}
+
 /// Restores the GEMM backend and a default pool after each test.
 class NnKernelsTest : public ::testing::Test {
 protected:
@@ -116,39 +167,56 @@ TEST_F(NnKernelsTest, ParallelForCoversRangeExactlyOnce) {
     std::vector<std::atomic<int>> Hits(1000);
     for (auto &H : Hits)
       H = 0;
+    // 143 chunks of 2 us each: far above the inline cutoff, so every call
+    // after the first is measured onto the team too.
+    TeamWatch Watch;
     Pool.parallelFor(0, Hits.size(), 7, [&](size_t B, size_t E) {
+      Watch.ran();
+      spinFor(std::chrono::microseconds(2));
+      if (Threads > 1)
+        Watch.awaitTeam();
       for (size_t I = B; I != E; ++I)
         ++Hits[I];
     });
     for (size_t I = 0; I != Hits.size(); ++I)
       ASSERT_EQ(Hits[I], 1) << "threads=" << Threads << " index=" << I;
+    if (Threads > 1) {
+      EXPECT_TRUE(Watch.left()) << "no chunk reached the team at " << Threads;
+    }
   }
 }
 
 TEST_F(NnKernelsTest, ConcurrentCallersEachCoverTheirRangeOnce) {
   // Eight threads issue loops on one 4-thread team at once: whichever finds
   // the team busy runs its loop inline, and every index of every loop must
-  // still run exactly once.
+  // still run exactly once. Each chunk waits 2 us, so a loop of 33 chunks
+  // stays far above the inline cutoff and keeps reaching the team.
   ThreadPool Pool(4);
   constexpr int Callers = 8, Loops = 200;
   constexpr size_t Items = 97;
   std::vector<std::vector<std::atomic<int>>> Hits(Callers);
   for (auto &H : Hits)
     H = std::vector<std::atomic<int>>(Items);
+  std::atomic<int> Reached{0};
   std::vector<std::thread> Threads;
   for (int T = 0; T < Callers; ++T)
     Threads.emplace_back([&, T] {
+      TeamWatch Watch;
       for (int L = 0; L < Loops; ++L)
         Pool.parallelFor(0, Items, 3, [&](size_t B, size_t E) {
+          Watch.ran();
+          spinFor(std::chrono::microseconds(2));
           for (size_t I = B; I != E; ++I)
             ++Hits[T][I];
         });
+      Reached += Watch.left() ? 1 : 0;
     });
   for (std::thread &T : Threads)
     T.join();
   for (int T = 0; T < Callers; ++T)
     for (size_t I = 0; I != Items; ++I)
       ASSERT_EQ(Hits[T][I], Loops) << "caller=" << T << " index=" << I;
+  EXPECT_GT(Reached.load(), 0) << "no chunk ever ran off its issuing thread";
 }
 
 TEST_F(NnKernelsTest, NestedParallelForRunsInline) {
@@ -171,16 +239,23 @@ TEST_F(NnKernelsTest, NestedParallelForRunsInline) {
 }
 
 TEST_F(NnKernelsTest, PoolSurvivesParkingAndDestruction) {
+  // 150 chunks of 5 us each: far above the inline cutoff, so every round
+  // dispatches and wakes the team. Returns whether the range was covered
+  // once and some chunk ran off the calling thread.
   auto CoversOnce = [](ThreadPool &Pool) {
     std::vector<std::atomic<int>> Hits(300);
+    TeamWatch Watch;
     Pool.parallelFor(0, Hits.size(), 2, [&](size_t B, size_t E) {
+      Watch.ran();
+      spinFor(std::chrono::microseconds(5));
+      Watch.awaitTeam();
       for (size_t I = B; I != E; ++I)
         ++Hits[I];
     });
     for (size_t I = 0; I != Hits.size(); ++I)
       if (Hits[I] != 1)
         return false;
-    return true;
+    return Watch.left();
   };
   const auto PastSpin = 20 * ThreadPool::SpinBudget;
   {
@@ -202,6 +277,64 @@ TEST_F(NnKernelsTest, PoolSurvivesParkingAndDestruction) {
       EXPECT_TRUE(CoversOnce(Pool)) << "round " << Round;
     }
   }
+}
+
+TEST_F(NnKernelsTest, CheapLoopRunsInlineOnceMeasured) {
+  // The first call is unmeasured, so it goes to the team; after it, eight
+  // trivial chunks cost far less than a dispatch and stay on the caller.
+  ThreadPool Pool(4);
+  auto Trivial = [] {};
+  leavesCaller(Pool, Trivial);
+  int Inline = 0;
+  for (int Call = 0; Call < 100; ++Call)
+    Inline += leavesCaller(Pool, Trivial) ? 0 : 1;
+  EXPECT_GE(Inline, 90);
+}
+
+TEST_F(NnKernelsTest, CostlyLoopReachesTheTeamOnEveryCall) {
+  ThreadPool Pool(4);
+  auto Costly = [] { spinFor(std::chrono::microseconds(50)); };
+  for (int Call = 0; Call < 20; ++Call)
+    EXPECT_TRUE(leavesCaller(Pool, Costly, /*AwaitTeam=*/true))
+        << "call " << Call;
+}
+
+TEST_F(NnKernelsTest, LoopThatTurnsCostlyReturnsToTheTeam) {
+  // One call site, cheap for 100 calls, then 50 us a chunk. Its first costly
+  // call runs inline on the cheap estimate and measures itself; the next one
+  // must be back on the team.
+  ThreadPool Pool(4);
+  std::chrono::microseconds Wait{0};
+  auto Chunk = [&] { spinFor(Wait); };
+  for (int Call = 0; Call < 100; ++Call)
+    leavesCaller(Pool, Chunk);
+  Wait = std::chrono::microseconds(50);
+  leavesCaller(Pool, Chunk);
+  for (int Call = 0; Call < 10; ++Call)
+    EXPECT_TRUE(leavesCaller(Pool, Chunk, /*AwaitTeam=*/true))
+        << "costly call " << Call + 2;
+}
+
+TEST_F(NnKernelsTest, ShardedSumMeasuresEachCallerApart) {
+  // parallelShardedSum wraps every caller's body in one lambda. A trivial
+  // caller and a 50 us-a-shard caller alternate; the costly one must not
+  // inherit the trivial one's cost, so it reaches the team every time.
+  ThreadPool::setGlobalThreads(4);
+  float Out = 0.0f;
+  for (int Round = 0; Round < 10; ++Round) {
+    parallelShardedSum(16, 1, 1, [](size_t, size_t, float *Acc) {
+      Acc[0] += 1.0f;
+    }, &Out);
+    TeamWatch Watch;
+    parallelShardedSum(16, 1, 1, [&](size_t, size_t, float *Acc) {
+      Watch.ran();
+      spinFor(std::chrono::microseconds(50));
+      Watch.awaitTeam();
+      Acc[0] += 1.0f;
+    }, &Out);
+    EXPECT_TRUE(Watch.left()) << "round " << Round;
+  }
+  EXPECT_EQ(Out, 20 * 16.0f);
 }
 
 TEST_F(NnKernelsTest, GlobalThreadCountTogglesBetweenLoops) {
@@ -714,6 +847,10 @@ void expectSteadyStateForwardBatchDoesNotAllocate(int Threads) {
     // first, so first run one pass on each thread of the team: chunks that
     // wait for one another run on distinct threads, and the loops nested in
     // a pass run inline there. The passes take turns (one network).
+    // parallelFor may run any loop inline, which would deadlock this
+    // barrier; it relies on the rule that a site its issuing thread has not
+    // measured is dispatched, and, for the next backend's call, on a
+    // measured cost (a whole pass per chunk) far above the inline cutoff.
     std::atomic<int> Arrived{0};
     std::mutex PassM;
     ThreadPool::global().parallelFor(0, Threads, 1, [&](size_t, size_t) {
