@@ -1,21 +1,23 @@
 //===- bench/nn_kernels.cpp - NN compute-engine micro-benchmarks ---------===//
 //
-// Measures the batched compute engines (blocked-scalar and AVX2/FMA simd)
-// against the scalar reference backend on the repo's real model shapes
-// (Canny Raw 32x32 frames, the RL harness 20x20 frames, and the dense
-// heads), plus an end-to-end supervised epoch. Prints one JSON line per
-// case:
+// Measures the two compute engines (blocked-scalar and AVX2/FMA simd) on
+// the repo's real model shapes (Canny Raw 32x32 frames, the RL harness
+// 20x20 frames, and the dense heads), plus an end-to-end supervised epoch.
+// Prints one JSON line per case, backend and thread count:
 //
 //   {"bench": "...", "backend": "...", "threads": N, "ns_per_iter": ...}
 //
-// followed by a speedup line per case, so the perf trajectory can be
-// tracked across PRs. The simd rows only appear when the CPU supports
-// AVX2+FMA. Thread counts swept: 1 and 4.
+// and, where the CPU supports AVX2+FMA (else the simd rows are absent), a
+// same-run speedup line per case and thread count:
+//
+//   {"bench": "...", "threads": N, "simd_speedup_vs_blocked": ...}
+//
+// Thread counts swept: 1 and 4.
 //
 // The dqn_step_flappy_* rows split one DQN minibatch step on the Flappy
 // {5, 32, 32, 2} network at batch 32 (the step that dominates the RL game
 // loops) into target forward, online forward, backward and Adam step, per
-// batched backend; their ns_per_iter is per minibatch step, not per sample.
+// backend; their ns_per_iter is per minibatch step, not per sample.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,21 +66,36 @@ void printCase(const std::string &Bench, const std::string &BackendName,
   std::fflush(stdout);
 }
 
-void printSpeedup(const std::string &Bench, const std::string &BackendName,
-                  int Threads, double Naive, double Batched) {
-  std::printf("{\"bench\": \"%s\", \"backend\": \"%s\", \"threads\": %d, "
-              "\"speedup_vs_naive\": %.2f}\n",
-              Bench.c_str(), BackendName.c_str(), Threads, Naive / Batched);
-  std::fflush(stdout);
-}
-
-/// The batched engines to sweep: always blocked, plus simd where the CPU
-/// supports it.
-std::vector<Backend> batchedBackends() {
+/// The engines to sweep: always blocked, plus simd where the CPU supports
+/// it. Blocked runs first, so each simd row has its same-run baseline.
+std::vector<Backend> engines() {
   std::vector<Backend> Bs = {Backend::Blocked};
   if (simdSupported())
     Bs.push_back(Backend::Simd);
   return Bs;
+}
+
+/// Runs \p Run (ns per iteration) under each engine at each thread count,
+/// printing a row per run and the simd-vs-blocked ratio of the same thread
+/// count.
+void sweepBackends(const std::string &Name, const std::vector<int> &ThreadsSet,
+                   const std::function<double()> &Run) {
+  std::vector<double> Blocked(ThreadsSet.size());
+  for (Backend B : engines()) {
+    setBackend(B);
+    for (size_t I = 0; I != ThreadsSet.size(); ++I) {
+      ThreadPool::setGlobalThreads(ThreadsSet[I]);
+      double Ns = Run();
+      printCase(Name, backendName(B), ThreadsSet[I], Ns);
+      if (B == Backend::Blocked)
+        Blocked[I] = Ns;
+      else
+        std::printf("{\"bench\": \"%s\", \"threads\": %d, "
+                    "\"simd_speedup_vs_blocked\": %.2f}\n",
+                    Name.c_str(), ThreadsSet[I], Blocked[I] / Ns);
+    }
+  }
+  std::fflush(stdout);
 }
 
 Tensor randomBatch(std::vector<int> Shape, Rng &Rand) {
@@ -86,25 +103,6 @@ Tensor randomBatch(std::vector<int> Shape, Rng &Rand) {
   for (float &V : T.values())
     V = static_cast<float>(Rand.uniform(-1, 1));
   return T;
-}
-
-/// One fwd+bwd pass per sample through a layer, scalar reference path.
-template <typename L>
-double benchLayerNaive(L &Layer, const Tensor &In, const Tensor &GradOut) {
-  int BN = In.dim(0);
-  size_t InSz = In.sampleSize(), GSz = GradOut.sampleSize();
-  Tensor X(In.sampleShape()), G(GradOut.sampleShape());
-  double Ns = timeNs([&] {
-    for (int B = 0; B < BN; ++B) {
-      std::copy(In.sampleData(B), In.sampleData(B) + InSz, X.data());
-      Tensor Y = Layer.forward(X);
-      std::copy(GradOut.sampleData(B), GradOut.sampleData(B) + GSz,
-                G.data());
-      Tensor GI = Layer.backward(G);
-      Sink = GI[0] + Y[0];
-    }
-  });
-  return Ns / BN; // Per sample.
 }
 
 template <typename L>
@@ -136,44 +134,19 @@ void benchConvCase(const std::string &Name, int InC, int OutC, int K, int S,
   Tensor In = randomBatch({BN, InC, H, W}, Rand);
   Tensor G = randomBatch({BN, OutC, convOutDim(H, K, S),
                           convOutDim(W, K, S)}, Rand);
-  ThreadPool::setGlobalThreads(1);
-  setBackend(Backend::Naive);
-  double Naive = benchLayerNaive(Conv, In, G);
-  printCase(Name, "naive", 1, Naive);
-  for (Backend B : batchedBackends()) {
-    setBackend(B);
-    for (int T : ThreadsSet) {
-      ThreadPool::setGlobalThreads(T);
-      double Batched = benchLayerBatched(Conv, In, G);
-      printCase(Name, backendName(B), T, Batched);
-      printSpeedup(Name, backendName(B), T, Naive, Batched);
-    }
-  }
+  sweepBackends(Name, ThreadsSet,
+                [&] { return benchLayerBatched(Conv, In, G); });
 }
 
-/// Conv2D forward only (the TS-mode inference path): pre-packed weights and
-/// the workspace arena are what this isolates, so blocked-vs-simd here is
-/// the PR's headline kernel speedup.
+/// Conv2D forward only (the TS-mode inference path) at one thread: the
+/// im2col and micro-kernel cost without the backward GEMMs.
 void benchConvForwardCase(const std::string &Name, int InC, int OutC, int K,
                           int S, int H, int W, int BN) {
   Rng Rand(1);
   Rng WRand(2);
   Conv2D Conv(InC, OutC, K, S, WRand);
   Tensor In = randomBatch({BN, InC, H, W}, Rand);
-  ThreadPool::setGlobalThreads(1);
-  double Blocked = 0.0;
-  for (Backend B : batchedBackends()) {
-    setBackend(B);
-    double Ns = benchLayerForwardOnly(Conv, In);
-    printCase(Name, backendName(B), 1, Ns);
-    if (B == Backend::Blocked)
-      Blocked = Ns;
-    else if (B == Backend::Simd)
-      std::printf("{\"bench\": \"%s\", \"threads\": 1, "
-                  "\"simd_speedup_vs_blocked\": %.2f}\n",
-                  Name.c_str(), Blocked / Ns);
-  }
-  std::fflush(stdout);
+  sweepBackends(Name, {1}, [&] { return benchLayerForwardOnly(Conv, In); });
 }
 
 void benchDenseCase(const std::string &Name, int InSz, int OutSz, int BN,
@@ -183,26 +156,14 @@ void benchDenseCase(const std::string &Name, int InSz, int OutSz, int BN,
   Dense D(InSz, OutSz, WRand);
   Tensor In = randomBatch({BN, InSz}, Rand);
   Tensor G = randomBatch({BN, OutSz}, Rand);
-  ThreadPool::setGlobalThreads(1);
-  setBackend(Backend::Naive);
-  double Naive = benchLayerNaive(D, In, G);
-  printCase(Name, "naive", 1, Naive);
-  for (Backend B : batchedBackends()) {
-    setBackend(B);
-    for (int T : ThreadsSet) {
-      ThreadPool::setGlobalThreads(T);
-      double Batched = benchLayerBatched(D, In, G);
-      printCase(Name, backendName(B), T, Batched);
-      printSpeedup(Name, backendName(B), T, Naive, Batched);
-    }
-  }
+  sweepBackends(Name, ThreadsSet, [&] { return benchLayerBatched(D, In, G); });
 }
 
 /// End-to-end supervised epoch on the Canny Raw shape (1x32x32 frames
 /// through the DeepMind-style CNN), the paper's heaviest training config.
 void benchEndToEndEpoch(const std::vector<int> &ThreadsSet) {
   const int Side = 32, NSamples = 48, BatchSize = 16;
-  auto MakeTrainer = [&] {
+  sweepBackends("canny_raw_epoch", ThreadsSet, [&] {
     Rng NetRand(3);
     SupervisedTrainer Trainer(buildDeepMindCnn(1, Side, {64}, 2, NetRand),
                               1e-3);
@@ -214,28 +175,9 @@ void benchEndToEndEpoch(const std::vector<int> &ThreadsSet) {
       std::vector<float> Y = {X[0], X[1]};
       Trainer.addSample(std::move(X), std::move(Y));
     }
-    return Trainer;
-  };
-  const std::string Name = "canny_raw_epoch";
-  setBackend(Backend::Naive);
-  ThreadPool::setGlobalThreads(1);
-  SupervisedTrainer Trainer = MakeTrainer();
-  Rng TrainRand(5);
-  double Naive = timeNs([&] { Trainer.train(1, BatchSize, TrainRand); },
-                        1, 0.5);
-  printCase(Name, "naive", 1, Naive);
-  for (Backend B : batchedBackends()) {
-    setBackend(B);
-    for (int T : ThreadsSet) {
-      ThreadPool::setGlobalThreads(T);
-      SupervisedTrainer Fast = MakeTrainer();
-      Rng FastRand(5);
-      double Batched = timeNs([&] { Fast.train(1, BatchSize, FastRand); },
-                              1, 0.5);
-      printCase(Name, backendName(B), T, Batched);
-      printSpeedup(Name, backendName(B), T, Naive, Batched);
-    }
-  }
+    Rng TrainRand(5);
+    return timeNs([&] { Trainer.train(1, BatchSize, TrainRand); }, 1, 0.5);
+  });
 }
 
 /// One DQN minibatch step on the Flappy network, timed phase by phase:
@@ -263,7 +205,7 @@ void benchDqnStepCase(const std::vector<int> &ThreadsSet) {
     return std::chrono::duration<double, std::nano>(B - A).count();
   };
   const char *Phases[] = {"target_fwd", "online_fwd", "backward", "adam"};
-  for (Backend Be : batchedBackends()) {
+  for (Backend Be : engines()) {
     setBackend(Be);
     for (int T : ThreadsSet) {
       ThreadPool::setGlobalThreads(T);
@@ -346,7 +288,7 @@ int main() {
   benchConvCase("conv_fwd_bwd_mario_s1", 1, 8, 3, 1, 20, 20, 16, ThreadsSet);
   benchConvCase("conv_fwd_bwd_mario_s2", 8, 16, 3, 1, 9, 9, 16, ThreadsSet);
 
-  // Forward-only conv (inference path): blocked vs simd at one thread.
+  // Forward-only conv (inference path) at one thread.
   benchConvForwardCase("conv_fwd_canny_s2", 8, 16, 3, 1, 15, 15, 16);
   benchConvForwardCase("conv_fwd_mario_s2", 8, 16, 3, 1, 9, 9, 16);
 

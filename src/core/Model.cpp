@@ -213,14 +213,15 @@ double SlModel::train(int Epochs, int BatchSize) {
   return Trainer->train(Epochs, BatchSize, Rand);
 }
 
-std::vector<float> SlModel::predict(const std::vector<float> &X) {
-  assert(Built && Trainer && "predicting with an unbuilt SL model");
-  return Trainer->predict(X);
-}
-
 void SlModel::predictRows(const float *Xs, int Rows, std::vector<float> &Out) {
   assert(Built && Trainer && "predicting with an unbuilt SL model");
   Trainer->predictRowsInto(Xs, Rows, Out);
+}
+
+std::vector<float> SlModel::predict(const std::vector<float> &X) {
+  std::vector<float> Y;
+  predictRows(X.data(), 1, Y);
+  return Y;
 }
 
 size_t SlModel::numSamples() const {

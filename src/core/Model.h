@@ -130,16 +130,16 @@ public:
   /// Offline training (the SL TR regime). Returns final mean loss.
   double train(int Epochs, int BatchSize);
 
-  /// Predicts the concatenated outputs for features \p X. Requires a built
-  /// (trained or loaded) model.
-  std::vector<float> predict(const std::vector<float> &X);
-
-  /// Batched TS inference over \p Rows feature vectors stored back to back
-  /// in \p Xs (Rows x inputSize, row-major); \p Out receives Rows x
-  /// totalOutputSize predictions. Routes through the batched forwardBatch
-  /// engine with reusable staging, so the primitive hot path makes no
-  /// per-call allocations. Rows == 1 is the single-call au_NN fast path.
+  /// The prediction entry point (TS inference): \p Xs holds \p Rows
+  /// feature vectors back to back (Rows x inputSize, row-major); \p Out
+  /// receives Rows x totalOutputSize predictions, the concatenated outputs
+  /// per row. Requires a built (trained or loaded) model. Reuses its
+  /// staging, so the primitive hot path makes no per-call allocations.
+  /// Rows == 1 is the single-call au_NN path.
   void predictRows(const float *Xs, int Rows, std::vector<float> &Out);
+
+  /// predictRows for one feature vector \p X.
+  std::vector<float> predict(const std::vector<float> &X);
 
   size_t numSamples() const;
   size_t modelSizeBytes() override;

@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -40,18 +41,18 @@ Backend clampToHardware(Backend B) {
 
 Backend readBackendFromEnv() {
   const char *Env = std::getenv("AU_NN_BACKEND");
-  if (Env) {
-    if (std::strcmp(Env, "naive") == 0)
-      return Backend::Naive;
-    if (std::strcmp(Env, "blocked") == 0 || std::strcmp(Env, "gemm") == 0)
-      return Backend::Blocked;
-    if (std::strcmp(Env, "simd") == 0)
-      return clampToHardware(Backend::Simd);
-  }
-  return clampToHardware(Backend::Simd);
+  if (Env && std::strcmp(Env, "blocked") == 0)
+    return Backend::Blocked;
+  Backend Default = clampToHardware(Backend::Simd);
+  if (Env && std::strcmp(Env, "simd") != 0)
+    std::fprintf(stderr,
+                 "AU_NN_BACKEND=%s is not recognized (accepted values: simd, "
+                 "blocked); running %s\n",
+                 Env, backendName(Default));
+  return Default;
 }
 
-Backend ActiveBackend = readBackendFromEnv();
+Backend ActiveBackend = defaultBackend();
 
 // Per-thread packing scratch (the blocked engine's transposes and the simd
 // engine's B panels). Packing happens on the thread issuing the GEMM (before
@@ -98,21 +99,7 @@ Backend au::nn::defaultBackend() {
 void au::nn::setBackend(Backend B) { ActiveBackend = clampToHardware(B); }
 
 const char *au::nn::backendName(Backend B) {
-  switch (B) {
-  case Backend::Simd:
-    return "simd";
-  case Backend::Blocked:
-    return "blocked";
-  case Backend::Naive:
-    return "naive";
-  }
-  return "unknown";
-}
-
-Backend au::nn::packEngine() {
-  // The naive backend keeps layers on their scalar per-sample paths; any
-  // explicit sgemm call it still issues runs the blocked kernel.
-  return ActiveBackend == Backend::Simd ? Backend::Simd : Backend::Blocked;
+  return B == Backend::Simd ? "simd" : "blocked";
 }
 
 namespace {
@@ -124,7 +111,7 @@ bool simdKernelsActive() { return ActiveBackend == Backend::Simd; }
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Blocked-scalar SGEMM (portable fallback; reference rounding for tests)
+// Blocked-scalar SGEMM (portable fallback)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -225,7 +212,7 @@ void au::nn::sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
     return;
   }
 
-  if (packEngine() == Backend::Simd) {
+  if (backend() == Backend::Simd) {
     float *BP = reserveScratch(PackBBuf, simd::bPanelsSize(K, N));
     simd::packBPanels(B, Ldb, TransB, K, N, BP);
     sgemmSimdCore(TransA, M, N, K, Alpha, A, Lda, BP, Beta, C, Ldc);
@@ -259,7 +246,7 @@ void au::nn::sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
 
 void au::nn::ensurePackedB(PackedOperand &P, uint64_t Gen, bool TransB, int K,
                            int N, const float *B, int Ldb) {
-  Backend Engine = packEngine();
+  Backend Engine = backend();
   if (P.fresh(Engine, Gen) && P.Rows == K && P.Cols == N)
     return;
   P.Rows = K;
@@ -288,7 +275,7 @@ void au::nn::ensurePackedB(PackedOperand &P, uint64_t Gen, bool TransB, int K,
 void au::nn::sgemmPackedB(bool TransA, const PackedOperand &PB, int M, int N,
                           int K, float Alpha, const float *A, int Lda,
                           float Beta, float *C, int Ldc) {
-  assert(PB.Present && PB.For == packEngine() && "stale packed operand");
+  assert(PB.Present && PB.For == backend() && "stale packed operand");
   assert(PB.Rows == K && PB.Cols == N && "packed operand extent mismatch");
   if (M == 0 || N == 0)
     return;
@@ -350,8 +337,8 @@ double au::nn::mseBatchKernel(const float *P, const float *T, float *G,
                               int Rows, int Cols) {
   if (simdKernelsActive())
     return simd::mseBatchAvx(P, T, G, Rows, Cols);
-  // Scalar reference: accumulation order and rounding match the original
-  // per-element loop bitwise (each term is scaled by InvN before summing).
+  // Blocked engine: each term is scaled by InvN before summing, in ascending
+  // element order.
   double Loss = 0.0;
   double InvN = 1.0 / Cols;
   for (int R = 0; R < Rows; ++R) {
@@ -382,7 +369,7 @@ void au::nn::adamUpdateKernel(float *W, float *G, float *M, float *V,
                         static_cast<float>(Scale));
     return;
   }
-  // Scalar reference: double-precision arithmetic over float storage.
+  // Blocked engine: double-precision arithmetic over float storage.
   for (size_t I = 0; I != N; ++I) {
     double Gd = G[I] * Scale;
     M[I] = flushSubnormal(static_cast<float>(B1 * M[I] + (1.0 - B1) * Gd));
@@ -398,7 +385,7 @@ void au::nn::adamUpdateKernel(float *W, float *G, float *M, float *V,
 void au::nn::sgemmConvBias(int M, int N, int K, const float *A, int Lda,
                            const float *B, int Ldb, const float *Bias,
                            float *C, int Ldc) {
-  assert(packEngine() == Backend::Simd && "conv bias fusion is simd-only");
+  assert(backend() == Backend::Simd && "conv bias fusion is simd-only");
   assert(M > 0 && N > 0 && K > 0 && "degenerate conv GEMM");
   float *BP = reserveScratch(PackBBuf, simd::bPanelsSize(K, N));
   simd::packBPanels(B, Ldb, /*Trans=*/false, K, N, BP);

@@ -12,15 +12,16 @@
 /// of blocking, tiling, or thread count, so results are bitwise reproducible
 /// at any AU_NN_THREADS within one backend.
 ///
-/// Three engines are selectable at runtime via AU_NN_BACKEND:
+/// Two engines are selectable at runtime via AU_NN_BACKEND:
 ///
 ///  * simd    — AVX2/FMA 6x16 register-tile micro-kernel that reads A in
 ///              place and B from packed panels (the default when the CPU
 ///              supports AVX2 and FMA).
-///  * blocked — the portable blocked-scalar kernel ("gemm" is accepted as a
-///              legacy alias); also the fallback on CPUs without AVX2/FMA.
-///  * naive   — the original scalar per-sample layer kernels, kept as the
-///              reference implementation for differential testing.
+///  * blocked — the portable blocked-scalar kernel; the only engine on CPUs
+///              without AVX2/FMA.
+///
+/// Both are checked against a direct-formula reference that lives with the
+/// tests (tests/NnOracle.h).
 ///
 /// Right-hand weight operands can be pre-packed once into the active
 /// engine's fast layout and cached on the layer (a PackedOperand),
@@ -38,20 +39,20 @@
 namespace au {
 namespace nn {
 
-/// Which compute engine the trainers and batched layer paths use.
+/// Which compute engine the layers, trainers and GEMM calls use.
 enum class Backend {
-  Simd,    ///< AVX2/FMA micro-kernel engine (default where supported).
-  Blocked, ///< Portable blocked-scalar GEMM/im2col engine.
-  Naive    ///< Original scalar per-sample reference kernels.
+  Simd,   ///< AVX2/FMA micro-kernel engine (default where supported).
+  Blocked ///< Portable blocked-scalar GEMM/im2col engine.
 };
 
 /// Whether this process can run the simd engine (compiled for x86 and the
 /// CPU reports AVX2 + FMA).
 bool simdSupported();
 
-/// The active backend: AU_NN_BACKEND=simd|blocked|naive on first query
-/// ("gemm" is accepted as an alias for blocked), unless overridden by
-/// setBackend(). Defaults to simd when supported, else blocked.
+/// The active backend: AU_NN_BACKEND=simd|blocked at startup, unless
+/// overridden by setBackend(). Defaults to simd when supported, else
+/// blocked; any other AU_NN_BACKEND value prints one line to stderr naming
+/// the accepted values and runs the default.
 Backend backend();
 
 /// Overrides the active backend (tests and benchmarks). Requesting simd on
@@ -87,7 +88,7 @@ void sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
 struct PackedOperand {
   std::vector<float> Data;
   int Rows = 0, Cols = 0;            ///< Logical op(X) extents.
-  Backend For = Backend::Naive;      ///< Engine the layout was packed for.
+  Backend For = Backend::Simd;       ///< Engine the layout was packed for.
   uint64_t Gen = 0;                  ///< Parameter generation when packed.
   bool Present = false;
 
@@ -96,10 +97,6 @@ struct PackedOperand {
     return Present && For == Engine && Gen == G;
   }
 };
-
-/// The engine whose data layout sgemm actually runs under the current
-/// backend (naive still routes explicit sgemm calls through blocked).
-Backend packEngine();
 
 /// Ensures \p P holds op(B) = K x N (stored \p B with row stride \p Ldb,
 /// transposed per \p TransB) packed for the active engine at parameter
@@ -140,15 +137,15 @@ void biasAddRowsKernel(float *Y, const float *Bias, int Rows, int Cols);
 /// Batched MSE: writes G = 2 * (P - T) / Cols and returns the sum over rows
 /// of each row's mean squared error. The simd engine accumulates each row in
 /// 8 float lanes folded in a fixed order (deterministic, but rounded
-/// differently from the scalar engines).
+/// differently from the blocked engine).
 double mseBatchKernel(const float *P, const float *T, float *G, int Rows,
                       int Cols);
 
 /// Adam update over one parameter tensor: moment update, bias correction,
 /// parameter step, and gradient clear in one pass. Bias1/Bias2 are
 /// 1 - beta^t; Scale multiplies the accumulated gradient. The simd engine
-/// runs a fused single-precision pass; the others compute in double over
-/// the float storage. Every engine flushes moments with |x| < FLT_MIN to a
+/// runs a fused single-precision pass; the blocked engine computes in double
+/// over the float storage. Every engine flushes moments with |x| < FLT_MIN to a
 /// zero of the same sign, so parameters whose gradient stays 0 do not pin
 /// their moments on subnormals.
 void adamUpdateKernel(float *W, float *G, float *M, float *V, size_t N,

@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The layer abstraction for the NN substrate. Every layer supports two
-/// execution styles: the original scalar path (forward/backward on one
-/// sample, kept as the AU_NN_BACKEND=naive reference engine) and the batched
-/// path (forwardBatch/backwardBatch over rank-(N+1) tensors whose leading
-/// dimension is the minibatch), which the GEMM/im2col compute engine uses so
-/// a whole minibatch flows through the network in one call. A layer owns its
-/// parameters and the gradient accumulators that the optimizers consume;
-/// both styles accumulate into the same gradient buffers.
+/// The layer abstraction for the NN substrate. A layer computes on batches:
+/// forwardBatch/backwardBatch take rank-(N+1) tensors whose leading
+/// dimension is the minibatch, so a whole minibatch flows through the
+/// network in one call of the GEMM/im2col compute engine. A single sample is
+/// a batch of one. A layer owns its parameters and the gradient accumulators
+/// that the optimizer consumes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,24 +34,16 @@ struct ParamView {
   size_t Count;
 };
 
-/// Base class for all layers. Forward caches whatever backward needs, so a
-/// layer instance processes one sample at a time (forward immediately
-/// followed by the matching backward).
+/// Base class for all layers. forwardBatch caches whatever backwardBatch
+/// needs, so a layer instance processes one batch at a time (forward
+/// immediately followed by the matching backward).
 class Layer {
 public:
   virtual ~Layer();
 
-  /// Computes the layer output for \p In, caching activations for backward.
-  virtual Tensor forward(const Tensor &In) = 0;
-
-  /// Given dLoss/dOut, accumulates parameter gradients and returns
-  /// dLoss/dIn. Must follow a forward() on the same sample.
-  virtual Tensor backward(const Tensor &GradOut) = 0;
-
   /// Batched forward pass: \p In is a rank-(N+1) tensor whose leading
   /// dimension is the minibatch. Caches whatever backwardBatch needs for the
-  /// whole batch. The batched caches are separate from the scalar ones, so a
-  /// scalar forward() between a forwardBatch/backwardBatch pair is safe.
+  /// whole batch.
   virtual Tensor forwardBatch(const Tensor &In) = 0;
 
   /// Batched backward pass; must follow a forwardBatch() on the same batch.

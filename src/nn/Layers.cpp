@@ -44,52 +44,15 @@ Dense::Dense(int InSize, int OutSize, Rng &Rand) : In(InSize), Out(OutSize) {
     V = static_cast<float>(Rand.uniform(-Limit, Limit));
 }
 
-Tensor Dense::forward(const Tensor &Input) {
-  assert(Input.size() == static_cast<size_t>(In) &&
-         "dense input size mismatch");
-  LastIn = Input;
-  Tensor Y(std::vector<int>{Out});
-  for (int O = 0; O < Out; ++O) {
-    float Acc = B[O];
-    const float *Row = &W[static_cast<size_t>(O) * In];
-    const float *X = Input.data();
-    for (int I = 0; I < In; ++I)
-      Acc += Row[I] * X[I];
-    Y[O] = Acc;
-  }
-  return Y;
-}
-
-Tensor Dense::backward(const Tensor &GradOut) {
-  assert(GradOut.size() == static_cast<size_t>(Out) &&
-         "dense gradient size mismatch");
-  assert(LastIn.size() == static_cast<size_t>(In) &&
-         "backward without matching forward");
-  Tensor GradIn(std::vector<int>{In});
-  for (int O = 0; O < Out; ++O) {
-    float G = GradOut[O];
-    GB[O] += G;
-    float *GRow = &GW[static_cast<size_t>(O) * In];
-    const float *Row = &W[static_cast<size_t>(O) * In];
-    const float *X = LastIn.data();
-    float *GI = GradIn.data();
-    for (int I = 0; I < In; ++I) {
-      GRow[I] += G * X[I];
-      GI[I] += G * Row[I];
-    }
-  }
-  return GradIn;
-}
-
 Tensor Dense::forwardBatch(const Tensor &Input) {
   assert(Input.rank() == 2 && Input.dim(1) == In &&
          "dense batched input shape mismatch");
   int BN = Input.dim(0);
-  LastInB = Input;
+  LastIn = Input;
   Tensor Y = Workspace::acquire({BN, Out});
-  // Prefill each row with the bias, then accumulate X * W^T on top; this
-  // matches the scalar path's Acc = B[O] + sum order. W^T is served from the
-  // packed cache, so steady-state inference skips all packing work.
+  // Prefill each row with the bias, then accumulate X * W^T on top, so each
+  // output is B[O] + sum_i X[i] * W[O][i] summed i-ascending. W^T is served
+  // from the packed cache, so steady-state inference skips all packing work.
   float *YD = Y.data();
   biasAddRowsKernel(YD, B.data(), BN, Out);
   ensurePackedB(PackedWT, paramGen(), /*TransB=*/true, In, Out, W.data(), In);
@@ -102,7 +65,7 @@ Tensor Dense::backwardBatch(const Tensor &GradOut) {
   assert(GradOut.rank() == 2 && GradOut.dim(1) == Out &&
          "dense batched gradient shape mismatch");
   int BN = GradOut.dim(0);
-  assert(LastInB.rank() == 2 && LastInB.dim(0) == BN &&
+  assert(LastIn.rank() == 2 && LastIn.dim(0) == BN &&
          "batched backward without matching forward");
   const float *G = GradOut.data();
   // Bias gradients in fixed ascending-sample order.
@@ -114,7 +77,7 @@ Tensor Dense::backwardBatch(const Tensor &GradOut) {
   // Weight gradients: GW += GradOut^T * X. Row-parallel over Out with
   // ascending-sample accumulation per element — deterministic.
   sgemm(/*TransA=*/true, /*TransB=*/false, Out, In, BN, 1.0f, G, Out,
-        LastInB.data(), In, 1.0f, GW.data(), In);
+        LastIn.data(), In, 1.0f, GW.data(), In);
   // Input gradients: GI = GradOut * W, with W served from the packed cache.
   Tensor GI = Workspace::acquire({BN, In});
   ensurePackedB(PackedWB, paramGen(), /*TransB=*/false, Out, In, W.data(),
@@ -132,25 +95,8 @@ std::vector<ParamView> Dense::params() {
 // ReLU
 //===----------------------------------------------------------------------===//
 
-Tensor ReLU::forward(const Tensor &In) {
-  LastIn = In;
-  Tensor Y = In;
-  for (float &V : Y.values())
-    V = std::max(V, 0.0f);
-  return Y;
-}
-
-Tensor ReLU::backward(const Tensor &GradOut) {
-  assert(GradOut.size() == LastIn.size() && "relu gradient size mismatch");
-  Tensor GradIn = GradOut;
-  for (size_t I = 0, E = GradIn.size(); I != E; ++I)
-    if (LastIn[I] <= 0.0f)
-      GradIn[I] = 0.0f;
-  return GradIn;
-}
-
 Tensor ReLU::forwardBatch(const Tensor &In) {
-  LastInB = In;
+  LastIn = In;
   Tensor Y = Workspace::acquire(In.shape());
   float *D = Y.data();
   const float *S = In.data();
@@ -163,12 +109,12 @@ Tensor ReLU::forwardBatch(const Tensor &In) {
 }
 
 Tensor ReLU::backwardBatch(const Tensor &GradOut) {
-  assert(GradOut.size() == LastInB.size() &&
+  assert(GradOut.size() == LastIn.size() &&
          "relu batched gradient size mismatch");
   Tensor GradIn = Workspace::acquire(GradOut.shape());
   float *D = GradIn.data();
   const float *S = GradOut.data();
-  const float *X = LastInB.data();
+  const float *X = LastIn.data();
   ThreadPool::global().parallelFor(0, GradIn.size(), 8192,
                                    [&](size_t B, size_t E) {
     std::memcpy(D + B, S + B, sizeof(float) * (E - B));
@@ -194,52 +140,6 @@ Conv2D::Conv2D(int InChannels, int OutChannels, int KernelSize, int Stride,
     V = static_cast<float>(Rand.uniform(-Limit, Limit));
 }
 
-Tensor Conv2D::forward(const Tensor &In) {
-  assert(In.rank() == 3 && In.dim(0) == InC && "conv input shape mismatch");
-  int H = In.dim(1), Wd = In.dim(2);
-  assert(H >= K && Wd >= K && "conv input smaller than kernel");
-  int OH = (H - K) / S + 1;
-  int OW = (Wd - K) / S + 1;
-  LastIn = In;
-  Tensor Out(std::vector<int>{OutC, OH, OW});
-  for (int Oc = 0; Oc < OutC; ++Oc)
-    for (int Oy = 0; Oy < OH; ++Oy)
-      for (int Ox = 0; Ox < OW; ++Ox) {
-        float Acc = B[Oc];
-        for (int Ic = 0; Ic < InC; ++Ic)
-          for (int Ky = 0; Ky < K; ++Ky)
-            for (int Kx = 0; Kx < K; ++Kx) {
-              size_t WIdx =
-                  ((static_cast<size_t>(Oc) * InC + Ic) * K + Ky) * K + Kx;
-              Acc += W[WIdx] * In.at3(Ic, Oy * S + Ky, Ox * S + Kx);
-            }
-        Out.at3(Oc, Oy, Ox) = Acc;
-      }
-  return Out;
-}
-
-Tensor Conv2D::backward(const Tensor &GradOut) {
-  assert(GradOut.rank() == 3 && GradOut.dim(0) == OutC &&
-         "conv gradient shape mismatch");
-  int OH = GradOut.dim(1), OW = GradOut.dim(2);
-  Tensor GradIn(LastIn.shape());
-  for (int Oc = 0; Oc < OutC; ++Oc)
-    for (int Oy = 0; Oy < OH; ++Oy)
-      for (int Ox = 0; Ox < OW; ++Ox) {
-        float G = GradOut.at3(Oc, Oy, Ox);
-        GB[Oc] += G;
-        for (int Ic = 0; Ic < InC; ++Ic)
-          for (int Ky = 0; Ky < K; ++Ky)
-            for (int Kx = 0; Kx < K; ++Kx) {
-              size_t WIdx =
-                  ((static_cast<size_t>(Oc) * InC + Ic) * K + Ky) * K + Kx;
-              GW[WIdx] += G * LastIn.at3(Ic, Oy * S + Ky, Ox * S + Kx);
-              GradIn.at3(Ic, Oy * S + Ky, Ox * S + Kx) += G * W[WIdx];
-            }
-      }
-  return GradIn;
-}
-
 Tensor Conv2D::forwardBatch(const Tensor &Input) {
   assert(Input.rank() == 4 && Input.dim(1) == InC &&
          "conv batched input shape mismatch");
@@ -248,9 +148,9 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   int OH = convOutDim(H, K, S), OW = convOutDim(Wd, K, S);
   int CKK = InC * K * K;
   size_t ColSz = static_cast<size_t>(CKK) * OH * OW;
-  if (ColB.size() < static_cast<size_t>(BN) * ColSz)
-    ColB.resize(static_cast<size_t>(BN) * ColSz);
-  InShapeB = Input.shape();
+  if (Cols.size() < static_cast<size_t>(BN) * ColSz)
+    Cols.resize(static_cast<size_t>(BN) * ColSz);
+  InShape = Input.shape();
   LastOH = OH;
   LastOW = OW;
   Tensor OutT = Workspace::acquire({BN, OutC, OH, OW});
@@ -258,7 +158,7 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   const float *InD = Input.data();
   float *OutD = OutT.data();
   size_t PlaneSz = static_cast<size_t>(OH) * OW;
-  const bool Simd = packEngine() == Backend::Simd;
+  const bool Simd = backend() == Backend::Simd;
   // Samples are independent: lower each to columns and run the per-sample
   // GEMM Out_b = W * Col_b (+ bias) in parallel across the batch. The simd
   // engine seeds its accumulators with the bias (no fill pass, no Beta
@@ -266,7 +166,7 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi) {
-      float *Col = &ColB[Bi * ColSz];
+      float *Col = &Cols[Bi * ColSz];
       im2col(InD + Bi * InSz, InC, H, Wd, K, S, Col);
       float *O = OutD + Bi * OutSz;
       if (Simd) {
@@ -287,9 +187,9 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
   assert(GradOut.rank() == 4 && GradOut.dim(1) == OutC &&
          "conv batched gradient shape mismatch");
   int BN = GradOut.dim(0), OH = GradOut.dim(2), OW = GradOut.dim(3);
-  assert(!InShapeB.empty() && InShapeB[0] == BN && OH == LastOH &&
+  assert(!InShape.empty() && InShape[0] == BN && OH == LastOH &&
          OW == LastOW && "batched backward without matching forward");
-  int H = InShapeB[2], Wd = InShapeB[3];
+  int H = InShape[2], Wd = InShape[3];
   int CKK = InC * K * K;
   size_t ColSz = static_cast<size_t>(CKK) * OH * OW;
   size_t GSz = GradOut.sampleSize();
@@ -318,22 +218,22 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
                      [&](size_t B0, size_t B1, float *Acc) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
       sgemm(/*TransA=*/false, /*TransB=*/true, OutC, CKK, OH * OW, 1.0f,
-            GD + Bi * GSz, OH * OW, &ColB[Bi * ColSz], OH * OW, 1.0f, Acc,
+            GD + Bi * GSz, OH * OW, &Cols[Bi * ColSz], OH * OW, 1.0f, Acc,
             CKK);
   }, GW.data());
 
   // Input gradients: dCol_b = W^T * GradOut_b, scattered back by col2im.
   // col2im accumulates, so the workspace tensor must be zeroed explicitly.
-  if (DColB.size() < static_cast<size_t>(BN) * ColSz)
-    DColB.resize(static_cast<size_t>(BN) * ColSz);
-  Tensor GradIn = Workspace::acquire(InShapeB);
+  if (DCols.size() < static_cast<size_t>(BN) * ColSz)
+    DCols.resize(static_cast<size_t>(BN) * ColSz);
+  Tensor GradIn = Workspace::acquire(InShape);
   GradIn.fill(0.0f);
   float *GID = GradIn.data();
   size_t InSz = GradIn.sampleSize();
   ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi) {
-      float *DCol = &DColB[Bi * ColSz];
+      float *DCol = &DCols[Bi * ColSz];
       sgemm(/*TransA=*/true, /*TransB=*/false, CKK, OH * OW, OutC, 1.0f,
             W.data(), CKK, GD + Bi * GSz, OH * OW, 0.0f, DCol, OH * OW);
       col2im(DCol, InC, H, Wd, K, S, GID + Bi * InSz);
@@ -383,39 +283,18 @@ void maxPool2x2(const float *In, int C, int H, int W, float *Out,
 
 } // namespace
 
-Tensor MaxPool2D::forward(const Tensor &In) {
-  assert(In.rank() == 3 && "maxpool input must be rank 3");
-  int C = In.dim(0), H = In.dim(1), W = In.dim(2);
-  int OH = H / 2, OW = W / 2;
-  assert(OH > 0 && OW > 0 && "maxpool input too small");
-  LastIn = In;
-  OutShape = {C, OH, OW};
-  Tensor Out(OutShape);
-  ArgMax.assign(Out.size(), 0);
-  maxPool2x2(In.data(), C, H, W, Out.data(), ArgMax.data(), 0);
-  return Out;
-}
-
-Tensor MaxPool2D::backward(const Tensor &GradOut) {
-  assert(GradOut.size() == ArgMax.size() && "maxpool gradient size mismatch");
-  Tensor GradIn(LastIn.shape());
-  for (size_t I = 0, E = GradOut.size(); I != E; ++I)
-    GradIn.values()[ArgMax[I]] += GradOut[I];
-  return GradIn;
-}
-
 Tensor MaxPool2D::forwardBatch(const Tensor &In) {
   assert(In.rank() == 4 && "maxpool batched input must be rank 4");
   int BN = In.dim(0), C = In.dim(1), H = In.dim(2), W = In.dim(3);
   int OH = H / 2, OW = W / 2;
   assert(OH > 0 && OW > 0 && "maxpool input too small");
-  InShapeB = In.shape();
+  InShape = In.shape();
   Tensor Out = Workspace::acquire({BN, C, OH, OW});
-  ArgMaxB.assign(Out.size(), 0);
+  ArgMax.assign(Out.size(), 0);
   size_t InSz = In.sampleSize(), OutSz = Out.sampleSize();
   const float *InD = In.data();
   float *OutD = Out.data();
-  size_t *AM = ArgMaxB.data();
+  size_t *AM = ArgMax.data();
   ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
@@ -426,11 +305,11 @@ Tensor MaxPool2D::forwardBatch(const Tensor &In) {
 }
 
 Tensor MaxPool2D::backwardBatch(const Tensor &GradOut) {
-  assert(GradOut.size() == ArgMaxB.size() &&
+  assert(GradOut.size() == ArgMax.size() &&
          "maxpool batched gradient size mismatch");
-  int BN = InShapeB[0];
+  int BN = InShape[0];
   // The scatter below only writes the winning indices, so zero the rest.
-  Tensor GradIn = Workspace::acquire(InShapeB);
+  Tensor GradIn = Workspace::acquire(InShape);
   GradIn.fill(0.0f);
   size_t OutSz = GradOut.sampleSize();
   const float *G = GradOut.data();
@@ -441,7 +320,7 @@ Tensor MaxPool2D::backwardBatch(const Tensor &GradOut) {
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
       for (size_t I = Bi * OutSz, E = (Bi + 1) * OutSz; I != E; ++I)
-        D[ArgMaxB[I]] += G[I];
+        D[ArgMax[I]] += G[I];
   });
   return GradIn;
 }
@@ -449,15 +328,6 @@ Tensor MaxPool2D::backwardBatch(const Tensor &GradOut) {
 //===----------------------------------------------------------------------===//
 // Reshape
 //===----------------------------------------------------------------------===//
-
-Tensor Reshape::forward(const Tensor &In) {
-  InShape = In.shape();
-  return In.reshaped(Target);
-}
-
-Tensor Reshape::backward(const Tensor &GradOut) {
-  return GradOut.reshaped(InShape);
-}
 
 namespace {
 
@@ -480,37 +350,28 @@ Tensor reshapedCopy(const Tensor &In, const std::vector<int> &NewShape) {
 } // namespace
 
 Tensor Reshape::forwardBatch(const Tensor &In) {
-  InShapeB = In.shape();
-  // NewShapeB is retained so steady-state calls reuse its capacity.
-  NewShapeB.clear();
-  NewShapeB.reserve(Target.size() + 1);
-  NewShapeB.push_back(In.dim(0));
-  NewShapeB.insert(NewShapeB.end(), Target.begin(), Target.end());
-  return reshapedCopy(In, NewShapeB);
+  InShape = In.shape();
+  // NewShape is retained so steady-state calls reuse its capacity.
+  NewShape.clear();
+  NewShape.reserve(Target.size() + 1);
+  NewShape.push_back(In.dim(0));
+  NewShape.insert(NewShape.end(), Target.begin(), Target.end());
+  return reshapedCopy(In, NewShape);
 }
 
 Tensor Reshape::backwardBatch(const Tensor &GradOut) {
-  return reshapedCopy(GradOut, InShapeB);
+  return reshapedCopy(GradOut, InShape);
 }
 
 //===----------------------------------------------------------------------===//
 // Flatten
 //===----------------------------------------------------------------------===//
 
-Tensor Flatten::forward(const Tensor &In) {
-  InShape = In.shape();
-  return In.reshaped({static_cast<int>(In.size())});
-}
-
-Tensor Flatten::backward(const Tensor &GradOut) {
-  return GradOut.reshaped(InShape);
-}
-
 Tensor Flatten::forwardBatch(const Tensor &In) {
-  InShapeB = In.shape();
+  InShape = In.shape();
   return reshapedCopy(In, {In.dim(0), static_cast<int>(In.sampleSize())});
 }
 
 Tensor Flatten::backwardBatch(const Tensor &GradOut) {
-  return reshapedCopy(GradOut, InShapeB);
+  return reshapedCopy(GradOut, InShape);
 }

@@ -28,8 +28,6 @@ public:
   /// Initializes with He-uniform weights drawn from \p Rand.
   Dense(int InSize, int OutSize, Rng &Rand);
 
-  Tensor forward(const Tensor &In) override;
-  Tensor backward(const Tensor &GradOut) override;
   Tensor forwardBatch(const Tensor &In) override;
   Tensor backwardBatch(const Tensor &GradOut) override;
   std::vector<ParamView> params() override;
@@ -56,8 +54,7 @@ private:
   std::vector<float> B;  // Out.
   std::vector<float> GW; // Gradient accumulators.
   std::vector<float> GB;
-  Tensor LastIn;
-  Tensor LastInB;        // Batched activation cache ([Batch, In]).
+  Tensor LastIn;          // Activation cache ([Batch, In]).
   PackedOperand PackedWT; // Forward operand op(B) = W^T, engine layout.
   PackedOperand PackedWB; // Backward operand op(B) = W (input gradients).
 };
@@ -65,15 +62,12 @@ private:
 /// Rectified linear unit, elementwise max(0, x).
 class ReLU : public Layer {
 public:
-  Tensor forward(const Tensor &In) override;
-  Tensor backward(const Tensor &GradOut) override;
   Tensor forwardBatch(const Tensor &In) override;
   Tensor backwardBatch(const Tensor &GradOut) override;
   std::string kind() const override { return "relu"; }
 
 private:
   Tensor LastIn;
-  Tensor LastInB;
 };
 
 /// 2-D convolution over (channels, height, width) tensors, stride
@@ -83,8 +77,6 @@ public:
   Conv2D(int InChannels, int OutChannels, int KernelSize, int Stride,
          Rng &Rand);
 
-  Tensor forward(const Tensor &In) override;
-  Tensor backward(const Tensor &GradOut) override;
   Tensor forwardBatch(const Tensor &In) override;
   Tensor backwardBatch(const Tensor &GradOut) override;
   std::vector<ParamView> params() override;
@@ -110,32 +102,26 @@ private:
   std::vector<float> B;  // OutC.
   std::vector<float> GW;
   std::vector<float> GB;
-  Tensor LastIn;
-  // Batched-path workspace, preallocated and reused across calls: the
-  // im2col column cache for the whole batch ([Batch][InC*K*K][OH*OW], also
-  // the activation cache the weight-gradient GEMM consumes) and the
-  // column-gradient scratch of identical layout.
-  std::vector<float> ColB;
-  std::vector<float> DColB;
-  std::vector<int> InShapeB; // Cached batched input shape.
+  // Workspace, preallocated and reused across calls: the im2col column
+  // cache for the whole batch ([Batch][InC*K*K][OH*OW], also the activation
+  // cache the weight-gradient GEMM consumes) and the column-gradient scratch
+  // of identical layout.
+  std::vector<float> Cols;
+  std::vector<float> DCols;
+  std::vector<int> InShape; // Cached input shape.
   int LastOH = 0, LastOW = 0;
 };
 
 /// 2x2 max pooling with stride 2 over (channels, height, width) tensors.
 class MaxPool2D : public Layer {
 public:
-  Tensor forward(const Tensor &In) override;
-  Tensor backward(const Tensor &GradOut) override;
   Tensor forwardBatch(const Tensor &In) override;
   Tensor backwardBatch(const Tensor &GradOut) override;
   std::string kind() const override { return "maxpool2d"; }
 
 private:
-  Tensor LastIn;
-  std::vector<size_t> ArgMax; // Flat input index chosen per output element.
-  std::vector<int> OutShape;
-  std::vector<size_t> ArgMaxB; // Batched argmax (flat index into the batch).
-  std::vector<int> InShapeB;
+  std::vector<size_t> ArgMax; // Flat index into the batch per output element.
+  std::vector<int> InShape;
 };
 
 /// Reshapes the input to a fixed target shape (element counts must match).
@@ -146,8 +132,6 @@ public:
   explicit Reshape(std::vector<int> TargetShape)
       : Target(std::move(TargetShape)) {}
 
-  Tensor forward(const Tensor &In) override;
-  Tensor backward(const Tensor &GradOut) override;
   Tensor forwardBatch(const Tensor &In) override;
   Tensor backwardBatch(const Tensor &GradOut) override;
   std::string kind() const override { return "reshape"; }
@@ -155,22 +139,18 @@ public:
 private:
   std::vector<int> Target;
   std::vector<int> InShape;
-  std::vector<int> InShapeB;
-  std::vector<int> NewShapeB; // Batched target shape, reused across calls.
+  std::vector<int> NewShape; // Target shape with the batch, reused per call.
 };
 
 /// Flattens any tensor to rank 1.
 class Flatten : public Layer {
 public:
-  Tensor forward(const Tensor &In) override;
-  Tensor backward(const Tensor &GradOut) override;
   Tensor forwardBatch(const Tensor &In) override;
   Tensor backwardBatch(const Tensor &GradOut) override;
   std::string kind() const override { return "flatten"; }
 
 private:
   std::vector<int> InShape;
-  std::vector<int> InShapeB;
 };
 
 } // namespace nn

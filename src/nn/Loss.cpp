@@ -5,79 +5,19 @@
 #include "nn/Gemm.h"
 
 #include <cassert>
-#include <cmath>
 
 using namespace au;
 using namespace au::nn;
-
-namespace {
-
-/// Reshapes \p Grad to \p Pred's shape, reallocating only when the shape
-/// actually changed — steady-state training reuses the same gradient buffer.
-/// Contents after this call are unspecified; every loss below either writes
-/// all elements or zero-fills explicitly.
-void ensureGradShape(Tensor &Grad, const Tensor &Pred) {
-  if (Grad.shape() != Pred.shape())
-    Grad = Tensor(Pred.shape());
-}
-
-} // namespace
-
-double au::nn::mseLoss(const Tensor &Pred, const Tensor &Target,
-                       Tensor &Grad) {
-  assert(Pred.size() == Target.size() && "loss size mismatch");
-  assert(!Pred.empty() && "loss of empty tensors");
-  ensureGradShape(Grad, Pred);
-  double Loss = 0.0;
-  double InvN = 1.0 / static_cast<double>(Pred.size());
-  for (size_t I = 0, E = Pred.size(); I != E; ++I) {
-    double D = Pred[I] - Target[I];
-    Loss += D * D * InvN;
-    Grad[I] = static_cast<float>(2.0 * D * InvN);
-  }
-  return Loss;
-}
 
 double au::nn::mseLossBatch(const Tensor &Pred, const Tensor &Target,
                             Tensor &Grad) {
   assert(Pred.rank() == 2 && Pred.shape() == Target.shape() &&
          "batched loss shape mismatch");
   assert(!Pred.empty() && "loss of empty tensors");
-  ensureGradShape(Grad, Pred);
+  // Reallocate only when the shape changed, so steady-state training reuses
+  // one gradient buffer; the kernel writes every element.
+  if (Grad.shape() != Pred.shape())
+    Grad = Tensor(Pred.shape());
   return mseBatchKernel(Pred.data(), Target.data(), Grad.data(), Pred.dim(0),
                         Pred.dim(1));
-}
-
-double au::nn::huberLoss(const Tensor &Pred, const Tensor &Target,
-                         Tensor &Grad) {
-  assert(Pred.size() == Target.size() && "loss size mismatch");
-  assert(!Pred.empty() && "loss of empty tensors");
-  ensureGradShape(Grad, Pred);
-  double Loss = 0.0;
-  double InvN = 1.0 / static_cast<double>(Pred.size());
-  for (size_t I = 0, E = Pred.size(); I != E; ++I) {
-    double D = Pred[I] - Target[I];
-    if (std::abs(D) <= 1.0) {
-      Loss += 0.5 * D * D * InvN;
-      Grad[I] = static_cast<float>(D * InvN);
-    } else {
-      Loss += (std::abs(D) - 0.5) * InvN;
-      Grad[I] = static_cast<float>((D > 0 ? 1.0 : -1.0) * InvN);
-    }
-  }
-  return Loss;
-}
-
-double au::nn::huberLossAt(const Tensor &Pred, size_t Index, float Target,
-                           Tensor &Grad) {
-  assert(Index < Pred.size() && "huberLossAt index out of range");
-  ensureGradShape(Grad, Pred);
-  Grad.fill(0.0f); // Only Index receives a gradient; the rest must be zero.
-  double D = Pred[Index] - Target;
-  if (std::abs(D) <= 1.0) {
-    Grad[Index] = static_cast<float>(D);
-    return 0.5 * D * D;
-  }
-  Grad[Index] = D > 0 ? 1.0f : -1.0f;
-  return std::abs(D) - 0.5;
 }

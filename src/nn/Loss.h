@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Loss functions for the two learning regimes: mean-squared error for the
-/// supervised parameter-prediction models and for the Q-value regression of
-/// the Q-learning rule (Huber is provided as the more robust DQN variant).
-/// Each returns the scalar loss and fills the gradient w.r.t. the prediction.
+/// The supervised regime's loss: mean-squared error between the
+/// parameter-prediction model's outputs and the target values, over a
+/// minibatch. (The Q-learning update regresses one Q-value per sample with
+/// the Huber derivative computed inline in QLearner::trainStep.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,22 +20,11 @@
 namespace au {
 namespace nn {
 
-/// Mean-squared error: mean((Pred - Target)^2). \p Grad gets d/dPred.
-double mseLoss(const Tensor &Pred, const Tensor &Target, Tensor &Grad);
-
 /// Batched MSE over [Batch, N] tensors: returns the *sum* over the batch of
 /// each sample's mean-squared error (so dividing by the dataset size yields
-/// the same epoch loss as the per-sample path), and fills \p Grad with the
+/// the epoch's mean per-sample loss), and fills \p Grad with the
 /// per-sample gradients 2 * (Pred - Target) / N.
 double mseLossBatch(const Tensor &Pred, const Tensor &Target, Tensor &Grad);
-
-/// Huber loss with delta = 1, averaged over elements.
-double huberLoss(const Tensor &Pred, const Tensor &Target, Tensor &Grad);
-
-/// Huber loss applied to a single output element \p Index (the action whose
-/// Q-value is being regressed); other elements receive zero gradient.
-double huberLossAt(const Tensor &Pred, size_t Index, float Target,
-                   Tensor &Grad);
 
 } // namespace nn
 } // namespace au

@@ -18,20 +18,6 @@ Network &Network::add(std::unique_ptr<Layer> L) {
   return *this;
 }
 
-Tensor Network::forward(const Tensor &In) {
-  Tensor X = In;
-  for (auto &L : Layers)
-    X = L->forward(X);
-  return X;
-}
-
-Tensor Network::backward(const Tensor &GradOut) {
-  Tensor G = GradOut;
-  for (auto It = Layers.rbegin(), E = Layers.rend(); It != E; ++It)
-    G = (*It)->backward(G);
-  return G;
-}
-
 Tensor Network::forwardBatch(const Tensor &In) {
   assert(In.rank() >= 2 && "batched input needs a leading batch dimension");
   assert(!Layers.empty() && "forwardBatch on an empty network");

@@ -37,16 +37,9 @@ public:
   /// Appends a layer; returns *this for chaining.
   Network &add(std::unique_ptr<Layer> L);
 
-  /// Runs the forward pass on one sample.
-  Tensor forward(const Tensor &In);
-
-  /// Runs the backward pass; must follow forward() on the same sample.
-  /// Returns dLoss/dInput.
-  Tensor backward(const Tensor &GradOut);
-
   /// Runs the forward pass on a whole minibatch at once; \p In is a
-  /// rank-(N+1) tensor whose leading dimension is the batch. Uses the
-  /// GEMM/im2col compute engine.
+  /// rank-(N+1) tensor whose leading dimension is the batch (1 for a single
+  /// sample). Uses the GEMM/im2col compute engine.
   Tensor forwardBatch(const Tensor &In);
 
   /// Batched backward pass; must follow forwardBatch() on the same batch.

@@ -1,4 +1,4 @@
-//===- nn/Optimizer.cpp - Gradient-descent optimizers --------------------===//
+//===- nn/Optimizer.cpp - Adam optimizer ---------------------------------===//
 
 #include "nn/Optimizer.h"
 
@@ -10,30 +10,6 @@
 
 using namespace au;
 using namespace au::nn;
-
-Optimizer::~Optimizer() = default;
-
-Sgd::Sgd(Network &Net, double LearningRate, double Momentum)
-    : Net(&Net), Params(Net.params()), Lr(LearningRate), Mu(Momentum) {
-  assert(Lr > 0 && "learning rate must be positive");
-  Velocity.reserve(Params.size());
-  for (const ParamView &P : Params)
-    Velocity.emplace_back(P.Count, 0.0f);
-}
-
-void Sgd::step(double BatchScale) {
-  for (size_t T = 0, E = Params.size(); T != E; ++T) {
-    ParamView &P = Params[T];
-    std::vector<float> &Vel = Velocity[T];
-    for (size_t I = 0; I != P.Count; ++I) {
-      float G = static_cast<float>(P.Grads[I] * BatchScale);
-      Vel[I] = static_cast<float>(Mu * Vel[I] - Lr * G);
-      P.Values[I] += Vel[I];
-      P.Grads[I] = 0.0f;
-    }
-  }
-  Net->bumpParamGeneration();
-}
 
 Adam::Adam(Network &Net, double LearningRate, double Beta1, double Beta2,
            double Epsilon)

@@ -1,14 +1,14 @@
-//===- nn/Optimizer.h - Gradient-descent optimizers ------------*- C++ -*-===//
+//===- nn/Optimizer.h - Adam optimizer -------------------------*- C++ -*-===//
 //
 // Part of the Autonomizer reproduction (PLDI '19).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Optimizers realizing the semantics' gradient() statement extension:
-/// plain SGD and Adam (Kingma & Ba), the paper's "AdamOpt" algorithm for
-/// supervised learning. An optimizer is bound to a network's parameter views
-/// and applies the accumulated gradients on each step().
+/// The optimizer realizing the semantics' gradient() statement extension:
+/// Adam (Kingma & Ba), the paper's "AdamOpt" algorithm, used by both the
+/// supervised and the Q-learning trainers. It is bound to a network's
+/// parameter views and applies the accumulated gradients on each step().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,36 +24,15 @@ namespace nn {
 
 class Network;
 
-/// Base optimizer interface over a fixed set of parameter views.
-class Optimizer {
-public:
-  virtual ~Optimizer();
-
-  /// Applies the currently accumulated gradients, scaled by 1/BatchSize,
-  /// then zeroes them.
-  virtual void step(double BatchScale = 1.0) = 0;
-};
-
-/// Stochastic gradient descent with optional momentum.
-class Sgd : public Optimizer {
-public:
-  Sgd(Network &Net, double LearningRate, double Momentum = 0.0);
-  void step(double BatchScale) override;
-
-private:
-  Network *Net; ///< For parameter-generation bumps on step().
-  std::vector<ParamView> Params;
-  double Lr;
-  double Mu;
-  std::vector<std::vector<float>> Velocity;
-};
-
 /// Adam optimizer (the paper's AdamOpt).
-class Adam : public Optimizer {
+class Adam {
 public:
   Adam(Network &Net, double LearningRate, double Beta1 = 0.9,
        double Beta2 = 0.999, double Eps = 1e-8);
-  void step(double BatchScale) override;
+
+  /// Applies the currently accumulated gradients, scaled by \p BatchScale
+  /// (1/BatchSize), then zeroes them.
+  void step(double BatchScale);
 
   /// Adjusts the step size (used for learning-rate schedules).
   void setLearningRate(double LearningRate) { Lr = LearningRate; }

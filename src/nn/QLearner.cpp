@@ -2,8 +2,6 @@
 
 #include "nn/QLearner.h"
 
-#include "nn/Gemm.h"
-#include "nn/Loss.h"
 #include "nn/Workspace.h"
 
 #include <algorithm>
@@ -14,19 +12,14 @@ using namespace au::nn;
 
 namespace {
 
-/// Single-state inference. Under the batched backends this routes through
-/// the batched engine with a batch of one, so the au_NN serving path uses
-/// the same fast kernels as training. Returns a workspace tensor; the caller
-/// releases it.
+/// Single-state inference: a forwardBatch over a batch of one. Returns a
+/// workspace tensor; the caller releases it.
 Tensor forwardOne(Network &Net, const std::vector<float> &State) {
-  if (backend() != Backend::Naive) {
-    Tensor X = Workspace::acquire({1, static_cast<int>(State.size())});
-    std::copy(State.begin(), State.end(), X.data());
-    Tensor Out = Net.forwardBatch(X);
-    Workspace::release(X);
-    return Out;
-  }
-  return Net.forward(Tensor::fromVector(State));
+  Tensor X = Workspace::acquire({1, static_cast<int>(State.size())});
+  std::copy(State.begin(), State.end(), X.data());
+  Tensor Out = Net.forwardBatch(X);
+  Workspace::release(X);
+  return Out;
 }
 
 } // namespace
@@ -90,22 +83,10 @@ void QLearner::selectActionsBatch(const float *States, int K, int D,
   // One fused inference for all K actors. Exploration may discard some rows,
   // but computing them keeps the batch shape fixed and the result a pure
   // function of the states — no data-dependent batching.
-  Tensor Out;
-  if (backend() != Backend::Naive) {
-    if (ActStaging.size() != static_cast<size_t>(K) * D)
-      ActStaging = Tensor({K, D});
-    std::copy(States, States + static_cast<size_t>(K) * D, ActStaging.data());
-    Out = Online.forwardBatch(ActStaging);
-  } else {
-    Out = Tensor({K, NumActions});
-    std::vector<float> Row(static_cast<size_t>(D));
-    for (int A = 0; A < K; ++A) {
-      Row.assign(States + static_cast<size_t>(A) * D,
-                 States + static_cast<size_t>(A + 1) * D);
-      Tensor Q = Online.forward(Tensor::fromVector(Row));
-      std::copy(Q.data(), Q.data() + NumActions, Out.sampleData(A));
-    }
-  }
+  if (ActStaging.size() != static_cast<size_t>(K) * D)
+    ActStaging = Tensor({K, D});
+  std::copy(States, States + static_cast<size_t>(K) * D, ActStaging.data());
+  Tensor Out = Online.forwardBatch(ActStaging);
   // Serial epsilon-greedy pass in actor order: actor k's draws always come
   // from stream k, so the chosen actions are identical at any thread count.
   for (int A = 0; A < K; ++A) {
@@ -169,63 +150,47 @@ void QLearner::trainStep() {
     return;
   ++TrainSteps;
   Online.zeroGrads();
-  if (backend() == Backend::Naive) {
-    for (int B = 0; B < Cfg.BatchSize; ++B) {
-      const Transition &T = Replay.at(Rand.uniformInt(Replay.size()));
-      // Bootstrap target: r + gamma * max_a' Q_target(s', a') unless
-      // terminal.
-      float Y = T.Reward;
-      if (!T.Terminal) {
-        Tensor NextQ = Target.forward(Tensor::fromVector(T.NextState));
-        Y += static_cast<float>(Cfg.Gamma) * NextQ.maxValue();
-      }
-      Tensor Pred = Online.forward(Tensor::fromVector(T.State));
-      Tensor Grad;
-      huberLossAt(Pred, static_cast<size_t>(T.Action), Y, Grad);
-      Online.backward(Grad);
-    }
-  } else {
-    // Batched replay update: one forwardBatch over the target and online
-    // networks instead of BatchSize scalar calls. The minibatch is drawn
-    // with the identical RNG sequence as the naive path, and assembled
-    // straight into reused batch tensors (no per-step allocation).
-    int Bn = Cfg.BatchSize;
-    BatchPtrs.resize(static_cast<size_t>(Bn));
-    for (int B = 0; B < Bn; ++B)
-      BatchPtrs[static_cast<size_t>(B)] =
-          &Replay.at(Rand.uniformInt(Replay.size()));
-    int D = static_cast<int>(BatchPtrs[0]->State.size());
-    if (BatchStates.size() != static_cast<size_t>(Bn) * D) {
-      BatchStates = Tensor({Bn, D});
-      BatchNext = Tensor({Bn, D});
-      BatchGrad = Tensor({Bn, NumActions});
-    }
-    for (int B = 0; B < Bn; ++B) {
-      const Transition &T = *BatchPtrs[static_cast<size_t>(B)];
-      std::copy(T.State.begin(), T.State.end(), BatchStates.sampleData(B));
-      if (T.NextState.size() == static_cast<size_t>(D))
-        std::copy(T.NextState.begin(), T.NextState.end(),
-                  BatchNext.sampleData(B));
-    }
-    Tensor NextQ = Target.forwardBatch(BatchNext);
-    Tensor Pred = Online.forwardBatch(BatchStates);
-    BatchGrad.fill(0.0f);
-    for (int B = 0; B < Bn; ++B) {
-      const Transition &T = *BatchPtrs[static_cast<size_t>(B)];
-      float Y = T.Reward;
-      if (!T.Terminal) {
-        const float *Row = NextQ.sampleData(B);
-        Y += static_cast<float>(Cfg.Gamma) *
-             *std::max_element(Row, Row + NumActions);
-      }
-      // Huber (delta = 1) derivative at the taken action, as huberLossAt.
-      float Diff = Pred.sampleData(B)[T.Action] - Y;
-      BatchGrad.sampleData(B)[T.Action] = std::clamp(Diff, -1.0f, 1.0f);
-    }
-    Workspace::release(NextQ);
-    Workspace::release(Pred);
-    Tensor DIn = Online.backwardBatch(BatchGrad);
-    Workspace::release(DIn);
+  // One forwardBatch over the target and online networks per minibatch,
+  // assembled straight from the replay ring into reused batch tensors (no
+  // per-step allocation).
+  int Bn = Cfg.BatchSize;
+  BatchPtrs.resize(static_cast<size_t>(Bn));
+  for (int B = 0; B < Bn; ++B)
+    BatchPtrs[static_cast<size_t>(B)] =
+        &Replay.at(Rand.uniformInt(Replay.size()));
+  int D = static_cast<int>(BatchPtrs[0]->State.size());
+  if (BatchStates.size() != static_cast<size_t>(Bn) * D) {
+    BatchStates = Tensor({Bn, D});
+    BatchNext = Tensor({Bn, D});
+    BatchGrad = Tensor({Bn, NumActions});
   }
+  for (int B = 0; B < Bn; ++B) {
+    const Transition &T = *BatchPtrs[static_cast<size_t>(B)];
+    std::copy(T.State.begin(), T.State.end(), BatchStates.sampleData(B));
+    if (T.NextState.size() == static_cast<size_t>(D))
+      std::copy(T.NextState.begin(), T.NextState.end(),
+                BatchNext.sampleData(B));
+  }
+  Tensor NextQ = Target.forwardBatch(BatchNext);
+  Tensor Pred = Online.forwardBatch(BatchStates);
+  BatchGrad.fill(0.0f);
+  for (int B = 0; B < Bn; ++B) {
+    const Transition &T = *BatchPtrs[static_cast<size_t>(B)];
+    // Bootstrap target: r + gamma * max_a' Q_target(s', a') unless terminal.
+    float Y = T.Reward;
+    if (!T.Terminal) {
+      const float *Row = NextQ.sampleData(B);
+      Y += static_cast<float>(Cfg.Gamma) *
+           *std::max_element(Row, Row + NumActions);
+    }
+    // Huber (delta = 1) derivative at the taken action; every other
+    // action's gradient stays zero.
+    float Diff = Pred.sampleData(B)[T.Action] - Y;
+    BatchGrad.sampleData(B)[T.Action] = std::clamp(Diff, -1.0f, 1.0f);
+  }
+  Workspace::release(NextQ);
+  Workspace::release(Pred);
+  Tensor DIn = Online.backwardBatch(BatchGrad);
+  Workspace::release(DIn);
   Opt.step(1.0 / Cfg.BatchSize);
 }

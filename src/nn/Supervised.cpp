@@ -2,7 +2,6 @@
 
 #include "nn/Supervised.h"
 
-#include "nn/Gemm.h"
 #include "nn/Loss.h"
 #include "nn/Workspace.h"
 #include "support/Rng.h"
@@ -55,14 +54,6 @@ void SupervisedTrainer::computeNormalization() {
   Normalized = true;
 }
 
-Tensor SupervisedTrainer::normalizeX(const std::vector<float> &X) const {
-  assert(X.size() == XMean.size() && "feature size mismatch");
-  Tensor T(std::vector<int>{static_cast<int>(X.size())});
-  for (size_t I = 0, E = X.size(); I != E; ++I)
-    T[I] = (X[I] - XMean[I]) / XStd[I];
-  return T;
-}
-
 double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
   if (Data.empty())
     return 0.0;
@@ -74,7 +65,6 @@ double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
   for (size_t I = 0; I != Order.size(); ++I)
     Order[I] = I;
 
-  const bool Batched = backend() != Backend::Naive;
   size_t NX = Data.front().X.size(), NY = Data.front().Y.size();
   // Minibatch staging tensors, reused across batches and epochs.
   Tensor BatchX, BatchY, GradB;
@@ -86,104 +76,35 @@ double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
       std::swap(Order[I - 1], Order[Rand.uniformInt(I)]);
 
     EpochLoss = 0.0;
-    if (Batched) {
-      // One batched forward/backward per minibatch; gradients accumulate
-      // summed over the batch exactly as the per-sample path does.
-      for (size_t Start = 0; Start < Order.size();
-           Start += static_cast<size_t>(BatchSize)) {
-        size_t Bn = std::min<size_t>(static_cast<size_t>(BatchSize),
-                                     Order.size() - Start);
-        if (BatchX.rank() != 2 || BatchX.dim(0) != static_cast<int>(Bn)) {
-          BatchX = Tensor({static_cast<int>(Bn), static_cast<int>(NX)});
-          BatchY = Tensor({static_cast<int>(Bn), static_cast<int>(NY)});
-        }
-        for (size_t R = 0; R != Bn; ++R) {
-          const Sample &Smp = Data[Order[Start + R]];
-          float *XRow = BatchX.sampleData(static_cast<int>(R));
-          for (size_t I = 0; I != NX; ++I)
-            XRow[I] = (Smp.X[I] - XMean[I]) / XStd[I];
-          float *YRow = BatchY.sampleData(static_cast<int>(R));
-          for (size_t I = 0; I != NY; ++I)
-            YRow[I] = (Smp.Y[I] - YMean[I]) / YStd[I];
-        }
-        Tensor Pred = Net.forwardBatch(BatchX);
-        EpochLoss += mseLossBatch(Pred, BatchY, GradB);
-        Workspace::release(Pred);
-        Tensor DIn = Net.backwardBatch(GradB);
-        Workspace::release(DIn);
-        Opt.step(1.0 / static_cast<double>(Bn));
+    // One batched forward/backward per minibatch; the layers accumulate the
+    // gradients summed over the batch.
+    for (size_t Start = 0; Start < Order.size();
+         Start += static_cast<size_t>(BatchSize)) {
+      size_t Bn = std::min<size_t>(static_cast<size_t>(BatchSize),
+                                   Order.size() - Start);
+      if (BatchX.rank() != 2 || BatchX.dim(0) != static_cast<int>(Bn)) {
+        BatchX = Tensor({static_cast<int>(Bn), static_cast<int>(NX)});
+        BatchY = Tensor({static_cast<int>(Bn), static_cast<int>(NY)});
       }
-    } else {
-      size_t InBatch = 0;
-      for (size_t Pos = 0; Pos != Order.size(); ++Pos) {
-        const Sample &S = Data[Order[Pos]];
-        Tensor X = normalizeX(S.X);
-        Tensor YT(std::vector<int>{static_cast<int>(S.Y.size())});
-        for (size_t I = 0; I != S.Y.size(); ++I)
-          YT[I] = (S.Y[I] - YMean[I]) / YStd[I];
-
-        Tensor Pred = Net.forward(X);
-        Tensor Grad;
-        EpochLoss += mseLoss(Pred, YT, Grad);
-        Net.backward(Grad);
-        ++InBatch;
-        if (InBatch == static_cast<size_t>(BatchSize) ||
-            Pos + 1 == Order.size()) {
-          Opt.step(1.0 / static_cast<double>(InBatch));
-          InBatch = 0;
-        }
+      for (size_t R = 0; R != Bn; ++R) {
+        const Sample &Smp = Data[Order[Start + R]];
+        float *XRow = BatchX.sampleData(static_cast<int>(R));
+        for (size_t I = 0; I != NX; ++I)
+          XRow[I] = (Smp.X[I] - XMean[I]) / XStd[I];
+        float *YRow = BatchY.sampleData(static_cast<int>(R));
+        for (size_t I = 0; I != NY; ++I)
+          YRow[I] = (Smp.Y[I] - YMean[I]) / YStd[I];
       }
+      Tensor Pred = Net.forwardBatch(BatchX);
+      EpochLoss += mseLossBatch(Pred, BatchY, GradB);
+      Workspace::release(Pred);
+      Tensor DIn = Net.backwardBatch(GradB);
+      Workspace::release(DIn);
+      Opt.step(1.0 / static_cast<double>(Bn));
     }
     EpochLoss /= static_cast<double>(Data.size());
   }
   return EpochLoss;
-}
-
-std::vector<float> SupervisedTrainer::predict(const std::vector<float> &X) {
-  assert(Normalized && "predict before train");
-  Tensor Out;
-  if (backend() != Backend::Naive)
-    Out = Net.forwardBatch(
-        normalizeX(X).reshaped({1, static_cast<int>(X.size())}));
-  else
-    Out = Net.forward(normalizeX(X));
-  std::vector<float> Y(Out.size());
-  for (size_t I = 0, E = Out.size(); I != E; ++I)
-    Y[I] = Out[I] * YStd[I] + YMean[I];
-  Workspace::release(Out);
-  return Y;
-}
-
-std::vector<std::vector<float>>
-SupervisedTrainer::predictBatch(const std::vector<std::vector<float>> &Xs) {
-  assert(Normalized && "predict before train");
-  std::vector<std::vector<float>> Out;
-  if (Xs.empty())
-    return Out;
-  Out.reserve(Xs.size());
-  if (backend() == Backend::Naive) {
-    for (const std::vector<float> &X : Xs)
-      Out.push_back(predict(X));
-    return Out;
-  }
-  size_t NX = XMean.size(), NY = YMean.size();
-  Tensor XB({static_cast<int>(Xs.size()), static_cast<int>(NX)});
-  for (size_t R = 0; R != Xs.size(); ++R) {
-    assert(Xs[R].size() == NX && "feature size mismatch");
-    float *Row = XB.sampleData(static_cast<int>(R));
-    for (size_t I = 0; I != NX; ++I)
-      Row[I] = (Xs[R][I] - XMean[I]) / XStd[I];
-  }
-  Tensor Pred = Net.forwardBatch(XB);
-  for (size_t R = 0; R != Xs.size(); ++R) {
-    const float *Row = Pred.sampleData(static_cast<int>(R));
-    std::vector<float> Y(NY);
-    for (size_t I = 0; I != NY; ++I)
-      Y[I] = Row[I] * YStd[I] + YMean[I];
-    Out.push_back(std::move(Y));
-  }
-  Workspace::release(Pred);
-  return Out;
 }
 
 void SupervisedTrainer::predictRowsInto(const float *Xs, int Rows,
@@ -191,22 +112,6 @@ void SupervisedTrainer::predictRowsInto(const float *Xs, int Rows,
   assert(Normalized && "predict before train");
   assert(Xs && Rows > 0 && "invalid row buffer");
   const size_t NX = XMean.size(), NY = YMean.size();
-
-  if (backend() == Backend::Naive) {
-    // The naive engine has no batched entry; run rows one by one.
-    Out.resize(static_cast<size_t>(Rows) * NY);
-    for (int R = 0; R != Rows; ++R) {
-      Tensor T(std::vector<int>{static_cast<int>(NX)});
-      const float *Row = Xs + static_cast<size_t>(R) * NX;
-      for (size_t I = 0; I != NX; ++I)
-        T[I] = (Row[I] - XMean[I]) / XStd[I];
-      Tensor Pred = Net.forward(T);
-      assert(Pred.size() == NY && "model output size mismatch");
-      for (size_t I = 0; I != NY; ++I)
-        Out[static_cast<size_t>(R) * NY + I] = Pred[I] * YStd[I] + YMean[I];
-    }
-    return;
-  }
 
   if (RowStaging.rank() != 2 || RowStaging.dim(0) != Rows ||
       RowStaging.dim(1) != static_cast<int>(NX))
@@ -227,6 +132,12 @@ void SupervisedTrainer::predictRowsInto(const float *Xs, int Rows,
       Out[static_cast<size_t>(R) * NY + I] = Row[I] * YStd[I] + YMean[I];
   }
   Workspace::release(Pred);
+}
+
+std::vector<float> SupervisedTrainer::predict(const std::vector<float> &X) {
+  std::vector<float> Y;
+  predictRowsInto(X.data(), 1, Y);
+  return Y;
 }
 
 void SupervisedTrainer::getNormalization(std::vector<float> &XM,

@@ -44,28 +44,21 @@ public:
   size_t numSamples() const { return Data.size(); }
 
   /// Trains for \p Epochs passes with the given minibatch size, shuffling
-  /// with \p Rand each epoch. Returns the final epoch's mean loss
-  /// (normalized space). No-op (returns 0) on an empty dataset. Under the
-  /// batched engine, minibatch extraction (normalize + pack) is double
-  /// buffered: a pool worker prepares batch N+1 while batch N trains, with
-  /// bitwise-identical results to the serial schedule.
+  /// with \p Rand each epoch: one forwardBatch/backwardBatch and one Adam
+  /// step per minibatch. Returns the final epoch's mean loss (normalized
+  /// space). No-op (returns 0) on an empty dataset.
   double train(int Epochs, int BatchSize, Rng &Rand);
 
-  /// Predicts the de-normalized target values for raw features \p X.
-  std::vector<float> predict(const std::vector<float> &X);
-
-  /// Predicts for many feature vectors in one batched network call (the
-  /// high-throughput serving entry point). Equivalent to calling predict()
-  /// per row.
-  std::vector<std::vector<float>>
-  predictBatch(const std::vector<std::vector<float>> &Xs);
-
-  /// Raw-buffer batched inference: \p Xs holds \p Rows feature vectors back
-  /// to back (Rows x inputSize, row-major); \p Out is resized to Rows x
-  /// outputSize de-normalized predictions. Normalization staging reuses a
-  /// member tensor, so repeated calls at a fixed row count allocate nothing
-  /// here (the au_NN hot path; Rows == 1 is the single-call case).
+  /// The prediction entry point: \p Xs holds \p Rows raw feature vectors
+  /// back to back (Rows x inputSize, row-major); \p Out is resized to Rows x
+  /// outputSize de-normalized predictions, computed in one forwardBatch.
+  /// Normalization staging reuses a member tensor, so repeated calls at a
+  /// fixed row count allocate nothing here (the au_NN hot path; Rows == 1
+  /// is the single-call case).
   void predictRowsInto(const float *Xs, int Rows, std::vector<float> &Out);
+
+  /// predictRowsInto for one feature vector \p X.
+  std::vector<float> predict(const std::vector<float> &X);
 
   /// Mean |prediction - target| per output in raw target units over the
   /// dataset (resubstitution error, for quick sanity checks).
@@ -85,7 +78,6 @@ public:
 
 private:
   void computeNormalization();
-  Tensor normalizeX(const std::vector<float> &X) const;
 
   Network Net;
   Adam Opt;

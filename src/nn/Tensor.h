@@ -94,12 +94,6 @@ public:
     return Data.data() + static_cast<size_t>(B) * sampleSize();
   }
 
-  /// The per-sample shape of a batched tensor (shape without dim 0).
-  std::vector<int> sampleShape() const {
-    assert(rank() >= 1 && "sampleShape of rank-0 tensor");
-    return std::vector<int>(Dims.begin() + 1, Dims.end());
-  }
-
   /// Sets every element to \p V.
   void fill(float V);
 

@@ -1,8 +1,8 @@
 //===- tests/NnKernelsTest.cpp - Batched compute engine tests ------------===//
 //
-// Differential tests pinning the GEMM/im2col batched engine to the scalar
-// reference backend (AU_NN_BACKEND=naive), plus determinism-under-threading
-// and ThreadPool unit tests.
+// Differential tests pinning both compute engines (blocked and simd) to the
+// direct-formula oracle of NnOracle.h, plus determinism-under-threading and
+// ThreadPool unit tests.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +13,7 @@
 #include "nn/Optimizer.h"
 #include "nn/Supervised.h"
 #include "nn/Workspace.h"
+#include "NnOracle.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 
@@ -80,10 +81,9 @@ Tensor randomTensor(std::vector<int> Shape, Rng &Rand) {
   return T;
 }
 
-/// The engines worth comparing pairwise: the two batched ones, and simd
-/// only where the CPU can run it.
+/// Both engines, simd only where the CPU can run it.
 std::vector<Backend> comparableBackends() {
-  std::vector<Backend> Bs = {Backend::Naive, Backend::Blocked};
+  std::vector<Backend> Bs = {Backend::Blocked};
   if (simdSupported())
     Bs.push_back(Backend::Simd);
   return Bs;
@@ -399,8 +399,6 @@ TEST_F(NnKernelsTest, SgemmMatchesReferenceAllTransposeCombos) {
   };
   Rng Rand(42);
   for (Backend Be : comparableBackends()) {
-    if (Be == Backend::Naive)
-      continue; // Naive routes explicit sgemm calls through blocked.
     setBackend(Be);
     for (const Extent &E : Extents)
       for (bool TA : {false, true})
@@ -485,42 +483,41 @@ TEST_F(NnKernelsTest, AdamMomentsNeverStayOnSubnormals) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dense: batched GEMM path vs scalar reference
+// Layers vs the direct-formula oracle (tests/NnOracle.h), both engines
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Checks one forwardBatch + backwardBatch of \p L against \p Ref.
+void expectMatchesOracle(Layer &L, const Tensor &In, const Tensor &GradOut,
+                         const oracle::Reference &Ref, const char *What) {
+  SCOPED_TRACE(::testing::Message() << What << " " << backendName(backend())
+                                    << " batch " << In.dim(0));
+  L.zeroGrads();
+  Tensor Out = L.forwardBatch(In);
+  Tensor GradIn = L.backwardBatch(GradOut);
+  expectClose(Out.values(), Ref.Out, "forward");
+  expectClose(GradIn.values(), Ref.GradIn, "grad-in");
+  expectClose(gradSnapshot(L), Ref.ParamGrads, "param grads");
+}
+
+} // namespace
 
 TEST_F(NnKernelsTest, DenseBatchMatchesNaive) {
   ThreadPool::setGlobalThreads(4);
-  for (int BatchSize : {1, 17}) {
-    Rng R1(3), R2(3);
-    Dense Fast(7, 5, R1), Ref(7, 5, R2);
-    Rng Rand(99);
-    Tensor In = randomTensor({BatchSize, 7}, Rand);
-    Tensor GradOut = randomTensor({BatchSize, 5}, Rand);
-
-    Tensor FastOut = Fast.forwardBatch(In);
-    Tensor FastGradIn = Fast.backwardBatch(GradOut);
-
-    Tensor RefOut({BatchSize, 5}), RefGradIn({BatchSize, 7});
-    for (int B = 0; B < BatchSize; ++B) {
-      Tensor X({7});
-      std::copy(In.sampleData(B), In.sampleData(B) + 7, X.data());
-      Tensor Y = Ref.forward(X);
-      std::copy(Y.data(), Y.data() + 5, RefOut.sampleData(B));
-      Tensor G({5});
-      std::copy(GradOut.sampleData(B), GradOut.sampleData(B) + 5, G.data());
-      Tensor GI = Ref.backward(G);
-      std::copy(GI.data(), GI.data() + 7, RefGradIn.sampleData(B));
+  for (Backend Be : comparableBackends()) {
+    setBackend(Be);
+    for (int BatchSize : {1, 17}) {
+      Rng R(3);
+      Dense D(7, 5, R);
+      Rng Rand(99);
+      Tensor In = randomTensor({BatchSize, 7}, Rand);
+      Tensor GradOut = randomTensor({BatchSize, 5}, Rand);
+      expectMatchesOracle(D, In, GradOut, oracle::runDense(D, In, GradOut),
+                          "dense");
     }
-
-    expectClose(FastOut.values(), RefOut.values(), "dense forward");
-    expectClose(FastGradIn.values(), RefGradIn.values(), "dense grad-in");
-    expectClose(gradSnapshot(Fast), gradSnapshot(Ref), "dense param grads");
   }
 }
-
-//===----------------------------------------------------------------------===//
-// Conv2D: im2col/GEMM path vs scalar reference, odd shapes
-//===----------------------------------------------------------------------===//
 
 TEST_F(NnKernelsTest, ConvBatchMatchesNaiveOddShapesAndStride) {
   ThreadPool::setGlobalThreads(4);
@@ -531,60 +528,59 @@ TEST_F(NnKernelsTest, ConvBatchMatchesNaiveOddShapesAndStride) {
       {2, 4, 3, 2, 13, 7}, // stride > 1, non-square
       {1, 8, 5, 2, 12, 17},
   };
-  for (const Case &C : Cases)
-    for (int BatchSize : {1, 17}) {
-      Rng R1(5), R2(5);
-      Conv2D Fast(C.InC, C.OutC, C.K, C.S, R1);
-      Conv2D Ref(C.InC, C.OutC, C.K, C.S, R2);
-      Rng Rand(123);
-      Tensor In = randomTensor({BatchSize, C.InC, C.H, C.W}, Rand);
-      int OH = convOutDim(C.H, C.K, C.S), OW = convOutDim(C.W, C.K, C.S);
-      Tensor GradOut = randomTensor({BatchSize, C.OutC, OH, OW}, Rand);
-
-      Tensor FastOut = Fast.forwardBatch(In);
-      Tensor FastGradIn = Fast.backwardBatch(GradOut);
-
-      Tensor RefOut(FastOut.shape()), RefGradIn(In.shape());
-      size_t InSz = In.sampleSize(), OutSz = FastOut.sampleSize();
-      for (int B = 0; B < BatchSize; ++B) {
-        Tensor X({C.InC, C.H, C.W});
-        std::copy(In.sampleData(B), In.sampleData(B) + InSz, X.data());
-        Tensor Y = Ref.forward(X);
-        std::copy(Y.data(), Y.data() + OutSz, RefOut.sampleData(B));
-        Tensor G({C.OutC, OH, OW});
-        std::copy(GradOut.sampleData(B), GradOut.sampleData(B) + OutSz,
-                  G.data());
-        Tensor GI = Ref.backward(G);
-        std::copy(GI.data(), GI.data() + InSz, RefGradIn.sampleData(B));
+  for (Backend Be : comparableBackends()) {
+    setBackend(Be);
+    for (const Case &C : Cases)
+      for (int BatchSize : {1, 17}) {
+        Rng R(5);
+        Conv2D Conv(C.InC, C.OutC, C.K, C.S, R);
+        Rng Rand(123);
+        Tensor In = randomTensor({BatchSize, C.InC, C.H, C.W}, Rand);
+        int OH = convOutDim(C.H, C.K, C.S), OW = convOutDim(C.W, C.K, C.S);
+        Tensor GradOut = randomTensor({BatchSize, C.OutC, OH, OW}, Rand);
+        expectMatchesOracle(Conv, In, GradOut,
+                            oracle::runConv(Conv, In, GradOut), "conv");
       }
+  }
+}
 
-      expectClose(FastOut.values(), RefOut.values(), "conv forward");
-      expectClose(FastGradIn.values(), RefGradIn.values(), "conv grad-in");
-      expectClose(gradSnapshot(Fast), gradSnapshot(Ref),
-                  "conv param grads");
+TEST_F(NnKernelsTest, MaxPoolBatchMatchesOracle) {
+  ThreadPool::setGlobalThreads(4);
+  for (Backend Be : comparableBackends()) {
+    setBackend(Be);
+    for (int BatchSize : {1, 17}) {
+      MaxPool2D Pool;
+      Rng Rand(77);
+      // Odd height and width: the trailing row and column are dropped.
+      Tensor In = randomTensor({BatchSize, 3, 7, 9}, Rand);
+      Tensor GradOut = randomTensor({BatchSize, 3, 3, 4}, Rand);
+      expectMatchesOracle(Pool, In, GradOut, oracle::runMaxPool(In, GradOut),
+                          "maxpool");
     }
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// Full network equivalence (CNN stack: reshape/conv/relu/pool/flatten/dense)
+// Full network: a batch equals its samples run one at a time (CNN stack:
+// reshape/conv/relu/pool/flatten/dense)
 //===----------------------------------------------------------------------===//
 
 TEST_F(NnKernelsTest, CnnForwardBatchMatchesScalarForward) {
   ThreadPool::setGlobalThreads(4);
   Rng R1(11), R2(11);
-  Network Fast = buildDeepMindCnn(1, 16, {24}, 3, R1);
-  Network Ref = buildDeepMindCnn(1, 16, {24}, 3, R2);
+  Network Batched = buildDeepMindCnn(1, 16, {24}, 3, R1);
+  Network Single = buildDeepMindCnn(1, 16, {24}, 3, R2);
   Rng Rand(7);
   const int BatchSize = 5, InSize = 16 * 16;
   Tensor In = randomTensor({BatchSize, InSize}, Rand);
-  Tensor FastOut = Fast.forwardBatch(In);
+  Tensor BatchOut = Batched.forwardBatch(In);
   for (int B = 0; B < BatchSize; ++B) {
-    Tensor X({InSize});
+    Tensor X({1, InSize});
     std::copy(In.sampleData(B), In.sampleData(B) + InSize, X.data());
-    Tensor Y = Ref.forward(X);
-    std::vector<float> FastRow(FastOut.sampleData(B),
-                               FastOut.sampleData(B) + Y.size());
-    expectClose(FastRow, Y.values(), "cnn forward");
+    Tensor Y = Single.forwardBatch(X);
+    std::vector<float> BatchRow(BatchOut.sampleData(B),
+                                BatchOut.sampleData(B) + Y.size());
+    expectClose(BatchRow, Y.values(), "cnn forward");
   }
 }
 
@@ -593,50 +589,47 @@ TEST_F(NnKernelsTest, CnnForwardBatchMatchesScalarForward) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(NnKernelsTest, TrainerBackendsConverge) {
-  // Train the same model+data under both backends; losses and predictions
+  // Train the same model+data under both engines; losses and predictions
   // must agree to within accumulated float-reassociation noise.
-  auto Run = [](Backend B) {
-    setBackend(B);
-    Rng NetRand(21);
-    SupervisedTrainer Trainer(buildDnn(4, {16, 8}, 2, NetRand), 1e-2);
+  auto AddData = [](SupervisedTrainer &Trainer) {
     Rng DataRand(5);
     for (int I = 0; I < 50; ++I) {
       float A = static_cast<float>(DataRand.uniform(-1, 1));
       float C = static_cast<float>(DataRand.uniform(-1, 1));
       Trainer.addSample({A, C, A * C, A - C}, {A + C, A * C});
     }
+  };
+  auto Run = [&](Backend B) {
+    setBackend(B);
+    Rng NetRand(21);
+    SupervisedTrainer Trainer(buildDnn(4, {16, 8}, 2, NetRand), 1e-2);
+    AddData(Trainer);
     Rng TrainRand(9);
     double Loss = Trainer.train(8, 16, TrainRand);
     std::vector<float> Pred = Trainer.predict({0.3f, -0.2f, 0.1f, 0.5f});
     return std::make_pair(Loss, Pred);
   };
   auto [BlockedLoss, BlockedPred] = Run(Backend::Blocked);
-  auto [NaiveLoss, NaivePred] = Run(Backend::Naive);
-  EXPECT_NEAR(BlockedLoss, NaiveLoss, 1e-3);
-  expectClose(BlockedPred, NaivePred, "trainer predictions");
   if (simdSupported()) {
     auto [SimdLoss, SimdPred] = Run(Backend::Simd);
-    EXPECT_NEAR(SimdLoss, NaiveLoss, 1e-3);
-    expectClose(SimdPred, NaivePred, "trainer predictions (simd)");
+    EXPECT_NEAR(SimdLoss, BlockedLoss, 1e-3);
+    expectClose(SimdPred, BlockedPred, "trainer predictions (simd)");
   }
-  // And batched serving agrees with scalar serving.
-  setBackend(Backend::Blocked);
+  // And a multi-row prediction agrees with predicting each row alone.
   Rng NetRand(21);
   SupervisedTrainer Trainer(buildDnn(4, {16, 8}, 2, NetRand), 1e-2);
-  Rng DataRand(5);
-  for (int I = 0; I < 50; ++I) {
-    float A = static_cast<float>(DataRand.uniform(-1, 1));
-    float C = static_cast<float>(DataRand.uniform(-1, 1));
-    Trainer.addSample({A, C, A * C, A - C}, {A + C, A * C});
-  }
+  AddData(Trainer);
   Rng TrainRand(9);
   Trainer.train(5, 16, TrainRand);
-  std::vector<std::vector<float>> Xs = {{0.3f, -0.2f, 0.1f, 0.5f},
-                                        {-0.9f, 0.4f, -0.36f, -1.3f}};
-  auto Batch = Trainer.predictBatch(Xs);
-  ASSERT_EQ(Batch.size(), 2u);
-  expectClose(Batch[0], Trainer.predict(Xs[0]), "predictBatch[0]");
-  expectClose(Batch[1], Trainer.predict(Xs[1]), "predictBatch[1]");
+  const std::vector<float> Rows = {0.3f, -0.2f, 0.1f,   0.5f,
+                                   -0.9f, 0.4f, -0.36f, -1.3f};
+  std::vector<float> Both;
+  Trainer.predictRowsInto(Rows.data(), 2, Both);
+  ASSERT_EQ(Both.size(), 4u);
+  expectClose({Both[0], Both[1]},
+              Trainer.predict({Rows.begin(), Rows.begin() + 4}), "row 0");
+  expectClose({Both[2], Both[3]},
+              Trainer.predict({Rows.begin() + 4, Rows.end()}), "row 1");
 }
 
 //===----------------------------------------------------------------------===//
@@ -677,29 +670,24 @@ TEST_F(NnKernelsTest, TrainingIsDeterministicAcrossThreadCounts) {
 
 TEST_F(NnKernelsTest, MaxPoolHandlesArbitrarilyNegativeInputs) {
   MaxPool2D Pool;
-  Tensor In({1, 2, 2});
+  Tensor In({1, 1, 2, 2});
   // All inputs below the old -1e30 sentinel; the max is at index 3.
   In[0] = -4e30f;
   In[1] = -3e30f;
   In[2] = -5e30f;
   In[3] = -2e30f;
-  Tensor Out = Pool.forward(In);
+  Tensor Out = Pool.forwardBatch(In);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_FLOAT_EQ(Out[0], -2e30f);
-  Tensor G({1, 1, 1});
+  Tensor G({1, 1, 1, 1});
   G[0] = 1.0f;
-  Tensor GI = Pool.backward(G);
+  Tensor GI = Pool.backwardBatch(G);
   EXPECT_FLOAT_EQ(GI[3], 1.0f);
   EXPECT_FLOAT_EQ(GI[0], 0.0f);
-
-  // Batched path agrees.
-  Tensor InB = In.reshaped({1, 1, 2, 2});
-  Tensor OutB = Pool.forwardBatch(InB);
-  EXPECT_FLOAT_EQ(OutB[0], -2e30f);
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-backend layer equivalence (naive vs blocked vs simd)
+// Cross-backend layer equivalence (blocked and simd vs the oracle)
 //===----------------------------------------------------------------------===//
 
 TEST_F(NnKernelsTest, LayersEquivalentAcrossBackends) {
@@ -709,37 +697,17 @@ TEST_F(NnKernelsTest, LayersEquivalentAcrossBackends) {
   Tensor DenseGrad = randomTensor({9, 5}, Rand);
   Tensor ConvIn = randomTensor({9, 3, 10, 8}, Rand);
   Tensor ConvGrad = randomTensor({9, 4, 8, 6}, Rand);
-
-  struct Result {
-    std::vector<float> DenseOut, DenseGradIn, DenseGrads;
-    std::vector<float> ConvOut, ConvGradIn, ConvGrads;
-  };
-  auto Run = [&](Backend B) {
+  for (Backend B : comparableBackends()) {
     setBackend(B);
     Rng R1(17), R2(17);
     Dense D(7, 5, R1);
     Conv2D C(3, 4, 3, 1, R2);
-    Result Out;
-    Out.DenseOut = D.forwardBatch(DenseIn).values();
-    Out.DenseGradIn = D.backwardBatch(DenseGrad).values();
-    Out.DenseGrads = gradSnapshot(D);
-    Out.ConvOut = C.forwardBatch(ConvIn).values();
-    Out.ConvGradIn = C.backwardBatch(ConvGrad).values();
-    Out.ConvGrads = gradSnapshot(C);
-    return Out;
-  };
-
-  Result Ref = Run(Backend::Naive);
-  for (Backend B : comparableBackends()) {
-    if (B == Backend::Naive)
-      continue;
-    Result Got = Run(B);
-    expectClose(Got.DenseOut, Ref.DenseOut, "dense forward x-backend");
-    expectClose(Got.DenseGradIn, Ref.DenseGradIn, "dense grad-in x-backend");
-    expectClose(Got.DenseGrads, Ref.DenseGrads, "dense grads x-backend");
-    expectClose(Got.ConvOut, Ref.ConvOut, "conv forward x-backend");
-    expectClose(Got.ConvGradIn, Ref.ConvGradIn, "conv grad-in x-backend");
-    expectClose(Got.ConvGrads, Ref.ConvGrads, "conv grads x-backend");
+    expectMatchesOracle(D, DenseIn, DenseGrad,
+                        oracle::runDense(D, DenseIn, DenseGrad),
+                        "dense x-backend");
+    expectMatchesOracle(C, ConvIn, ConvGrad,
+                        oracle::runConv(C, ConvIn, ConvGrad),
+                        "conv x-backend");
   }
 }
 
@@ -749,8 +717,6 @@ TEST_F(NnKernelsTest, LayersEquivalentAcrossBackends) {
 
 TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterOptimizerStep) {
   for (Backend B : comparableBackends()) {
-    if (B == Backend::Naive)
-      continue; // Naive has no packed caches.
     setBackend(B);
     Rng R(29);
     Network Net = buildDnn(6, {8}, 3, R);
@@ -763,25 +729,19 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterOptimizerStep) {
     Net.backwardBatch(Grad);
     Opt.step(4.0);
 
-    // Post-step batched prediction must reflect the new weights: compare
-    // against the per-sample scalar path, which reads them directly.
-    Tensor Out = Net.forwardBatch(In);
-    for (int S = 0; S < 4; ++S) {
-      Tensor X({6});
-      std::copy(In.sampleData(S), In.sampleData(S) + 6, X.data());
-      Tensor Y = Net.forward(X);
-      for (int J = 0; J < 3; ++J)
-        ASSERT_NEAR(Out.sampleData(S)[J], Y[J], 1e-4)
-            << "stale packed weights after optimizer step, backend "
-            << backendName(B);
-    }
+    // Post-step prediction must reflect the new weights: compare against a
+    // network that holds the same parameters and has never packed.
+    Rng R2(30);
+    Network Fresh = buildDnn(6, {8}, 3, R2);
+    Fresh.copyParamsFrom(Net);
+    EXPECT_EQ(Net.forwardBatch(In).values(), Fresh.forwardBatch(In).values())
+        << "stale packed weights after optimizer step, backend "
+        << backendName(B);
   }
 }
 
 TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterParamLoad) {
   for (Backend B : comparableBackends()) {
-    if (B == Backend::Naive)
-      continue;
     setBackend(B);
     Rng R(31);
     Network Net = buildDnn(5, {6}, 2, R);
@@ -821,8 +781,6 @@ namespace {
 void expectSteadyStateForwardBatchDoesNotAllocate(int Threads) {
   ThreadPool::setGlobalThreads(Threads);
   for (Backend B : comparableBackends()) {
-    if (B == Backend::Naive)
-      continue; // The reference engine makes no zero-alloc promise.
     setBackend(B);
     Rng R(41);
     Network Dnn = buildDnn(12, {16, 16}, 4, R);
