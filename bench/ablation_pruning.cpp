@@ -62,9 +62,10 @@ int main() {
     Opt.QCfg.EpsilonDecaySteps = static_cast<int>(Steps * 0.6);
     Opt.QCfg.LearningRateEnd = 1e-4;
     Opt.QCfg.TrainInterval = 2;
-    Runtime RT(Mode::TR);
-    trainRl(Env, RT, Opt);
-    RlEvalResult R = evalRl(Env, RT, Opt, 10);
+    Engine Eng;
+    Session Sn(Eng, Mode::TR);
+    trainRl(Env, Sn, Opt);
+    RlEvalResult R = evalRl(Env, Sn, Opt, 10);
     Out.addRow({S.Label, fmt(static_cast<long long>(Opt.FeatureNames.size())),
                 fmtPercent(R.MeanProgress), fmtPercent(R.SuccessRate)});
   }

@@ -36,8 +36,9 @@ RlTrainResult trainSetting(TorcsEnv &Env, RlVariant Variant,
   Opt.QCfg.TrainInterval = 2;
   Opt.EvalEvery = EvalEvery;
   Opt.EvalEpisodes = 6;
-  Runtime RT(Mode::TR);
-  return trainRl(Env, RT, Opt);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
+  return trainRl(Env, S, Opt);
 }
 } // namespace
 

@@ -19,7 +19,7 @@
 
 #include "apps/flappy/Flappy.h"
 #include "apps/mario/Mario.h"
-#include "core/Runtime.h"
+#include "core/Engine.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -91,28 +91,30 @@ void benchExtract(size_t N) {
 
   // N == 1 measures the scalar extract call — the form the annotated game
   // drivers use per feature variable — N > 1 the pointer/size form.
-  Runtime StrRT(Mode::TR);
+  Engine StrEng;
+  Session StrS(StrEng, Mode::TR);
   double Str = timeNsInner(64, [&] {
     for (int R = 0; R < 64; ++R) {
       if (N == 1)
-        StrRT.extract("playerX", Vals[0]);
+        StrS.extract("playerX", Vals[0]);
       else
-        StrRT.extract("playerX", Vals.size(), Vals.data());
+        StrS.extract("playerX", Vals.size(), Vals.data());
     }
-    StrRT.db().reset("playerX"); // Consume the accumulated trace.
+    StrS.db().reset("playerX"); // Consume the accumulated trace.
   });
   printCase(Bench, "string", Str);
 
-  Runtime HdlRT(Mode::TR);
-  NameId X = HdlRT.intern("playerX");
+  Engine HdlEng;
+  Session HdlS(HdlEng, Mode::TR);
+  NameId X = HdlS.intern("playerX");
   double Hdl = timeNsInner(64, [&] {
     for (int R = 0; R < 64; ++R) {
       if (N == 1)
-        HdlRT.extract(X, Vals[0]);
+        HdlS.extract(X, Vals[0]);
       else
-        HdlRT.extract(X, Vals.size(), Vals.data());
+        HdlS.extract(X, Vals.size(), Vals.data());
     }
-    HdlRT.db().reset(X);
+    HdlS.db().reset(X);
   });
   printCase(Bench, "handle", Hdl);
   printSpeedup(Bench, "speedup_handle_vs_string", Str, Hdl);
@@ -128,27 +130,29 @@ void benchSerialize(int K) {
   for (int I = 0; I < K; ++I)
     Names.push_back("feature" + std::to_string(I));
 
-  Runtime StrRT(Mode::TR);
+  Engine StrEng;
+  Session StrS(StrEng, Mode::TR);
   double Str = timeNsInner(64, [&] {
     for (int R = 0; R < 64; ++R) {
       for (const std::string &Nm : Names)
-        StrRT.extract(Nm, 1.0f);
-      std::string Combined = StrRT.serialize(Names);
-      StrRT.db().reset(Combined);
+        StrS.extract(Nm, 1.0f);
+      std::string Combined = StrS.serialize(Names);
+      StrS.db().reset(Combined);
     }
   });
   printCase(Bench, "string", Str);
 
-  Runtime HdlRT(Mode::TR);
+  Engine HdlEng;
+  Session HdlS(HdlEng, Mode::TR);
   std::vector<NameId> Ids;
   for (const std::string &Nm : Names)
-    Ids.push_back(HdlRT.intern(Nm));
+    Ids.push_back(HdlS.intern(Nm));
   double Hdl = timeNsInner(64, [&] {
     for (int R = 0; R < 64; ++R) {
       for (NameId Id : Ids)
-        HdlRT.extract(Id, 1.0f);
-      NameId Combined = HdlRT.serialize(Ids);
-      HdlRT.db().reset(Combined);
+        HdlS.extract(Id, 1.0f);
+      NameId Combined = HdlS.serialize(Ids);
+      HdlS.db().reset(Combined);
     }
   });
   printCase(Bench, "handle", Hdl);
@@ -159,46 +163,48 @@ void benchSerialize(int K) {
 // BM_NnPredictDnn: the full TS-mode extract + au_NN + au_write_back body.
 //===----------------------------------------------------------------------===//
 
-/// Builds a trained {32,32} DNN over \p N features in \p RT and switches it
+/// Builds a trained {32,32} DNN over \p N features in \p S and switches it
 /// to TS mode.
-void trainTinyDnn(Runtime &RT, size_t N) {
+void trainTinyDnn(Session &S, size_t N) {
   ModelConfig C;
   C.Name = "m";
   C.HiddenLayers = {32, 32};
-  RT.config(C);
+  S.config(C);
   std::vector<float> Vals(N, 0.5f);
-  RT.extract("F", Vals.size(), Vals.data());
-  RT.nn("m", "F", {{"Y", 1}});
+  S.extract("F", Vals.size(), Vals.data());
+  S.nn("m", "F", {{"Y", 1}});
   float L = 0.5f;
-  RT.writeBack("Y", 1, &L);
-  static_cast<SlModel *>(RT.getModel("m"))->train(1, 1);
-  RT.switchMode(Mode::TS);
+  S.writeBack("Y", 1, &L);
+  static_cast<SlModel *>(S.getModel("m"))->train(1, 1);
+  S.switchMode(Mode::TS);
 }
 
 void benchNnPredict(size_t N) {
   const std::string Bench = "BM_NnPredictDnn(" + std::to_string(N) + ")";
   std::vector<float> Vals(N, 0.5f);
 
-  Runtime StrRT(Mode::TR);
-  trainTinyDnn(StrRT, N);
+  Engine StrEng;
+  Session StrS(StrEng, Mode::TR);
+  trainTinyDnn(StrS, N);
   double Str = timeNs([&] {
-    StrRT.extract("F", Vals.size(), Vals.data());
-    StrRT.nn("m", "F", {{"Y", 1}});
+    StrS.extract("F", Vals.size(), Vals.data());
+    StrS.nn("m", "F", {{"Y", 1}});
     float Out = 0.0f;
-    StrRT.writeBack("Y", 1, &Out);
+    StrS.writeBack("Y", 1, &Out);
     Sink = Out;
   });
   printCase(Bench, "string", Str);
 
-  Runtime HdlRT(Mode::TR);
-  trainTinyDnn(HdlRT, N);
-  NameId M = HdlRT.intern("m"), F = HdlRT.intern("F");
-  WriteBackHandle Y{HdlRT.intern("Y"), 1};
+  Engine HdlEng;
+  Session HdlS(HdlEng, Mode::TR);
+  trainTinyDnn(HdlS, N);
+  NameId M = HdlS.intern("m"), F = HdlS.intern("F");
+  WriteBackHandle Y{HdlS.intern("Y"), 1};
   double Hdl = timeNs([&] {
-    HdlRT.extract(F, Vals.size(), Vals.data());
-    HdlRT.nn(M, F, {Y});
+    HdlS.extract(F, Vals.size(), Vals.data());
+    HdlS.nn(M, F, {Y});
     float Out = 0.0f;
-    HdlRT.writeBack(Y.Name, 1, &Out);
+    HdlS.writeBack(Y.Name, 1, &Out);
     Sink = Out;
   });
   printCase(Bench, "handle", Hdl);
@@ -212,18 +218,18 @@ void benchNnPredict(size_t N) {
 
 /// Registers a Mario-sized state: the env object, a world-sized POD region
 /// and NumEntries pi lists of EntryLen floats. Returns the pi slot handles.
-std::vector<NameId> setupMarioState(Runtime &RT, MarioEnv &Env,
+std::vector<NameId> setupMarioState(Session &S, MarioEnv &Env,
                                     std::vector<float> &World,
                                     size_t NumEntries, size_t EntryLen) {
   Env.reset(0x4d00);
-  RT.checkpoints().registerObject(&Env);
-  RT.checkpoints().registerRegion(World.data(),
+  S.checkpoints().registerObject(&Env);
+  S.checkpoints().registerRegion(World.data(),
                                   World.size() * sizeof(float));
   std::vector<NameId> Ids;
   std::vector<float> Row(EntryLen, 0.25f);
   for (size_t I = 0; I != NumEntries; ++I) {
-    NameId Id = RT.intern("state" + std::to_string(I));
-    RT.db().append(Id, Row.data(), Row.size());
+    NameId Id = S.intern("state" + std::to_string(I));
+    S.db().append(Id, Row.data(), Row.size());
     Ids.push_back(Id);
   }
   return Ids;
@@ -234,47 +240,49 @@ void benchCheckpoint() {
   const std::string Bench = "BM_Checkpoint(mario,dirty=2)";
   std::vector<float> Row(EntryLen, 0.5f);
 
-  auto RunLoop = [&](Runtime &RT, const std::vector<NameId> &Ids) {
+  auto RunLoop = [&](Session &S, const std::vector<NameId> &Ids) {
     return timeNs([&] {
       // Small dirty set: two mutated lists out of NumEntries.
-      RT.db().set(Ids[0], Row.data(), Row.size());
-      RT.db().set(Ids[1], Row.data(), Row.size());
-      RT.checkpoint();
+      S.db().set(Ids[0], Row.data(), Row.size());
+      S.db().set(Ids[1], Row.data(), Row.size());
+      S.checkpoint();
     });
   };
 
-  Runtime FullRT(Mode::TR);
+  Engine FullEng;
+  Session FullS(FullEng, Mode::TR);
   MarioEnv FullEnv;
   std::vector<float> FullWorld(WorldFloats, 1.0f);
   std::vector<NameId> FullIds =
-      setupMarioState(FullRT, FullEnv, FullWorld, NumEntries, EntryLen);
-  FullRT.checkpoints().setDirtyTracking(false);
-  double Full = RunLoop(FullRT, FullIds);
+      setupMarioState(FullS, FullEnv, FullWorld, NumEntries, EntryLen);
+  FullS.checkpoints().setDirtyTracking(false);
+  double Full = RunLoop(FullS, FullIds);
   printCase(Bench, "full", Full);
 
-  Runtime DirtyRT(Mode::TR);
+  Engine DirtyEng;
+  Session DirtyS(DirtyEng, Mode::TR);
   MarioEnv DirtyEnv;
   std::vector<float> DirtyWorld(WorldFloats, 1.0f);
   std::vector<NameId> DirtyIds =
-      setupMarioState(DirtyRT, DirtyEnv, DirtyWorld, NumEntries, EntryLen);
-  double Dirty = RunLoop(DirtyRT, DirtyIds);
+      setupMarioState(DirtyS, DirtyEnv, DirtyWorld, NumEntries, EntryLen);
+  double Dirty = RunLoop(DirtyS, DirtyIds);
   printCase(Bench, "dirty", Dirty);
   printSpeedup(Bench, "speedup_dirty_vs_full", Full, Dirty);
 
   // Restore latency back to one snapshot with the same small dirty set.
   const std::string RBench = "BM_Restore(mario,dirty=2)";
-  FullRT.checkpoint();
+  FullS.checkpoint();
   double FullR = timeNs([&] {
-    FullRT.db().set(FullIds[0], Row.data(), Row.size());
-    FullRT.db().set(FullIds[1], Row.data(), Row.size());
-    FullRT.restore();
+    FullS.db().set(FullIds[0], Row.data(), Row.size());
+    FullS.db().set(FullIds[1], Row.data(), Row.size());
+    FullS.restore();
   });
   printCase(RBench, "full", FullR);
-  DirtyRT.checkpoint();
+  DirtyS.checkpoint();
   double DirtyR = timeNs([&] {
-    DirtyRT.db().set(DirtyIds[0], Row.data(), Row.size());
-    DirtyRT.db().set(DirtyIds[1], Row.data(), Row.size());
-    DirtyRT.restore();
+    DirtyS.db().set(DirtyIds[0], Row.data(), Row.size());
+    DirtyS.db().set(DirtyIds[1], Row.data(), Row.size());
+    DirtyS.restore();
   });
   printCase(RBench, "dirty", DirtyR);
   printSpeedup(RBench, "speedup_dirty_vs_full", FullR, DirtyR);
@@ -300,29 +308,30 @@ void benchGameLoop() {
 
   const std::vector<std::string> Names = {"birdY", "birdV", "pipeDx",
                                           "gap1Y", "diffY"};
-  auto MakeRuntime = [&](Runtime &RT) {
+  auto Configure = [&](Session &S) {
     ModelConfig C;
     C.Name = "agent";
     C.Algo = Algorithm::QLearn;
     C.HiddenLayers = {32, 32};
-    RT.config(C);
+    S.config(C);
   };
 
   {
     FlappyEnv Env;
     Env.reset(3 << 8);
-    Runtime RT(Mode::TR);
-    MakeRuntime(RT);
+    Engine Eng;
+    Session S(Eng, Mode::TR);
+    Configure(S);
     double Str = timeNs([&] {
       if (Env.terminal())
         Env.reset(3 << 8);
       std::vector<Feature> Fs = Env.features();
       for (const std::string &Nm : Names)
-        RT.extract(Nm, featureValue(Fs, Nm));
-      std::string Ext = RT.serialize(Names);
-      RT.nn("agent", Ext, 0.1f, false, {"output", 2});
+        S.extract(Nm, featureValue(Fs, Nm));
+      std::string Ext = S.serialize(Names);
+      S.nn("agent", Ext, 0.1f, false, {"output", 2});
       int Action = 0;
-      RT.writeBack("output", 2, &Action);
+      S.writeBack("output", 2, &Action);
       Env.step(Action);
     });
     printCase("BM_GameLoop", "string", Str);
@@ -331,23 +340,24 @@ void benchGameLoop() {
   {
     FlappyEnv Env;
     Env.reset(3 << 8);
-    Runtime RT(Mode::TR);
-    MakeRuntime(RT);
-    NameId Agent = RT.intern("agent");
-    WriteBackHandle Output{RT.intern("output"), 2};
+    Engine Eng;
+    Session S(Eng, Mode::TR);
+    Configure(S);
+    NameId Agent = S.intern("agent");
+    WriteBackHandle Output{S.intern("output"), 2};
     std::vector<NameId> Ids;
     for (const std::string &Nm : Names)
-      Ids.push_back(RT.intern(Nm));
+      Ids.push_back(S.intern(Nm));
     double Hdl = timeNs([&] {
       if (Env.terminal())
         Env.reset(3 << 8);
       std::vector<Feature> Fs = Env.features();
       for (size_t I = 0; I != Ids.size(); ++I)
-        RT.extract(Ids[I], featureValue(Fs, Names[I]));
-      NameId Ext = RT.serialize(Ids);
-      RT.nn(Agent, Ext, 0.1f, false, Output);
+        S.extract(Ids[I], featureValue(Fs, Names[I]));
+      NameId Ext = S.serialize(Ids);
+      S.nn(Agent, Ext, 0.1f, false, Output);
       int Action = 0;
-      RT.writeBack(Output.Name, 2, &Action);
+      S.writeBack(Output.Name, 2, &Action);
       Env.step(Action);
     });
     printCase("BM_GameLoop", "handle", Hdl);

@@ -74,15 +74,16 @@ Throughput measure(int Actors, long Steps, bool Learning, int Reps = 3) {
     RlTrainOptions Opt = baseOptions(Steps);
     if (!Learning) // Acting-only: warmup never ends, no minibatches run.
       Opt.QCfg.WarmupSteps = static_cast<int>(Steps) + 1;
-    Runtime RT(Mode::TR);
+    Engine Eng;
+    Session S(Eng, Mode::TR);
     RlTrainResult Res;
     if (Actors == 0) {
       FlappyEnv Env;
-      Res = trainRl(Env, RT, Opt);
+      Res = trainRl(Env, S, Opt);
     } else {
       Opt.QCfg.TrainInterval = Actors;
       Res = trainRlParallel([] { return std::make_unique<FlappyEnv>(); },
-                            RT, Opt, Actors);
+                            Eng, S, Opt, Actors);
     }
     double Sec = Res.TrainSeconds;
     if (Sec <= 0)

@@ -53,7 +53,8 @@ trainAgent(MarioEnv &Env, bool CoverageReward, long Budget,
            long SampleEvery) {
   Env.resetCoverage();
   Env.setCoverageReward(CoverageReward);
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = selectRlFeatures(Env);
   Opt.TrainSteps = SampleEvery;
@@ -66,7 +67,7 @@ trainAgent(MarioEnv &Env, bool CoverageReward, long Budget,
   std::vector<std::pair<long, double>> Curve;
   long Done = 0;
   while (Done < Budget) {
-    trainRl(Env, RT, Opt); // Continues the same model in the same runtime.
+    trainRl(Env, S, Opt); // Continues the same model in the same session.
     Done += Opt.TrainSteps;
     Curve.emplace_back(Done, Env.coverageFraction());
   }

@@ -70,8 +70,9 @@ void addRlRow(Table &Out, GameEnv &Env, long Window) {
   AllOpt.TrainSteps = Window;
   AllOpt.Seed = 11;
   AllOpt.QCfg.TrainInterval = 4;
-  Runtime RtAll(Mode::TR);
-  RlTrainResult All = trainRl(Env, RtAll, AllOpt);
+  Engine AllEng;
+  Session AllS(AllEng, Mode::TR);
+  RlTrainResult All = trainRl(Env, AllS, AllOpt);
 
   RlTrainOptions RawOpt;
   RawOpt.Variant = RlVariant::Raw;
@@ -79,8 +80,9 @@ void addRlRow(Table &Out, GameEnv &Env, long Window) {
   RawOpt.TrainSteps = Window;
   RawOpt.Seed = 11;
   RawOpt.QCfg.TrainInterval = 4;
-  Runtime RtRaw(Mode::TR);
-  RlTrainResult Raw = trainRl(Env, RtRaw, RawOpt);
+  Engine RawEng;
+  Session RawS(RawEng, Mode::TR);
+  RlTrainResult Raw = trainRl(Env, RawS, RawOpt);
 
   Out.addRow({std::string("[RL] ") + Env.name(), kb(Raw.TraceBytes),
               kb(Raw.ModelBytes), kb(All.TraceBytes), kb(All.ModelBytes),

@@ -58,9 +58,10 @@ void addRows(Table &Out, GameEnv &Env, const EnvSchedule &Sched,
   AllOpt.Hidden = Sched.Hidden;
   AllOpt.QCfg.EpsilonDecaySteps = static_cast<int>(Sched.AllSteps * 0.5);
   AllOpt.QCfg.TrainInterval = 2;
-  Runtime RtAll(Mode::TR);
-  RlTrainResult AllTrain = trainRl(Env, RtAll, AllOpt);
-  RlEvalResult AllEval = evalRl(Env, RtAll, AllOpt, 10);
+  Engine AllEng;
+  Session AllS(AllEng, Mode::TR);
+  RlTrainResult AllTrain = trainRl(Env, AllS, AllOpt);
+  RlEvalResult AllEval = evalRl(Env, AllS, AllOpt, 10);
 
   // Raw: rendered frames through the DeepMind-style CNN. Episodes are
   // capped at 500 iterations to bound the (much slower) evaluation.
@@ -71,9 +72,10 @@ void addRows(Table &Out, GameEnv &Env, const EnvSchedule &Sched,
   RawOpt.MaxEpisodeSteps = 500;
   RawOpt.QCfg.EpsilonDecaySteps = static_cast<int>(RawSteps * 0.5);
   RawOpt.QCfg.TrainInterval = 2;
-  Runtime RtRaw(Mode::TR);
-  RlTrainResult RawTrain = trainRl(Env, RtRaw, RawOpt);
-  RlEvalResult RawEval = evalRl(Env, RtRaw, RawOpt, 10);
+  Engine RawEng;
+  Session RawS(RawEng, Mode::TR);
+  RlTrainResult RawTrain = trainRl(Env, RawS, RawOpt);
+  RlEvalResult RawEval = evalRl(Env, RawS, RawOpt, 10);
 
   Out.addRow({std::string("[RL] ^ ") + Env.name(),
               fmt(BaseStep * 1e6, 3), scorePair(Players),

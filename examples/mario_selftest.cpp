@@ -25,7 +25,8 @@ static double trainAndMeasure(bool CoverageReward, long Steps) {
   MarioEnv Game;
   Game.resetCoverage();
   Game.setCoverageReward(CoverageReward); // Fig. 2 line 38 on/off.
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = selectRlFeatures(Game);
   Opt.TrainSteps = Steps;
@@ -34,7 +35,7 @@ static double trainAndMeasure(bool CoverageReward, long Steps) {
   Opt.QCfg.EpsilonDecaySteps = static_cast<int>(Steps * 0.5);
   Opt.QCfg.LearningRateEnd = 1e-4;
   Opt.QCfg.TrainInterval = 2;
-  trainRl(Game, RT, Opt);
+  trainRl(Game, S, Opt);
   return Game.coverageFraction();
 }
 

@@ -2,7 +2,7 @@
 //
 // A small utility over the model persistence format: prints the kind,
 // architecture, declared outputs and parameter statistics of a model saved
-// by Runtime::saveModel / Model::save. Useful when shipping trained models
+// by Session::saveModel / Model::save. Useful when shipping trained models
 // between TR and TS deployments.
 //
 // Usage:  ./build/examples/model_inspect <file.aumodel> [...]

@@ -39,7 +39,8 @@ int main(int Argc, char **Argv) {
   std::printf("\n");
 
   // --- Train the steering policy. ---
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = Features;
   Opt.TrainSteps = Steps;
@@ -49,10 +50,10 @@ int main(int Argc, char **Argv) {
   Opt.QCfg.LearningRateEnd = 1e-4;
   Opt.QCfg.TrainInterval = 2;
   std::printf("Training for %ld control iterations...\n", Steps);
-  RlTrainResult Train = trainRl(Car, RT, Opt);
+  RlTrainResult Train = trainRl(Car, S, Opt);
 
   // --- Drive. ---
-  RlEvalResult Drive = evalRl(Car, RT, Opt, 10);
+  RlEvalResult Drive = evalRl(Car, S, Opt, 10);
   RlEvalResult Players = evalHeuristic(Car, Opt, 10);
   std::printf("\nTrained in %.1fs over %ld episodes.\n", Train.TrainSeconds,
               Train.Episodes);

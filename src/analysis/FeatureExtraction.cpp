@@ -76,6 +76,11 @@ std::string au::analysis::pickSlFeature(const std::vector<RankedFeature> &Ranked
   return {};
 }
 
+std::string au::analysis::slModelName(const char *Base, SlPick Pick) {
+  static const char *Suffix[] = {"_min", "_med", "_raw"};
+  return std::string(Base) + Suffix[static_cast<int>(Pick)];
+}
+
 std::vector<std::string>
 au::analysis::extractRlFeatures(const Tracer &T, const std::string &Target,
                                 double Epsilon1, double Epsilon2,

@@ -63,6 +63,11 @@ enum class SlPick { Min, Med, Raw };
 std::string pickSlFeature(const std::vector<RankedFeature> &Ranked,
                           SlPick Pick);
 
+/// \p Base with the version's suffix ("_min", "_med", "_raw"). The three
+/// versions of an SL experiment are tenants of one Engine, so each needs
+/// its own model name in the shared model store.
+std::string slModelName(const char *Base, SlPick Pick);
+
 /// Diagnostics from one Algorithm 2 run (for Table 1 and the Fig. 15/16
 /// pruning harness).
 struct RlExtractionStats {

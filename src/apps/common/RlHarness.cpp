@@ -58,7 +58,7 @@ struct RlHandles {
   NameId Img = InvalidNameId;
   WriteBackHandle Output;
   std::vector<NameId> Features;   ///< Parallel to Opt.FeatureNames.
-  std::vector<size_t> FeatureIdx; ///< Position in Env.features() (lazy).
+  std::vector<size_t> FeatureIdx; ///< Position in Env.features().
 };
 
 /// K per-actor Sessions over one Engine (the DESIGN.md §10 shape of the §8
@@ -88,6 +88,10 @@ struct SessionPool {
 };
 } // namespace
 
+/// Interns the loop's names and resolves the positions of
+/// Opt.FeatureNames within Env.features() (\p Env must have been reset at
+/// least once). Every env exposes its features in a fixed order, so the
+/// positions hold for the whole run and for every env a factory builds.
 static RlHandles makeHandles(GameEnv &Env, Session &S,
                              const RlTrainOptions &Opt) {
   RlHandles H;
@@ -97,22 +101,11 @@ static RlHandles makeHandles(GameEnv &Env, Session &S,
     H.Img = S.intern("IMG");
     return H;
   }
-  H.Features.reserve(Opt.FeatureNames.size());
-  for (const std::string &Name : Opt.FeatureNames)
-    H.Features.push_back(S.intern(Name));
-  return H;
-}
-
-/// Resolves the positions of Opt.FeatureNames within Env.features() into
-/// \p H.FeatureIdx (the env must be reset). Idempotent; must run serially
-/// before any parallel extraction uses \p H.
-static void resolveFeatureIdx(GameEnv &Env, const RlTrainOptions &Opt,
-                              RlHandles &H) {
-  if (!H.FeatureIdx.empty())
-    return;
   std::vector<Feature> Fs = Env.features();
+  H.Features.reserve(Opt.FeatureNames.size());
   H.FeatureIdx.reserve(Opt.FeatureNames.size());
   for (const std::string &Name : Opt.FeatureNames) {
+    H.Features.push_back(S.intern(Name));
     size_t Idx = Fs.size();
     for (size_t I = 0; I != Fs.size(); ++I)
       if (Fs[I].first == Name) {
@@ -122,42 +115,19 @@ static void resolveFeatureIdx(GameEnv &Env, const RlTrainOptions &Opt,
     assert(Idx < Fs.size() && "selected feature not exposed by the env");
     H.FeatureIdx.push_back(Idx);
   }
+  return H;
 }
 
-/// Runs the au_extract / au_serialize prologue of one loop iteration and
-/// returns the combined extraction handle to feed au_NN. On the first call
-/// the feature positions within Env.features() are resolved and cached in
-/// \p H (the env must be reset by then), replacing the per-step linear name
-/// search of featureValue().
+/// Runs the au_extract / au_serialize prologue of one loop iteration into
+/// \p S and returns the combined extraction handle to feed au_NN. Only
+/// reads \p H, so distinct lane sessions may run it concurrently.
 static NameId extractState(GameEnv &Env, Session &S,
-                           const RlTrainOptions &Opt, RlHandles &H) {
+                           const RlTrainOptions &Opt, const RlHandles &H) {
   if (Opt.Variant == RlVariant::Raw) {
     Image Frame = Env.renderFrame(Opt.FrameSide);
     S.extract(H.Img, Frame.size(), Frame.data().data());
     return H.Img;
   }
-  resolveFeatureIdx(Env, Opt, H);
-  std::vector<Feature> Fs = Env.features();
-  for (size_t I = 0, E = H.Features.size(); I != E; ++I) {
-    assert(Fs[H.FeatureIdx[I]].first == Opt.FeatureNames[I] &&
-           "env feature order changed between steps");
-    S.extract(H.Features[I], Fs[H.FeatureIdx[I]].second);
-  }
-  return S.serialize(H.Features);
-}
-
-/// extractState into lane session \p S. \p H must be fully resolved
-/// (resolveFeatureIdx) — this runs concurrently for distinct lanes, so it
-/// only reads the shared handle set.
-static NameId extractStateLane(GameEnv &Env, Session &S,
-                               const RlTrainOptions &Opt,
-                               const RlHandles &H) {
-  if (Opt.Variant == RlVariant::Raw) {
-    Image Frame = Env.renderFrame(Opt.FrameSide);
-    S.extract(H.Img, Frame.size(), Frame.data().data());
-    return H.Img;
-  }
-  assert(!H.FeatureIdx.empty() && "feature positions not resolved");
   std::vector<Feature> Fs = Env.features();
   for (size_t I = 0, E = H.Features.size(); I != E; ++I) {
     assert(Fs[H.FeatureIdx[I]].first == Opt.FeatureNames[I] &&
@@ -190,10 +160,10 @@ RlTrainResult au::apps::trainRl(GameEnv &Env, Session &S,
   RlTrainResult Res;
   Res.ModelName = rlModelName(Env, Opt.Variant);
   Model *M = configureModel(Env, S, Opt);
+  Env.reset(makeSeed(Opt.Seed, 0));
   RlHandles H = makeHandles(Env, S, Opt);
 
   S.checkpoints().registerObject(&Env);
-  Env.reset(makeSeed(Opt.Seed, 0));
   {
     Timer T;
     S.checkpoint();
@@ -255,11 +225,6 @@ RlTrainResult au::apps::trainRl(GameEnv &Env, Session &S,
   return Res;
 }
 
-RlTrainResult au::apps::trainRl(GameEnv &Env, Runtime &RT,
-                                const RlTrainOptions &Opt) {
-  return trainRl(Env, RT.session(), Opt);
-}
-
 RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
                                         Engine &Eng, Session &Main,
                                         const RlTrainOptions &Opt,
@@ -273,11 +238,6 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   Res.ModelName = rlModelName(VE.env(0), Opt.Variant);
   Model *M = configureModel(VE.env(0), Main, Opt);
   static_cast<RlModel *>(M)->configureActors(K);
-  RlHandles H = makeHandles(VE.env(0), Main, Opt);
-
-  // The lane sessions come after every name is interned, so each lane store
-  // mirrors the full master table from birth.
-  SessionPool Pool(Eng, Main.mode(), K);
 
   // Actor k opens the fleet on episode jitter k; later episodes draw fresh
   // jitters from one global counter, assigned serially in actor order so
@@ -287,8 +247,11 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   VE.resetAll(
       [&](int A) { return makeSeed(Opt.Seed, static_cast<uint64_t>(A)); });
   uint64_t NextJitter = static_cast<uint64_t>(K);
-  if (Opt.Variant == RlVariant::All)
-    resolveFeatureIdx(VE.env(0), Opt, H);
+  RlHandles H = makeHandles(VE.env(0), Main, Opt);
+
+  // The lane sessions come after every name is interned, so each lane store
+  // mirrors the full master table from birth.
+  SessionPool Pool(Eng, Main.mode(), K);
 
   size_t TraceStart = Main.stats().traceBytes();
   Timer TrainTimer;
@@ -308,8 +271,8 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
     // (disjoint stores; parallel).
     TPool.parallelFor(0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
       for (size_t A = B; A != E; ++A)
-        ExtIds[A] = extractStateLane(VE.env(static_cast<int>(A)),
-                                     Pool.lane(static_cast<int>(A)), Opt, H);
+        ExtIds[A] = extractState(VE.env(static_cast<int>(A)),
+                                 Pool.lane(static_cast<int>(A)), Opt, H);
     });
 
     // 2. One fused au_NN for the whole fleet: observe the completed
@@ -373,19 +336,16 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   return Res;
 }
 
-RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
-                                        Runtime &RT,
-                                        const RlTrainOptions &Opt,
-                                        int NumActors) {
-  return trainRlParallel(Factory, RT.engine(), RT.session(), Opt, NumActors);
-}
-
 RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
                                      Engine &Eng, Session &Main,
                                      const RlTrainOptions &Opt,
                                      int Episodes) {
   assert(Episodes > 0 && "evaluation needs at least one episode");
   VectorEnv VE(Factory, Episodes, Opt.Seed ^ 0xe7a1u);
+  // Same per-episode seeds as the serial evalRl.
+  VE.resetAll([&](int Ep) {
+    return makeSeed(Opt.Seed, 100 + static_cast<uint64_t>(Ep));
+  });
   RlHandles H = makeHandles(VE.env(0), Main, Opt);
   assert(Main.getModel(H.Model) && "evaluating an unconfigured model");
 
@@ -393,13 +353,6 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
   // engine batcher, so training chains are never disturbed regardless of
   // Main's mode.
   SessionPool Pool(Eng, Mode::TS, Episodes);
-
-  // Same per-episode seeds as the serial evalRl.
-  VE.resetAll([&](int Ep) {
-    return makeSeed(Opt.Seed, 100 + static_cast<uint64_t>(Ep));
-  });
-  if (Opt.Variant == RlVariant::All)
-    resolveFeatureIdx(VE.env(0), Opt, H);
 
   RlEvalResult Res;
   ThreadPool &TPool = ThreadPool::global();
@@ -428,8 +381,8 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
     ExtIds.assign(static_cast<size_t>(M), InvalidNameId);
     TPool.parallelFor(0, static_cast<size_t>(M), 1, [&](size_t B, size_t E) {
       for (size_t I = B; I != E; ++I)
-        ExtIds[I] = extractStateLane(VE.env(Live[I]),
-                                     Pool.lane(static_cast<int>(I)), Opt, H);
+        ExtIds[I] = extractState(VE.env(Live[I]),
+                                 Pool.lane(static_cast<int>(I)), Opt, H);
     });
     ZeroRewards.assign(static_cast<size_t>(M), 0.0f);
     NoTerms.assign(static_cast<size_t>(M), 0);
@@ -469,12 +422,6 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
       Steps > 0 ? T.seconds() / static_cast<double>(Steps) : 0;
   Pool.foldInto(Main);
   return Res;
-}
-
-RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
-                                     Runtime &RT, const RlTrainOptions &Opt,
-                                     int Episodes) {
-  return evalRlBatched(Factory, RT.engine(), RT.session(), Opt, Episodes);
 }
 
 RlEvalResult au::apps::evalRl(GameEnv &Env, Session &S,
@@ -517,11 +464,6 @@ RlEvalResult au::apps::evalRl(GameEnv &Env, Session &S,
   S.switchMode(PrevMode);
   Env.loadState(Saved);
   return Res;
-}
-
-RlEvalResult au::apps::evalRl(GameEnv &Env, Runtime &RT,
-                              const RlTrainOptions &Opt, int Episodes) {
-  return evalRl(Env, RT.session(), Opt, Episodes);
 }
 
 /// Shared scripted-policy evaluation loop.

@@ -27,7 +27,6 @@
 #include "apps/common/GameEnv.h"
 #include "apps/common/VectorEnv.h"
 #include "core/Engine.h"
-#include "core/Runtime.h"
 #include "nn/QLearner.h"
 
 #include <string>
@@ -109,9 +108,6 @@ selectRlFeatures(GameEnv &Env, double Epsilon1 = 1e-6,
 /// Engine/Session API; DESIGN.md §10). The session must be in TR mode.
 RlTrainResult trainRl(GameEnv &Env, Session &S, const RlTrainOptions &Opt);
 
-/// Facade adapter: drives \p RT's main session.
-RlTrainResult trainRl(GameEnv &Env, Runtime &RT, const RlTrainOptions &Opt);
-
 /// Parallel-rollout training (DESIGN.md §8): \p NumActors environments from
 /// \p Factory run in lockstep ticks. Each actor is its own Session over
 /// \p Eng; per tick, feature extraction and env stepping parallelize across
@@ -132,17 +128,9 @@ RlTrainResult trainRlParallel(const GameEnvFactory &Factory, Engine &Eng,
                               Session &Main, const RlTrainOptions &Opt,
                               int NumActors);
 
-/// Facade adapter: drives \p RT's engine and main session.
-RlTrainResult trainRlParallel(const GameEnvFactory &Factory, Runtime &RT,
-                              const RlTrainOptions &Opt, int NumActors);
-
 /// Greedy evaluation over \p Episodes jittered episodes. Leaves the
 /// session's mode as it found it. Works on the in-memory trained model.
 RlEvalResult evalRl(GameEnv &Env, Session &S, const RlTrainOptions &Opt,
-                    int Episodes);
-
-/// Facade adapter: drives \p RT's main session.
-RlEvalResult evalRl(GameEnv &Env, Runtime &RT, const RlTrainOptions &Opt,
                     int Episodes);
 
 /// Greedy evaluation with the episodes run concurrently: each episode is
@@ -155,10 +143,6 @@ RlEvalResult evalRl(GameEnv &Env, Runtime &RT, const RlTrainOptions &Opt,
 RlEvalResult evalRlBatched(const GameEnvFactory &Factory, Engine &Eng,
                            Session &Main, const RlTrainOptions &Opt,
                            int Episodes);
-
-/// Facade adapter: drives \p RT's engine and main session.
-RlEvalResult evalRlBatched(const GameEnvFactory &Factory, Runtime &RT,
-                           const RlTrainOptions &Opt, int Episodes);
 
 /// The scripted near-optimal player ("human players" reference).
 RlEvalResult evalHeuristic(GameEnv &Env, const RlTrainOptions &Opt,

@@ -14,6 +14,7 @@
 using namespace au;
 using namespace au::apps;
 using analysis::SlPick;
+using analysis::slModelName;
 
 static constexpr int NumTaxa = PhylipDataset::NumTaxa;
 static const char Bases[4] = {'A', 'C', 'G', 'T'};
@@ -338,8 +339,8 @@ PhylipExperiment::PhylipExperiment(int NumTrain, int NumTest, uint64_t S)
   }
   for (int I = 0; I < NumTest; ++I)
     TestSets.push_back(makePhylipDataset(Seed + 40000 + I));
-  for (auto &RT : Runtimes)
-    RT = std::make_unique<Runtime>(Mode::TR);
+  for (auto &Sn : Sessions)
+    Sn = std::make_unique<Session>(Eng, Mode::TR);
 }
 
 std::vector<float> PhylipExperiment::paramFeature(const PhylipDataset &D,
@@ -437,25 +438,25 @@ std::vector<float> PhylipExperiment::paramFeature(const PhylipDataset &D,
   return {};
 }
 
-double PhylipExperiment::runAnnotated(Runtime &RT, const PhylipDataset &D,
+double PhylipExperiment::runAnnotated(Session &S, const PhylipDataset &D,
                                       SlPick Pick,
                                       const PhylipParams &Train) {
   ModelConfig Cfg;
-  Cfg.Name = "PhyNN";
+  Cfg.Name = slModelName("PhyNN", Pick);
   Cfg.HiddenLayers = {48, 24};
   Cfg.Seed = Seed + 4;
-  RT.config(Cfg);
+  S.config(Cfg);
 
   PhylipParams P = Train;
   std::vector<float> Feat = paramFeature(D, Pick);
-  RT.extract("FEAT", Feat.size(), Feat.data());
-  RT.nn("PhyNN", "FEAT", {{"ALPHA", 1}, {"KAPPA", 1}, {"GAPT", 1}});
+  S.extract("FEAT", Feat.size(), Feat.data());
+  S.nn(Cfg.Name, "FEAT", {{"ALPHA", 1}, {"KAPPA", 1}, {"GAPT", 1}});
   float AlphaV = static_cast<float>(P.Alpha);
   float KappaV = static_cast<float>(P.Kappa);
   float GapV = static_cast<float>(P.GapThresh);
-  RT.writeBack("ALPHA", 1, &AlphaV);
-  RT.writeBack("KAPPA", 1, &KappaV);
-  RT.writeBack("GAPT", 1, &GapV);
+  S.writeBack("ALPHA", 1, &AlphaV);
+  S.writeBack("KAPPA", 1, &KappaV);
+  S.writeBack("GAPT", 1, &GapV);
   P.Alpha = clamp(AlphaV, 0.3, 3.2);
   P.Kappa = clamp(KappaV, 1.0, 4.5);
   P.GapThresh = clamp(GapV, 0.1, 0.75);
@@ -464,25 +465,26 @@ double PhylipExperiment::runAnnotated(Runtime &RT, const PhylipDataset &D,
 }
 
 double PhylipExperiment::train(SlPick Pick, int Epochs) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TR && "training twice on the same version");
+  Session &S = *Sessions[Idx(Pick)];
+  assert(S.mode() == Mode::TR && "training twice on the same version");
+  std::string ModelName = slModelName("PhyNN", Pick);
   Timer T;
   for (size_t I = 0; I != TrainSets.size(); ++I)
-    runAnnotated(RT, TrainSets[I], Pick, TrainOracle[I]);
-  RT.trainSupervised("PhyNN", Epochs, 16);
+    runAnnotated(S, TrainSets[I], Pick, TrainOracle[I]);
+  S.trainSupervised(ModelName, Epochs, 16);
   double Secs = T.seconds();
-  TraceBytesPer[Idx(Pick)] = RT.stats().traceBytes();
-  ModelBytesPer[Idx(Pick)] = RT.getModel("PhyNN")->modelSizeBytes();
-  RT.switchMode(Mode::TS);
+  TraceBytesPer[Idx(Pick)] = S.stats().traceBytes();
+  ModelBytesPer[Idx(Pick)] = S.getModel(ModelName)->modelSizeBytes();
+  S.switchMode(Mode::TS);
   return Secs;
 }
 
 double PhylipExperiment::testScore(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TS && "test before train");
+  Session &S = *Sessions[Idx(Pick)];
+  assert(S.mode() == Mode::TS && "test before train");
   std::vector<double> Scores;
   for (const PhylipDataset &D : TestSets)
-    Scores.push_back(runAnnotated(RT, D, Pick, PhylipParams()));
+    Scores.push_back(runAnnotated(S, D, Pick, PhylipParams()));
   return mean(Scores);
 }
 
@@ -494,10 +496,10 @@ double PhylipExperiment::baselineScore() {
 }
 
 double PhylipExperiment::autonomizedExecSeconds(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
+  Session &S = *Sessions[Idx(Pick)];
   Timer T;
   for (const PhylipDataset &D : TestSets)
-    runAnnotated(RT, D, Pick, PhylipParams());
+    runAnnotated(S, D, Pick, PhylipParams());
   return T.seconds() / static_cast<double>(TestSets.size());
 }
 

@@ -13,6 +13,7 @@
 using namespace au;
 using namespace au::apps;
 using analysis::SlPick;
+using analysis::slModelName;
 
 /// Box-filter mean of the magnitude over a (2R+1)^2 window.
 static Image localMean(const Image &Mag, int R) {
@@ -159,8 +160,8 @@ RothwellExperiment::RothwellExperiment(int NumTrain, int NumTest, uint64_t S)
   }
   for (int I = 0; I < NumTest; ++I)
     TestScenes.push_back(makeCannyScene(Seed + 20000 + I));
-  for (auto &RT : Runtimes)
-    RT = std::make_unique<Runtime>(Mode::TR);
+  for (auto &Sn : Sessions)
+    Sn = std::make_unique<Session>(Eng, Mode::TR);
 }
 
 std::vector<float>
@@ -182,14 +183,14 @@ RothwellExperiment::paramFeature(const CannyScene &Scene,
   return {};
 }
 
-Image RothwellExperiment::runAnnotated(Runtime &RT, const CannyScene &Scene,
+Image RothwellExperiment::runAnnotated(Session &S, const CannyScene &Scene,
                                        SlPick Pick,
                                        const RothwellParams &Train) {
   ModelConfig Cfg;
-  Cfg.Name = "RothNN";
+  Cfg.Name = slModelName("RothNN", Pick);
   Cfg.HiddenLayers = {48, 24};
   Cfg.Seed = Seed + 3;
-  RT.config(Cfg);
+  S.config(Cfg);
 
   RothwellParams P = Train;
   // Fixed-parameter reference pass so extracted features keep the same
@@ -197,14 +198,14 @@ Image RothwellExperiment::runAnnotated(Runtime &RT, const CannyScene &Scene,
   RothwellTrace Trace;
   rothwellDetect(Scene.Input, RothwellParams(), &Trace);
   std::vector<float> Feat = paramFeature(Scene, Trace, Pick);
-  RT.extract("FEAT", Feat.size(), Feat.data());
-  RT.nn("RothNN", "FEAT", {{"SIGMA", 1}, {"ALPHA", 1}, {"MINLEN", 1}});
+  S.extract("FEAT", Feat.size(), Feat.data());
+  S.nn(Cfg.Name, "FEAT", {{"SIGMA", 1}, {"ALPHA", 1}, {"MINLEN", 1}});
   float SigmaV = static_cast<float>(P.Sigma);
   float AlphaV = static_cast<float>(P.Alpha);
   float LenV = static_cast<float>(P.MinLen);
-  RT.writeBack("SIGMA", 1, &SigmaV);
-  RT.writeBack("ALPHA", 1, &AlphaV);
-  RT.writeBack("MINLEN", 1, &LenV);
+  S.writeBack("SIGMA", 1, &SigmaV);
+  S.writeBack("ALPHA", 1, &AlphaV);
+  S.writeBack("MINLEN", 1, &LenV);
   P.Sigma = clamp(SigmaV, 0.6, 2.6);
   P.Alpha = clamp(AlphaV, 1.0, 3.0);
   P.MinLen = clamp(LenV, 1.0, 14.0);
@@ -213,25 +214,26 @@ Image RothwellExperiment::runAnnotated(Runtime &RT, const CannyScene &Scene,
 }
 
 double RothwellExperiment::train(SlPick Pick, int Epochs) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TR && "training twice on the same version");
+  Session &S = *Sessions[Idx(Pick)];
+  assert(S.mode() == Mode::TR && "training twice on the same version");
+  std::string ModelName = slModelName("RothNN", Pick);
   Timer T;
   for (size_t I = 0; I != TrainScenes.size(); ++I)
-    runAnnotated(RT, TrainScenes[I], Pick, TrainOracle[I]);
-  RT.trainSupervised("RothNN", Epochs, 16);
+    runAnnotated(S, TrainScenes[I], Pick, TrainOracle[I]);
+  S.trainSupervised(ModelName, Epochs, 16);
   double Secs = T.seconds();
-  TraceBytesPer[Idx(Pick)] = RT.stats().traceBytes();
-  ModelBytesPer[Idx(Pick)] = RT.getModel("RothNN")->modelSizeBytes();
-  RT.switchMode(Mode::TS);
+  TraceBytesPer[Idx(Pick)] = S.stats().traceBytes();
+  ModelBytesPer[Idx(Pick)] = S.getModel(ModelName)->modelSizeBytes();
+  S.switchMode(Mode::TS);
   return Secs;
 }
 
 double RothwellExperiment::testScore(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TS && "test before train");
+  Session &S = *Sessions[Idx(Pick)];
+  assert(S.mode() == Mode::TS && "test before train");
   std::vector<double> Scores;
   for (const CannyScene &Scene : TestScenes) {
-    Image Edges = runAnnotated(RT, Scene, Pick, RothwellParams());
+    Image Edges = runAnnotated(S, Scene, Pick, RothwellParams());
     Scores.push_back(cannyScore(Edges, Scene.Truth));
   }
   return mean(Scores);
@@ -246,10 +248,10 @@ double RothwellExperiment::baselineScore() {
 }
 
 double RothwellExperiment::autonomizedExecSeconds(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
+  Session &S = *Sessions[Idx(Pick)];
   Timer T;
   for (const CannyScene &Scene : TestScenes)
-    runAnnotated(RT, Scene, Pick, RothwellParams());
+    runAnnotated(S, Scene, Pick, RothwellParams());
   return T.seconds() / static_cast<double>(TestScenes.size());
 }
 

@@ -23,7 +23,7 @@
 
 #include "analysis/FeatureExtraction.h"
 #include "apps/canny/Canny.h"
-#include "core/Runtime.h"
+#include "core/Engine.h"
 
 namespace au {
 namespace apps {
@@ -70,7 +70,7 @@ public:
   size_t modelBytes(analysis::SlPick Pick) const;
 
 private:
-  Image runAnnotated(Runtime &RT, const CannyScene &Scene,
+  Image runAnnotated(Session &S, const CannyScene &Scene,
                      analysis::SlPick Pick, const RothwellParams &Train);
   static std::vector<float> paramFeature(const CannyScene &Scene,
                                          const RothwellTrace &Trace,
@@ -81,7 +81,10 @@ private:
   std::vector<RothwellParams> TrainOracle;
   std::vector<CannyScene> TestScenes;
   uint64_t Seed;
-  std::vector<std::unique_ptr<Runtime>> Runtimes{3};
+  // One engine hosts the three versions as tenants: each version is a
+  // Session with its own <sigma, pi> and its own model name in theta.
+  Engine Eng;
+  std::vector<std::unique_ptr<Session>> Sessions{3};
   size_t TraceBytesPer[3] = {0, 0, 0};
   size_t ModelBytesPer[3] = {0, 0, 0};
 };

@@ -13,6 +13,7 @@
 using namespace au;
 using namespace au::apps;
 using analysis::SlPick;
+using analysis::slModelName;
 
 static constexpr int TemplateLen = 14;
 
@@ -208,8 +209,8 @@ SphinxExperiment::SphinxExperiment(int NumTrain, int NumTest, uint64_t S)
   }
   for (int I = 0; I < NumTest; ++I)
     TestSet.push_back(makeSphinxUtterance(Seed + 60000 + I));
-  for (auto &RT : Runtimes)
-    RT = std::make_unique<Runtime>(Mode::TR);
+  for (auto &Sn : Sessions)
+    Sn = std::make_unique<Session>(Eng, Mode::TR);
 }
 
 std::vector<float> SphinxExperiment::paramFeature(const SphinxUtterance &U,
@@ -263,23 +264,23 @@ std::vector<float> SphinxExperiment::paramFeature(const SphinxUtterance &U,
   return {};
 }
 
-double SphinxExperiment::runAnnotated(Runtime &RT, const SphinxUtterance &U,
+double SphinxExperiment::runAnnotated(Session &S, const SphinxUtterance &U,
                                       SlPick Pick,
                                       const SphinxParams &Train) {
   ModelConfig Cfg;
-  Cfg.Name = "SphinxNN";
+  Cfg.Name = slModelName("SphinxNN", Pick);
   Cfg.HiddenLayers = {48, 24};
   Cfg.Seed = Seed + 5;
-  RT.config(Cfg);
+  S.config(Cfg);
 
   SphinxParams P = Train;
   std::vector<float> Feat = paramFeature(U, Pick);
-  RT.extract("FEAT", Feat.size(), Feat.data());
-  RT.nn("SphinxNN", "FEAT", {{"BEAM", 1}, {"NFLOOR", 1}});
+  S.extract("FEAT", Feat.size(), Feat.data());
+  S.nn(Cfg.Name, "FEAT", {{"BEAM", 1}, {"NFLOOR", 1}});
   float BeamV = static_cast<float>(P.Beam);
   float FloorV = static_cast<float>(P.NoiseFloor);
-  RT.writeBack("BEAM", 1, &BeamV);
-  RT.writeBack("NFLOOR", 1, &FloorV);
+  S.writeBack("BEAM", 1, &BeamV);
+  S.writeBack("NFLOOR", 1, &FloorV);
   P.Beam = clamp(BeamV, 0.2, 8.0);
   P.NoiseFloor = clamp(FloorV, 0.0, 0.16);
 
@@ -287,25 +288,26 @@ double SphinxExperiment::runAnnotated(Runtime &RT, const SphinxUtterance &U,
 }
 
 double SphinxExperiment::train(SlPick Pick, int Epochs) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TR && "training twice on the same version");
+  Session &S = *Sessions[Idx(Pick)];
+  assert(S.mode() == Mode::TR && "training twice on the same version");
+  std::string ModelName = slModelName("SphinxNN", Pick);
   Timer T;
   for (size_t I = 0; I != TrainSet.size(); ++I)
-    runAnnotated(RT, TrainSet[I], Pick, TrainOracle[I]);
-  RT.trainSupervised("SphinxNN", Epochs, 16);
+    runAnnotated(S, TrainSet[I], Pick, TrainOracle[I]);
+  S.trainSupervised(ModelName, Epochs, 16);
   double Secs = T.seconds();
-  TraceBytesPer[Idx(Pick)] = RT.stats().traceBytes();
-  ModelBytesPer[Idx(Pick)] = RT.getModel("SphinxNN")->modelSizeBytes();
-  RT.switchMode(Mode::TS);
+  TraceBytesPer[Idx(Pick)] = S.stats().traceBytes();
+  ModelBytesPer[Idx(Pick)] = S.getModel(ModelName)->modelSizeBytes();
+  S.switchMode(Mode::TS);
   return Secs;
 }
 
 double SphinxExperiment::testScore(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TS && "test before train");
+  Session &S = *Sessions[Idx(Pick)];
+  assert(S.mode() == Mode::TS && "test before train");
   std::vector<double> Scores;
   for (const SphinxUtterance &U : TestSet)
-    Scores.push_back(runAnnotated(RT, U, Pick, SphinxParams()));
+    Scores.push_back(runAnnotated(S, U, Pick, SphinxParams()));
   return mean(Scores);
 }
 
@@ -317,10 +319,10 @@ double SphinxExperiment::baselineScore() {
 }
 
 double SphinxExperiment::autonomizedExecSeconds(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
+  Session &S = *Sessions[Idx(Pick)];
   Timer T;
   for (const SphinxUtterance &U : TestSet)
-    runAnnotated(RT, U, Pick, SphinxParams());
+    runAnnotated(S, U, Pick, SphinxParams());
   return T.seconds() / static_cast<double>(TestSet.size());
 }
 

@@ -22,7 +22,7 @@
 #define AU_APPS_SPHINX_SPHINX_H
 
 #include "analysis/FeatureExtraction.h"
-#include "core/Runtime.h"
+#include "core/Engine.h"
 
 #include <array>
 #include <cstdint>
@@ -94,7 +94,7 @@ public:
   size_t modelBytes(analysis::SlPick Pick) const;
 
 private:
-  double runAnnotated(Runtime &RT, const SphinxUtterance &U,
+  double runAnnotated(Session &S, const SphinxUtterance &U,
                       analysis::SlPick Pick, const SphinxParams &Train);
   static std::vector<float> paramFeature(const SphinxUtterance &U,
                                          analysis::SlPick Pick);
@@ -104,7 +104,10 @@ private:
   std::vector<SphinxParams> TrainOracle;
   std::vector<SphinxUtterance> TestSet;
   uint64_t Seed;
-  std::vector<std::unique_ptr<Runtime>> Runtimes{3};
+  // One engine hosts the three versions as tenants: each version is a
+  // Session with its own <sigma, pi> and its own model name in theta.
+  Engine Eng;
+  std::vector<std::unique_ptr<Session>> Sessions{3};
   size_t TraceBytesPer[3] = {0, 0, 0};
   size_t ModelBytesPer[3] = {0, 0, 0};
 };

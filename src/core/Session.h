@@ -12,9 +12,9 @@
 /// what Fig. 8 scopes to a single execution, so many sessions can serve
 /// concurrently over one Engine.
 ///
-/// Every primitive of Fig. 1 is implemented here exactly once — the main
-/// path, the facade's actor path and the RlHarness session pools all run
-/// through the same Session methods. String-keyed overloads are one-line
+/// Every primitive of Fig. 1 is implemented here exactly once — a
+/// program's main session, the RlHarness lane sessions and the Engine
+/// batchers all run through the same Session methods. String-keyed overloads are one-line
 /// interning shims over the handle-keyed hot path (DESIGN.md §7).
 ///
 /// A session's name table mirrors the Engine's master table: intern() asks
@@ -49,9 +49,8 @@ class Engine;
 class InferenceReplica;
 
 /// Primitive-level counters (used by the overhead microbenchmarks and by
-/// the Table 2 trace-size accounting). Named RuntimeStats for source
-/// compatibility with the pre-split Runtime API; each Session owns one.
-struct RuntimeStats {
+/// the Table 2 trace-size accounting); each Session owns one.
+struct SessionStats {
   size_t NumConfig = 0;
   size_t NumExtract = 0;
   size_t FloatsExtracted = 0;
@@ -65,8 +64,6 @@ struct RuntimeStats {
   size_t traceBytes() const { return FloatsExtracted * sizeof(float); }
 };
 
-using SessionStats = RuntimeStats;
-
 /// Handle-keyed counterpart of WriteBackSpec: one declared output under an
 /// interned name. For SL the number of predicted floats; for RL the number
 /// of discrete actions.
@@ -75,7 +72,7 @@ struct WriteBackHandle {
   int Size = 1;
 };
 
-/// Thrown when a session (or actor) store's name table stops mirroring the
+/// Thrown when a session store's name table stops mirroring the
 /// engine's master table — someone interned into the store behind the
 /// session's back, so handles would resolve to the wrong slots.
 class StoreDivergenceError : public std::runtime_error {
@@ -232,12 +229,12 @@ public:
 
   DatabaseStore &db() { return Db; }
   CheckpointManager &checkpoints() { return Ckpt; }
-  const RuntimeStats &stats() const { return Stats; }
+  const SessionStats &stats() const { return Stats; }
 
   /// Folds externally accumulated primitive counters into this session's
-  /// stats (session pools and the facade's actor-stats merge report their
-  /// workers' counters into the session whose stats() the caller reads).
-  void foldStats(const RuntimeStats &Delta) {
+  /// stats (session pools report their lanes' counters into the session
+  /// whose stats() the caller reads).
+  void foldStats(const SessionStats &Delta) {
     Stats.NumExtract += Delta.NumExtract;
     Stats.FloatsExtracted += Delta.FloatsExtracted;
     Stats.NumSerialize += Delta.NumSerialize;
@@ -270,8 +267,7 @@ public:
   /// replica of the engine's latest *published* parameter snapshot instead
   /// of touching the live (possibly training) model: many sessions on many
   /// threads then run inference concurrently while one trainer publishes.
-  /// Off by default — the single-tenant path reads the live model directly,
-  /// which keeps pre-split behavior bit-identical.
+  /// Off by default: the single-tenant path reads the live model directly.
   void setSharedInference(bool On) { SharedInference = On; }
   bool sharedInference() const { return SharedInference; }
 
@@ -322,7 +318,7 @@ private:
   std::vector<Model *> ModelCache; ///< NameId -> model (engine-backed).
   std::vector<NameId> WbOwner;     ///< Output id -> owning model id.
   std::vector<PendingSample> Pending;
-  RuntimeStats Stats;
+  SessionStats Stats;
   bool SharedInference = false;
   /// NameId -> serving replica (only populated under shared inference).
   std::vector<std::unique_ptr<InferenceReplica>> Replicas;

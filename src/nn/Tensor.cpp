@@ -16,12 +16,6 @@ Tensor::Tensor(std::vector<int> Shape, float Fill) : Dims(std::move(Shape)) {
   Data.assign(Dims.empty() ? 0 : N, Fill);
 }
 
-Tensor Tensor::fromVector(const std::vector<float> &Values) {
-  Tensor T(std::vector<int>{static_cast<int>(Values.size())});
-  std::copy(Values.begin(), Values.end(), T.Data.begin());
-  return T;
-}
-
 Tensor Tensor::adopt(std::vector<float> Buffer, std::vector<int> Shape) {
   Tensor T;
   T.Dims = std::move(Shape);
@@ -35,39 +29,10 @@ Tensor Tensor::adopt(std::vector<float> Buffer, std::vector<int> Shape) {
   return T;
 }
 
-Tensor Tensor::reshaped(std::vector<int> NewShape) const {
-  Tensor T;
-  T.Dims = std::move(NewShape);
-  size_t N = 1;
-  for (int D : T.Dims) {
-    assert(D > 0 && "tensor dimensions must be positive");
-    N *= static_cast<size_t>(D);
-  }
-  assert(N == Data.size() && "reshape must preserve element count");
-  T.Data = Data;
-  return T;
-}
-
 void Tensor::fill(float V) { std::fill(Data.begin(), Data.end(), V); }
-
-void Tensor::add(const Tensor &Other) {
-  assert(Data.size() == Other.Data.size() && "tensor add size mismatch");
-  for (size_t I = 0, E = Data.size(); I != E; ++I)
-    Data[I] += Other.Data[I];
-}
-
-void Tensor::scale(float S) {
-  for (float &V : Data)
-    V *= S;
-}
 
 size_t Tensor::argmax() const {
   assert(!Data.empty() && "argmax of empty tensor");
   return static_cast<size_t>(
       std::max_element(Data.begin(), Data.end()) - Data.begin());
-}
-
-float Tensor::maxValue() const {
-  assert(!Data.empty() && "maxValue of empty tensor");
-  return *std::max_element(Data.begin(), Data.end());
 }

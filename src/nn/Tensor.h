@@ -32,9 +32,6 @@ public:
   /// Creates a tensor of the given \p Shape filled with \p Fill.
   explicit Tensor(std::vector<int> Shape, float Fill = 0.0f);
 
-  /// Creates a rank-1 tensor from raw values.
-  static Tensor fromVector(const std::vector<float> &Values);
-
   /// Wraps an existing buffer (element count must match the shape product)
   /// without initializing it — the workspace recycling path.
   static Tensor adopt(std::vector<float> Buffer, std::vector<int> Shape);
@@ -64,19 +61,6 @@ public:
     return Data[I];
   }
 
-  /// Rank-3 indexed access (channel, row, column).
-  float &at3(int C, int Y, int X) {
-    assert(rank() == 3 && "at3 requires a rank-3 tensor");
-    return Data[(static_cast<size_t>(C) * Dims[1] + Y) * Dims[2] + X];
-  }
-  float at3(int C, int Y, int X) const {
-    assert(rank() == 3 && "at3 requires a rank-3 tensor");
-    return Data[(static_cast<size_t>(C) * Dims[1] + Y) * Dims[2] + X];
-  }
-
-  /// Reinterprets the data with a new shape of identical element count.
-  Tensor reshaped(std::vector<int> NewShape) const;
-
   /// For a batched tensor whose leading dimension is the batch, the number
   /// of elements in one sample.
   size_t sampleSize() const {
@@ -97,17 +81,8 @@ public:
   /// Sets every element to \p V.
   void fill(float V);
 
-  /// Element-wise accumulate: this += Other (shapes must match).
-  void add(const Tensor &Other);
-
-  /// Scales every element by \p S.
-  void scale(float S);
-
   /// Index of the maximum element (ties resolve to the lowest index).
   size_t argmax() const;
-
-  /// Largest element value; tensor must be nonempty.
-  float maxValue() const;
 
 private:
   friend class Workspace; ///< Recycles Dims/Data buffers without copies.

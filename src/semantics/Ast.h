@@ -12,7 +12,7 @@
 /// This module exists to make the semantics *executable*: the interpreter in
 /// Interp.h runs these statements over explicit sigma / pi / theta stores, so
 /// every rule of the figure can be unit- and property-tested, and the
-/// production Runtime can be validated against the formal model.
+/// production Session can be validated against the formal model.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,13 +3,15 @@
 #include "core/Checkpoint.h"
 #include "core/DatabaseStore.h"
 #include "core/Model.h"
-#include "core/Runtime.h"
+#include "core/Engine.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 using namespace au;
+using au::test::TempPath;
 
 //===----------------------------------------------------------------------===//
 // DatabaseStore (pi)
@@ -163,26 +165,24 @@ TEST(SlModelTest, SaveLoadRoundTrip) {
     A.addSample({X}, {3 * X}, Outs);
   }
   A.train(40, 8);
-  std::string Path = "/tmp/au_test_sl.aumodel";
-  ASSERT_TRUE(A.save(Path));
+  TempPath Path("sl.aumodel");
+  ASSERT_TRUE(A.save(Path.str()));
 
   SlModel B(slConfig("m"));
-  ASSERT_TRUE(B.load(Path));
+  ASSERT_TRUE(B.load(Path.str()));
   EXPECT_TRUE(B.isBuilt());
   EXPECT_EQ(B.outputs().size(), 1u);
   EXPECT_EQ(B.outputs().front().Name, "Y");
   EXPECT_FLOAT_EQ(A.predict({0.4f})[0], B.predict({0.4f})[0]);
-  std::remove(Path.c_str());
 }
 
 TEST(SlModelTest, LoadRejectsGarbage) {
-  std::string Path = "/tmp/au_test_garbage.aumodel";
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  TempPath Path("garbage.aumodel");
+  std::FILE *F = std::fopen(Path.str().c_str(), "wb");
   std::fputs("not a model", F);
   std::fclose(F);
   SlModel M(slConfig("m"));
-  EXPECT_FALSE(M.load(Path));
-  std::remove(Path.c_str());
+  EXPECT_FALSE(M.load(Path.str()));
 }
 
 static ModelConfig rlConfig(const char *Name) {
@@ -225,236 +225,247 @@ TEST(RlModelTest, SaveLoadRoundTrip) {
   Rng R(11);
   for (int I = 0; I < 30; ++I)
     A.step({static_cast<float>(R.uniform())}, 0.1f, false, Out, true);
-  std::string Path = "/tmp/au_test_rl.aumodel";
-  ASSERT_TRUE(A.save(Path));
+  TempPath Path("rl.aumodel");
+  ASSERT_TRUE(A.save(Path.str()));
 
   RlModel B(rlConfig("q"));
-  ASSERT_TRUE(B.load(Path));
+  ASSERT_TRUE(B.load(Path.str()));
   std::vector<float> QA = A.qValues({0.5f});
   std::vector<float> QB = B.qValues({0.5f});
   ASSERT_EQ(QA.size(), QB.size());
   for (size_t I = 0; I != QA.size(); ++I)
     EXPECT_FLOAT_EQ(QA[I], QB[I]);
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
-// Runtime primitives
+// Session primitives
 //===----------------------------------------------------------------------===//
 
 TEST(RuntimeTest, ExtractAppendsAndCounts) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   float Vals[3] = {1, 2, 3};
-  RT.extract("X", 3, Vals);
-  RT.extract("X", 1.5f);
-  EXPECT_EQ(RT.db().get("X").size(), 4u);
-  EXPECT_EQ(RT.stats().NumExtract, 2u);
-  EXPECT_EQ(RT.stats().FloatsExtracted, 4u);
-  EXPECT_EQ(RT.stats().traceBytes(), 4 * sizeof(float));
+  S.extract("X", 3, Vals);
+  S.extract("X", 1.5f);
+  EXPECT_EQ(S.db().get("X").size(), 4u);
+  EXPECT_EQ(S.stats().NumExtract, 2u);
+  EXPECT_EQ(S.stats().FloatsExtracted, 4u);
+  EXPECT_EQ(S.stats().traceBytes(), 4 * sizeof(float));
 }
 
 TEST(RuntimeTest, ExtractDoubleConverts) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   double Vals[2] = {1.25, -2.5};
-  RT.extract("D", 2, Vals);
-  EXPECT_FLOAT_EQ(RT.db().get("D")[1], -2.5f);
+  S.extract("D", 2, Vals);
+  EXPECT_FLOAT_EQ(S.db().get("D")[1], -2.5f);
 }
 
 TEST(RuntimeTest, ConfigIsIdempotent) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "m";
   C.HiddenLayers = {4};
-  Model *A = RT.config(C);
-  Model *B = RT.config(C);
+  Model *A = S.config(C);
+  Model *B = S.config(C);
   EXPECT_EQ(A, B);
-  EXPECT_EQ(RT.stats().NumConfig, 2u);
+  EXPECT_EQ(S.stats().NumConfig, 2u);
 }
 
 TEST(RuntimeTest, SupervisedTrainPredictCycle) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "lin";
   C.HiddenLayers = {16};
   C.Seed = 21;
-  RT.config(C);
+  S.config(C);
 
   Rng R(22);
   for (int I = 0; I < 120; ++I) {
     float X = static_cast<float>(R.uniform(-1, 1));
-    RT.extract("F", X);
-    RT.nn("lin", "F", {{"OUT", 1}});
+    S.extract("F", X);
+    S.nn("lin", "F", {{"OUT", 1}});
     // In TR mode the program variable holds the desirable value.
     float Desired = 4 * X + 1;
-    RT.writeBack("OUT", 1, &Desired);
+    S.writeBack("OUT", 1, &Desired);
     // au_NN resets the extraction list each iteration.
-    EXPECT_TRUE(RT.db().get("F").empty());
+    EXPECT_TRUE(S.db().get("F").empty());
   }
-  RT.trainSupervised("lin", 60, 16);
-  RT.switchMode(Mode::TS);
+  S.trainSupervised("lin", 60, 16);
+  S.switchMode(Mode::TS);
 
   float X = 0.5f;
-  RT.extract("F", X);
-  RT.nn("lin", "F", {{"OUT", 1}});
+  S.extract("F", X);
+  S.nn("lin", "F", {{"OUT", 1}});
   float Pred = 0.0f;
-  RT.writeBack("OUT", 1, &Pred);
+  S.writeBack("OUT", 1, &Pred);
   EXPECT_NEAR(Pred, 3.0f, 0.6f);
 }
 
 TEST(RuntimeTest, MultiOutputLabelsAssembleInDeclaredOrder) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "multi";
   C.HiddenLayers = {8};
-  RT.config(C);
+  S.config(C);
   for (int I = 0; I < 40; ++I) {
     float X = static_cast<float>(I) / 40.0f;
-    RT.extract("F", X);
-    RT.nn("multi", "F", {{"A", 1}, {"B", 1}});
+    S.extract("F", X);
+    S.nn("multi", "F", {{"A", 1}, {"B", 1}});
     // Write back in the opposite order to the declaration.
     float BV = -X;
-    RT.writeBack("B", 1, &BV);
+    S.writeBack("B", 1, &BV);
     float AV = X;
-    RT.writeBack("A", 1, &AV);
+    S.writeBack("A", 1, &AV);
   }
-  auto *M = static_cast<SlModel *>(RT.getModel("multi"));
+  auto *M = static_cast<SlModel *>(S.getModel("multi"));
   ASSERT_TRUE(M);
   EXPECT_EQ(M->numSamples(), 40u);
-  RT.trainSupervised("multi", 50, 8);
-  RT.switchMode(Mode::TS);
-  RT.extract("F", 0.5f);
-  RT.nn("multi", "F", {{"A", 1}, {"B", 1}});
+  S.trainSupervised("multi", 50, 8);
+  S.switchMode(Mode::TS);
+  S.extract("F", 0.5f);
+  S.nn("multi", "F", {{"A", 1}, {"B", 1}});
   float AV = 0, BV = 0;
-  RT.writeBack("A", 1, &AV);
-  RT.writeBack("B", 1, &BV);
+  S.writeBack("A", 1, &AV);
+  S.writeBack("B", 1, &BV);
   EXPECT_GT(AV, 0.0f);
   EXPECT_LT(BV, 0.0f);
 }
 
 TEST(RuntimeTest, SerializeReturnsCombinedName) {
-  Runtime RT(Mode::TR);
-  RT.extract("PX", 1.0f);
-  RT.extract("PY", 2.0f);
-  std::string Name = RT.serialize({"PX", "PY"});
+  Engine Eng;
+  Session S(Eng, Mode::TR);
+  S.extract("PX", 1.0f);
+  S.extract("PY", 2.0f);
+  std::string Name = S.serialize({"PX", "PY"});
   EXPECT_EQ(Name, "PXPY");
-  EXPECT_EQ(RT.db().get(Name).size(), 2u);
+  EXPECT_EQ(S.db().get(Name).size(), 2u);
 }
 
 TEST(RuntimeTest, RlNnStepsAndWritesAction) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "agent";
   C.Algo = Algorithm::QLearn;
   C.HiddenLayers = {8};
-  RT.config(C);
+  S.config(C);
   for (int I = 0; I < 10; ++I) {
-    RT.extract("S", static_cast<float>(I) / 10.0f);
-    RT.nn("agent", "S", /*Reward=*/0.5f, /*Terminal=*/false,
+    S.extract("S", static_cast<float>(I) / 10.0f);
+    S.nn("agent", "S", /*Reward=*/0.5f, /*Terminal=*/false,
           {"output", 4});
     int Action = -1;
-    RT.writeBack("output", 4, &Action);
+    S.writeBack("output", 4, &Action);
     EXPECT_GE(Action, 0);
     EXPECT_LT(Action, 4);
   }
-  Model *M = RT.getModel("agent");
+  Model *M = S.getModel("agent");
   ASSERT_TRUE(M);
   EXPECT_TRUE(RlModel::classof(M));
   EXPECT_TRUE(M->isBuilt());
 }
 
 TEST(RuntimeTest, CheckpointRestoreExcludesModels) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "agent";
   C.Algo = Algorithm::QLearn;
   C.HiddenLayers = {8};
-  RT.config(C);
+  S.config(C);
 
   double GameState = 1.0;
-  RT.checkpoints().registerRegion(&GameState, sizeof(GameState));
-  RT.extract("S", 0.1f);
-  RT.checkpoint();
+  S.checkpoints().registerRegion(&GameState, sizeof(GameState));
+  S.extract("S", 0.1f);
+  S.checkpoint();
 
   // Mutate program state, pi, and train the model.
   GameState = 42.0;
-  RT.extract("S", 0.2f);
+  S.extract("S", 0.2f);
   for (int I = 0; I < 20; ++I) {
-    RT.extract("T", static_cast<float>(I));
-    RT.nn("agent", "T", 1.0f, false, {"output", 2});
+    S.extract("T", static_cast<float>(I));
+    S.nn("agent", "T", 1.0f, false, {"output", 2});
   }
-  auto *M = static_cast<RlModel *>(RT.getModel("agent"));
+  auto *M = static_cast<RlModel *>(S.getModel("agent"));
   long Steps = M->learner()->stepsObserved();
 
-  RT.restore();
+  S.restore();
   // sigma and pi roll back...
   EXPECT_DOUBLE_EQ(GameState, 1.0);
-  EXPECT_EQ(RT.db().get("S").size(), 1u);
+  EXPECT_EQ(S.db().get("S").size(), 1u);
   // ...but the model keeps its accumulated learning.
   EXPECT_EQ(M->learner()->stepsObserved(), Steps);
 }
 
 TEST(RuntimeTest, TsModeLoadsSavedModel) {
-  std::string Dir = "/tmp";
+  TempPath Dir("models", /*MakeDir=*/true);
   {
-    Runtime RT(Mode::TR, Dir);
+    Engine Eng(Dir.str());
+    Session S(Eng, Mode::TR);
     ModelConfig C;
     C.Name = "persisted";
     C.HiddenLayers = {8};
     C.Seed = 77;
-    RT.config(C);
+    S.config(C);
     Rng R(78);
     for (int I = 0; I < 60; ++I) {
       float X = static_cast<float>(R.uniform(0, 1));
-      RT.extract("F", X);
-      RT.nn("persisted", "F", {{"Y", 1}});
+      S.extract("F", X);
+      S.nn("persisted", "F", {{"Y", 1}});
       float Label = 2 * X;
-      RT.writeBack("Y", 1, &Label);
+      S.writeBack("Y", 1, &Label);
     }
-    RT.trainSupervised("persisted", 40, 16);
-    ASSERT_TRUE(RT.saveModel("persisted"));
+    S.trainSupervised("persisted", 40, 16);
+    ASSERT_TRUE(S.saveModel("persisted"));
   }
   {
-    Runtime RT(Mode::TS, Dir);
+    Engine Eng(Dir.str());
+    Session S(Eng, Mode::TS);
     ModelConfig C;
     C.Name = "persisted";
-    RT.config(C); // CONFIG-TEST loads from disk.
-    RT.extract("F", 0.5f);
-    RT.nn("persisted", "F", {{"Y", 1}});
+    S.config(C); // CONFIG-TEST loads from disk.
+    S.extract("F", 0.5f);
+    S.nn("persisted", "F", {{"Y", 1}});
     float Pred = 0.0f;
-    RT.writeBack("Y", 1, &Pred);
+    S.writeBack("Y", 1, &Pred);
     EXPECT_NEAR(Pred, 1.0f, 0.5f);
   }
-  std::remove("/tmp/persisted.aumodel");
 }
 
 TEST(RuntimeTest, ModelPathComposition) {
-  Runtime A(Mode::TR, "/models");
+  Engine EngA("/models");
+  Session A(EngA, Mode::TR);
   EXPECT_EQ(A.modelPath("m"), "/models/m.aumodel");
-  Runtime B(Mode::TR);
+  Engine EngB;
+  Session B(EngB, Mode::TR);
   EXPECT_EQ(B.modelPath("m"), "m.aumodel");
 }
 
 TEST(RuntimeTest, StatsCountPrimitives) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "m";
   C.HiddenLayers = {4};
-  RT.config(C);
-  RT.extract("X", 1.0f);
-  RT.serialize({"X"});
-  RT.nn("m", "X", {{"Y", 1}});
+  S.config(C);
+  S.extract("X", 1.0f);
+  S.serialize({"X"});
+  S.nn("m", "X", {{"Y", 1}});
   float V = 1.0f;
-  RT.writeBack("Y", 1, &V);
-  RT.checkpoint();
-  RT.restore();
-  const RuntimeStats &S = RT.stats();
-  EXPECT_EQ(S.NumConfig, 1u);
-  EXPECT_EQ(S.NumExtract, 1u);
-  EXPECT_EQ(S.NumSerialize, 1u);
-  EXPECT_EQ(S.NumNn, 1u);
-  EXPECT_EQ(S.NumWriteBack, 1u);
-  EXPECT_EQ(S.NumCheckpoint, 1u);
-  EXPECT_EQ(S.NumRestore, 1u);
+  S.writeBack("Y", 1, &V);
+  S.checkpoint();
+  S.restore();
+  const SessionStats &St = S.stats();
+  EXPECT_EQ(St.NumConfig, 1u);
+  EXPECT_EQ(St.NumExtract, 1u);
+  EXPECT_EQ(St.NumSerialize, 1u);
+  EXPECT_EQ(St.NumNn, 1u);
+  EXPECT_EQ(St.NumWriteBack, 1u);
+  EXPECT_EQ(St.NumCheckpoint, 1u);
+  EXPECT_EQ(St.NumRestore, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -608,15 +619,16 @@ TEST(RuntimeTest, StringAndHandleTracesAreEquivalent) {
   // The same RL deployment loop driven once through the string API and
   // once through interned handles must be observationally identical: same
   // actions, same pi contents, same primitive counts.
-  auto Configure = [](Runtime &RT) {
+  auto Configure = [](Session &Sn) {
     ModelConfig C;
     C.Name = "agent";
     C.Algo = Algorithm::QLearn;
     C.HiddenLayers = {8};
     C.Seed = 11;
-    RT.config(C);
+    Sn.config(C);
   };
-  Runtime S(Mode::TR), H(Mode::TR);
+  Engine EngS, EngH;
+  Session S(EngS, Mode::TR), H(EngH, Mode::TR);
   Configure(S);
   Configure(H);
   NameId PX = H.intern("PX"), PY = H.intern("PY");
@@ -653,38 +665,39 @@ TEST(RuntimeTest, StringAndHandleTracesAreEquivalent) {
 }
 
 TEST(RuntimeTest, NnBatchMatchesScalarPredictions) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "m";
   C.HiddenLayers = {16};
   C.Seed = 33;
-  RT.config(C);
+  S.config(C);
   Rng R(34);
   for (int I = 0; I < 80; ++I) {
     float X = static_cast<float>(R.uniform(-1, 1));
-    RT.extract("F", X);
-    RT.nn("m", "F", {{"Y", 1}});
+    S.extract("F", X);
+    S.nn("m", "F", {{"Y", 1}});
     float Label = 3 * X - 1;
-    RT.writeBack("Y", 1, &Label);
+    S.writeBack("Y", 1, &Label);
   }
-  RT.trainSupervised("m", 30, 16);
-  RT.switchMode(Mode::TS);
+  S.trainSupervised("m", 30, 16);
+  S.switchMode(Mode::TS);
 
-  NameId M = RT.intern("m"), F = RT.intern("F"), Y = RT.intern("Y");
+  NameId M = S.intern("m"), F = S.intern("F"), Y = S.intern("Y");
   const int Rows = 6;
   float Xs[Rows] = {-0.9f, -0.3f, 0.0f, 0.2f, 0.6f, 1.0f};
 
   float Scalar[Rows];
   for (int I = 0; I < Rows; ++I) {
-    RT.extract(F, Xs[I]);
-    RT.nn(M, F, {{Y, 1}});
-    RT.writeBack(Y, 1, &Scalar[I]);
+    S.extract(F, Xs[I]);
+    S.nn(M, F, {{Y, 1}});
+    S.writeBack(Y, 1, &Scalar[I]);
   }
 
-  RT.extract(F, Rows, Xs); // All rows back to back.
-  RT.nnBatch(M, F, Rows, {{Y, 1}});
+  S.extract(F, Rows, Xs); // All rows back to back.
+  S.nnBatch(M, F, Rows, {{Y, 1}});
   float Batched[Rows];
-  RT.writeBack(Y, Rows, Batched);
+  S.writeBack(Y, Rows, Batched);
   for (int I = 0; I < Rows; ++I)
     EXPECT_FLOAT_EQ(Batched[I], Scalar[I]) << "row " << I;
 }
@@ -693,9 +706,10 @@ TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {
   // Many regions, objects and pi slots; repeated mutate/restore rounds with
   // different dirty subsets each round must restore bit-identically while
   // re-copying only the dirty slice at each checkpoint.
-  Runtime RT(Mode::TR);
-  CheckpointManager &M = RT.checkpoints();
-  DatabaseStore &Db = RT.db();
+  Engine Eng;
+  Session S(Eng, Mode::TR);
+  CheckpointManager &M = S.checkpoints();
+  DatabaseStore &Db = S.db();
 
   constexpr int NumRegions = 16, NumSlots = 64;
   std::vector<double> Pods(NumRegions);
@@ -716,7 +730,7 @@ TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {
     Slots.push_back(Id);
   }
 
-  RT.checkpoint();
+  S.checkpoint();
   size_t FullCopies = M.lastCheckpointCopies();
   EXPECT_GE(FullCopies, static_cast<size_t>(NumRegions + NumSlots));
 
@@ -743,7 +757,7 @@ TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {
     if (Round % 2 == 1) {
       // Re-checkpoint: only the dirty slice re-copies (O(delta)), and the
       // mutations above become the new baseline.
-      RT.checkpoint();
+      S.checkpoint();
       EXPECT_LT(M.lastCheckpointCopies(), FullCopies / 2)
           << "round " << Round;
       BasePods = Pods;
@@ -756,7 +770,7 @@ TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {
     }
 
     // Restore must rewind to the latest baseline, bit for bit, repeatedly.
-    RT.restore();
+    S.restore();
     for (int I = 0; I < NumRegions; ++I)
       ASSERT_DOUBLE_EQ(Pods[I], BasePods[I]) << "round " << Round;
     for (int I = 0; I < 4; ++I)
@@ -768,16 +782,17 @@ TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {
 }
 
 TEST(CheckpointTest, SlotsInternedAfterSnapshotRollBackToBottom) {
-  Runtime RT(Mode::TR);
-  RT.extract("old", 1.0f);
-  RT.checkpoint();
-  NameId Fresh = RT.intern("fresh");
-  RT.extract(Fresh, 2.0f);
-  RT.restore();
-  EXPECT_FALSE(RT.db().contains(Fresh));
-  EXPECT_EQ(RT.db().get("old").size(), 1u);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
+  S.extract("old", 1.0f);
+  S.checkpoint();
+  NameId Fresh = S.intern("fresh");
+  S.extract(Fresh, 2.0f);
+  S.restore();
+  EXPECT_FALSE(S.db().contains(Fresh));
+  EXPECT_EQ(S.db().get("old").size(), 1u);
   // And the store keeps working for the rolled-back slot.
-  RT.extract(Fresh, 3.0f);
-  ASSERT_EQ(RT.db().get(Fresh).size(), 1u);
-  EXPECT_FLOAT_EQ(RT.db().get(Fresh)[0], 3.0f);
+  S.extract(Fresh, 3.0f);
+  ASSERT_EQ(S.db().get(Fresh).size(), 1u);
+  EXPECT_FLOAT_EQ(S.db().get(Fresh)[0], 3.0f);
 }

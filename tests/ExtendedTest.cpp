@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/flappy/Flappy.h"
-#include "core/Runtime.h"
+#include "core/Engine.h"
 #include "nn/Layers.h"
 #include "semantics/Interp.h"
 
@@ -22,7 +22,8 @@ using namespace au;
 //===----------------------------------------------------------------------===//
 
 TEST(CustomNetworkTest, SupervisedModelUsesCallback) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "custom";
   C.Seed = 3;
@@ -35,22 +36,22 @@ TEST(CustomNetworkTest, SupervisedModelUsesCallback) {
     Net.add(std::make_unique<nn::Dense>(3, Out, R));
     return Net;
   };
-  RT.config(C);
+  S.config(C);
   Rng Data(5);
   for (int I = 0; I < 60; ++I) {
     float X = static_cast<float>(Data.uniform(-1, 1));
-    RT.extract("F", X);
-    RT.nn("custom", "F", {{"Y", 1}});
+    S.extract("F", X);
+    S.nn("custom", "F", {{"Y", 1}});
     float Label = -2 * X;
-    RT.writeBack("Y", 1, &Label);
+    S.writeBack("Y", 1, &Label);
   }
   EXPECT_TRUE(CallbackRan);
-  RT.trainSupervised("custom", 200, 16);
-  RT.switchMode(Mode::TS);
-  RT.extract("F", 0.5f);
-  RT.nn("custom", "F", {{"Y", 1}});
+  S.trainSupervised("custom", 200, 16);
+  S.switchMode(Mode::TS);
+  S.extract("F", 0.5f);
+  S.nn("custom", "F", {{"Y", 1}});
   float Pred = 0.0f;
-  RT.writeBack("Y", 1, &Pred);
+  S.writeBack("Y", 1, &Pred);
   EXPECT_NEAR(Pred, -1.0f, 0.7f);
 }
 
@@ -107,32 +108,33 @@ TEST(CnnSlTest, TrainsOnImageLikeFeatures) {
 //===----------------------------------------------------------------------===//
 
 TEST(MultiModelTest, SupervisedAndReinforcementCoexist) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig Sl;
   Sl.Name = "param";
   Sl.HiddenLayers = {8};
-  RT.config(Sl);
+  S.config(Sl);
   ModelConfig Rl;
   Rl.Name = "agent";
   Rl.Algo = Algorithm::QLearn;
   Rl.HiddenLayers = {8};
-  RT.config(Rl);
+  S.config(Rl);
 
   for (int I = 0; I < 25; ++I) {
     // Interleave both models through the shared database store.
     float X = static_cast<float>(I) / 25.0f;
-    RT.extract("SLF", X);
-    RT.nn("param", "SLF", {{"P", 1}});
+    S.extract("SLF", X);
+    S.nn("param", "SLF", {{"P", 1}});
     float Label = 3 * X;
-    RT.writeBack("P", 1, &Label);
+    S.writeBack("P", 1, &Label);
 
-    RT.extract("ST", X);
-    RT.nn("agent", "ST", 0.1f, false, {"output", 2});
+    S.extract("ST", X);
+    S.nn("agent", "ST", 0.1f, false, {"output", 2});
     int Action = 0;
-    RT.writeBack("output", 2, &Action);
+    S.writeBack("output", 2, &Action);
   }
-  auto *SlM = static_cast<SlModel *>(RT.getModel("param"));
-  auto *RlM = static_cast<RlModel *>(RT.getModel("agent"));
+  auto *SlM = static_cast<SlModel *>(S.getModel("param"));
+  auto *RlM = static_cast<RlModel *>(S.getModel("agent"));
   ASSERT_TRUE(SlM && RlM);
   EXPECT_EQ(SlM->numSamples(), 25u);
   EXPECT_EQ(RlM->learner()->stepsObserved(), 24); // First step has no prev.
@@ -154,12 +156,13 @@ TEST(DifferentialTest, ExtractWriteBackPlumbingMatchesSemantics) {
                         semantics::ExtractStmt{"ext", "size", "x"},
                     });
 
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   float X[3] = {1.0f, 2.0f, 3.0f};
-  RT.extract("ext", 3, X);
-  RT.extract("ext", 3, X);
+  S.extract("ext", 3, X);
+  S.extract("ext", 3, X);
 
-  EXPECT_EQ(M.Pi.get("ext"), RT.db().get("ext"));
+  EXPECT_EQ(M.Pi.get("ext"), S.db().get("ext"));
 }
 
 TEST(DifferentialTest, SerializeNameCompositionMatchesSemantics) {
@@ -168,12 +171,13 @@ TEST(DifferentialTest, SerializeNameCompositionMatchesSemantics) {
   M.Pi.set("b", {2.0f});
   semantics::step(M, semantics::SerializeStmt{"a", "b"});
 
-  Runtime RT(Mode::TR);
-  RT.extract("a", 1.0f);
-  RT.extract("b", 2.0f);
-  std::string Name = RT.serialize({"a", "b"});
+  Engine Eng;
+  Session S(Eng, Mode::TR);
+  S.extract("a", 1.0f);
+  S.extract("b", 2.0f);
+  std::string Name = S.serialize({"a", "b"});
   EXPECT_EQ(Name, "ab");
-  EXPECT_EQ(M.Pi.get("ab"), RT.db().get("ab"));
+  EXPECT_EQ(M.Pi.get("ab"), S.db().get("ab"));
 }
 
 TEST(DifferentialTest, CheckpointScopeMatchesSemantics) {
@@ -195,22 +199,23 @@ TEST(DifferentialTest, CheckpointScopeMatchesSemantics) {
   EXPECT_EQ(M.Theta["m"], ThetaTrained);
   EXPECT_TRUE(M.Pi.get("wb").empty());
 
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ModelConfig MC;
   MC.Name = "m";
   MC.Algo = Algorithm::QLearn;
   MC.HiddenLayers = {8};
-  RT.config(MC);
-  RT.checkpoint();
+  S.config(MC);
+  S.checkpoint();
   for (int I = 0; I < 10; ++I) {
-    RT.extract("ext", 0.5f);
-    RT.nn("m", "ext", 1.0f, false, {"output", 2});
+    S.extract("ext", 0.5f);
+    S.nn("m", "ext", 1.0f, false, {"output", 2});
   }
-  auto *Rl = static_cast<RlModel *>(RT.getModel("m"));
+  auto *Rl = static_cast<RlModel *>(S.getModel("m"));
   long Steps = Rl->learner()->stepsObserved();
-  RT.restore();
+  S.restore();
   EXPECT_EQ(Rl->learner()->stepsObserved(), Steps);
-  EXPECT_TRUE(RT.db().get("output").empty());
+  EXPECT_TRUE(S.db().get("output").empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,22 +226,23 @@ class SerializeArity : public ::testing::TestWithParam<int> {};
 
 TEST_P(SerializeArity, CombinedLengthIsSumAndConstituentsConsumed) {
   int N = GetParam();
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   std::vector<std::string> Names;
   size_t Expected = 0;
   for (int I = 0; I < N; ++I) {
     std::string Name = "v" + std::to_string(I);
     // Variable-length lists exercise the concat.
     for (int K = 0; K <= I % 3; ++K)
-      RT.extract(Name, static_cast<float>(I * 10 + K));
+      S.extract(Name, static_cast<float>(I * 10 + K));
     Expected += 1 + I % 3;
     Names.push_back(Name);
   }
-  std::string Combined = RT.serialize(Names);
-  EXPECT_EQ(RT.db().get(Combined).size(), Expected);
+  std::string Combined = S.serialize(Names);
+  EXPECT_EQ(S.db().get(Combined).size(), Expected);
   for (const std::string &Name : Names)
     if (Name != Combined) // A single list serializes onto its own name.
-      EXPECT_TRUE(RT.db().get(Name).empty())
+      EXPECT_TRUE(S.db().get(Name).empty())
           << Name << " should be consumed by serialize";
 }
 

@@ -12,10 +12,12 @@
 #include "apps/flappy/Flappy.h"
 #include "apps/mario/Mario.h"
 #include "apps/torcs/Torcs.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
 using namespace au;
+using au::test::TempPath;
 using namespace au::apps;
 using analysis::SlPick;
 
@@ -42,7 +44,8 @@ TEST(IntegrationSl, OracleBoundsLearnedVersions) {
 
 TEST(IntegrationRl, FlappyAllVariantTrainsAndImproves) {
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
 
   // Feature extraction exactly as deployed: Algorithm 2 over a profile run.
   RlTrainOptions Opt;
@@ -54,49 +57,52 @@ TEST(IntegrationRl, FlappyAllVariantTrainsAndImproves) {
   Opt.QCfg.EpsilonDecaySteps = 2500;
 
   RlEvalResult Before = evalRandom(Env, Opt, 10);
-  RlTrainResult Train = trainRl(Env, RT, Opt);
+  RlTrainResult Train = trainRl(Env, S, Opt);
   EXPECT_EQ(Train.StepsRun, 4000);
   EXPECT_GT(Train.Episodes, 0);
   EXPECT_GT(Train.TraceBytes, 0u);
-  RlEvalResult After = evalRl(Env, RT, Opt, 10);
+  RlEvalResult After = evalRl(Env, S, Opt, 10);
   // Learning must clearly beat random play even at this tiny budget.
   EXPECT_GT(After.MeanProgress, Before.MeanProgress);
 }
 
 TEST(IntegrationRl, EvalDoesNotPerturbTraining) {
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = {"birdY", "birdV", "pipeDx", "gap1Y", "diffY"};
   Opt.TrainSteps = 600;
   Opt.EvalEvery = 200; // Interleaved evaluations.
   Opt.EvalEpisodes = 2;
   Opt.Seed = 22;
-  RlTrainResult Res = trainRl(Env, RT, Opt);
+  RlTrainResult Res = trainRl(Env, S, Opt);
   EXPECT_EQ(Res.StepsRun, 600);
   EXPECT_EQ(Res.Curve.size(), 3u);
-  EXPECT_EQ(RT.mode(), Mode::TR) << "mode restored after evals";
+  EXPECT_EQ(S.mode(), Mode::TR) << "mode restored after evals";
 }
 
 TEST(IntegrationRl, CheckpointRestoreDrivesEpisodes) {
   MarioEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = {"PX", "PY", "MnX", "OBJ", "objDx", "onGround"};
   Opt.TrainSteps = 1500;
   Opt.MaxEpisodeSteps = 120;
   Opt.Seed = 23;
-  RlTrainResult Res = trainRl(Env, RT, Opt);
+  RlTrainResult Res = trainRl(Env, S, Opt);
   // Episode truncation at 120 steps guarantees several episodes, hence
   // several au_restore invocations.
   EXPECT_GT(Res.Episodes, 3);
-  EXPECT_GT(RT.stats().NumRestore, 0u);
-  EXPECT_GT(RT.stats().NumCheckpoint, 0u);
+  EXPECT_GT(S.stats().NumRestore, 0u);
+  EXPECT_GT(S.stats().NumCheckpoint, 0u);
 }
 
 TEST(IntegrationRl, RawVariantRunsWithCnn) {
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.Variant = RlVariant::Raw;
   Opt.FrameSide = 16;
@@ -104,39 +110,39 @@ TEST(IntegrationRl, RawVariantRunsWithCnn) {
   Opt.Seed = 24;
   Opt.QCfg.WarmupSteps = 50;
   Opt.QCfg.BatchSize = 8;
-  RlTrainResult Res = trainRl(Env, RT, Opt);
+  RlTrainResult Res = trainRl(Env, S, Opt);
   EXPECT_EQ(Res.StepsRun, 250);
   // The raw-pixel trace dwarfs the program-variable trace (Table 2).
   EXPECT_GT(Res.TraceBytes, 250u * 16 * 16 * sizeof(float) / 2);
-  Model *M = RT.getModel(rlModelName(Env, RlVariant::Raw));
+  Model *M = S.getModel(rlModelName(Env, RlVariant::Raw));
   ASSERT_TRUE(M);
   EXPECT_EQ(M->config().Type, ModelType::CNN);
 }
 
 TEST(IntegrationRl, TrainedRlModelSurvivesSaveLoad) {
   FlappyEnv Env;
-  std::string Dir = "/tmp";
+  TempPath Dir("models", /*MakeDir=*/true);
   RlTrainOptions Opt;
   Opt.FeatureNames = {"birdY", "birdV", "pipeDx", "gap1Y", "diffY"};
   Opt.TrainSteps = 800;
   Opt.Seed = 25;
   {
-    Runtime RT(Mode::TR, Dir);
-    trainRl(Env, RT, Opt);
-    ASSERT_TRUE(RT.saveModel(rlModelName(Env, RlVariant::All)));
+    Engine Eng(Dir.str());
+    Session S(Eng, Mode::TR);
+    trainRl(Env, S, Opt);
+    ASSERT_TRUE(S.saveModel(rlModelName(Env, RlVariant::All)));
   }
   {
-    Runtime RT(Mode::TS, Dir);
+    Engine Eng(Dir.str());
+    Session S(Eng, Mode::TS);
     ModelConfig C;
     C.Name = rlModelName(Env, RlVariant::All);
     C.Algo = Algorithm::QLearn;
-    Model *M = RT.config(C); // CONFIG-TEST loads from disk.
+    Model *M = S.config(C); // CONFIG-TEST loads from disk.
     ASSERT_TRUE(M->isBuilt());
-    RlEvalResult R = evalRl(Env, RT, Opt, 3);
+    RlEvalResult R = evalRl(Env, S, Opt, 3);
     EXPECT_GE(R.MeanProgress, 0.0);
   }
-  std::remove(("/tmp/" + rlModelName(Env, RlVariant::All) + ".aumodel")
-                  .c_str());
 }
 
 TEST(IntegrationSelfTest, CoverageRewardFindsMoreBranches) {
@@ -146,13 +152,14 @@ TEST(IntegrationSelfTest, CoverageRewardFindsMoreBranches) {
   MarioEnv CovEnv;
   CovEnv.setCoverageReward(true);
   CovEnv.resetCoverage();
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = {"PX", "PY", "MnX", "OBJ", "objDx", "onGround"};
   Opt.TrainSteps = 2500;
   Opt.MaxEpisodeSteps = 150;
   Opt.Seed = 26;
-  trainRl(CovEnv, RT, Opt);
+  trainRl(CovEnv, S, Opt);
   int CovAgent = CovEnv.coverageCount();
   EXPECT_GT(CovAgent, MarioEnv::NumBranches / 3);
 }

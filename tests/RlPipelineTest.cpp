@@ -148,10 +148,11 @@ ParallelRun runParallel(int NumActors) {
   Opt.QCfg.TrainInterval = NumActors; // One minibatch per lockstep tick.
   Opt.EvalEvery = 300;
   Opt.EvalEpisodes = 3;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   ParallelRun R;
-  R.Train = trainRlParallel(flappyFactory(), RT, Opt, NumActors);
-  R.Eval = evalRlBatched(flappyFactory(), RT, Opt, /*Episodes=*/3);
+  R.Train = trainRlParallel(flappyFactory(), Eng, S, Opt, NumActors);
+  R.Eval = evalRlBatched(flappyFactory(), Eng, S, Opt, /*Episodes=*/3);
   return R;
 }
 
@@ -193,8 +194,9 @@ TEST(RlParallel, TrainRunsBudgetAndFillsReplay) {
   ThreadPool::setGlobalThreads(4);
   RlTrainOptions Opt = smallOptions();
   Opt.QCfg.TrainInterval = 2;
-  Runtime RT(Mode::TR);
-  RlTrainResult Res = trainRlParallel(flappyFactory(), RT, Opt,
+  Engine Eng;
+  Session S(Eng, Mode::TR);
+  RlTrainResult Res = trainRlParallel(flappyFactory(), Eng, S, Opt,
                                       /*NumActors=*/2);
   EXPECT_GE(Res.StepsRun, Opt.TrainSteps);
   EXPECT_GT(Res.Episodes, 0);
@@ -203,16 +205,49 @@ TEST(RlParallel, TrainRunsBudgetAndFillsReplay) {
   EXPECT_GT(Res.NumParams, 0u);
 }
 
+TEST(RlParallel, TrainFoldsLaneStatsIntoMainOnce) {
+  // Every actor-tick is one au_NN per lane, preceded by one extract per
+  // feature and one serialize; it then either steps (one write-back) or
+  // closes an episode. The lanes' counters must land in Main exactly once
+  // per run — a second run on the same Main folds only its own lanes.
+  ThreadPool::setGlobalThreads(2);
+  RlTrainOptions Opt = smallOptions();
+  Opt.QCfg.TrainInterval = 3;
+  const size_t NumFeatures = Opt.FeatureNames.size();
+  Engine Eng;
+  Session S(Eng, Mode::TR);
+  for (int Run = 0; Run < 2; ++Run) {
+    SessionStats Before = S.stats();
+    RlTrainResult Res = trainRlParallel(flappyFactory(), Eng, S, Opt,
+                                        /*NumActors=*/3);
+    const SessionStats &After = S.stats();
+    size_t Ticks = static_cast<size_t>(Res.StepsRun + Res.Episodes);
+    EXPECT_GT(Res.Episodes, 0) << "run " << Run;
+    EXPECT_EQ(After.NumNn - Before.NumNn, Ticks) << "run " << Run;
+    EXPECT_EQ(After.NumSerialize - Before.NumSerialize, Ticks);
+    EXPECT_EQ(After.NumExtract - Before.NumExtract, Ticks * NumFeatures);
+    EXPECT_EQ(After.FloatsExtracted - Before.FloatsExtracted,
+              Ticks * NumFeatures);
+    EXPECT_EQ(After.NumWriteBack - Before.NumWriteBack,
+              static_cast<size_t>(Res.StepsRun));
+    EXPECT_EQ(Res.TraceBytes,
+              (After.FloatsExtracted - Before.FloatsExtracted) *
+                  sizeof(float));
+  }
+  ThreadPool::setGlobalThreads(1);
+}
+
 TEST(RlParallel, BatchedEvalSingleEpisodeMatchesSerialEval) {
   // With one lane the batched evaluator degenerates to the serial schedule
   // (a 1-row batch), and it seeds episodes identically — scores must match
   // exactly on the same trained model.
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt = smallOptions();
-  trainRl(Env, RT, Opt);
-  RlEvalResult Serial = evalRl(Env, RT, Opt, /*Episodes=*/1);
-  RlEvalResult Batched = evalRlBatched(flappyFactory(), RT, Opt,
+  trainRl(Env, S, Opt);
+  RlEvalResult Serial = evalRl(Env, S, Opt, /*Episodes=*/1);
+  RlEvalResult Batched = evalRlBatched(flappyFactory(), Eng, S, Opt,
                                        /*Episodes=*/1);
   EXPECT_EQ(Batched.MeanProgress, Serial.MeanProgress);
   EXPECT_EQ(Batched.SuccessRate, Serial.SuccessRate);
@@ -223,11 +258,12 @@ TEST(RlParallel, BatchedEvalMultiEpisodeMatchesSerialEval) {
   // but each lane still replays exactly the serial per-episode seed
   // schedule, so aggregate scores match the serial evaluator.
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session S(Eng, Mode::TR);
   RlTrainOptions Opt = smallOptions();
-  trainRl(Env, RT, Opt);
-  RlEvalResult Serial = evalRl(Env, RT, Opt, /*Episodes=*/5);
-  RlEvalResult Batched = evalRlBatched(flappyFactory(), RT, Opt,
+  trainRl(Env, S, Opt);
+  RlEvalResult Serial = evalRl(Env, S, Opt, /*Episodes=*/5);
+  RlEvalResult Batched = evalRlBatched(flappyFactory(), Eng, S, Opt,
                                        /*Episodes=*/5);
   EXPECT_EQ(Batched.MeanProgress, Serial.MeanProgress);
   EXPECT_EQ(Batched.SuccessRate, Serial.SuccessRate);

@@ -13,12 +13,14 @@
 #include "apps/sphinx/Sphinx.h"
 #include "apps/torcs/Torcs.h"
 #include "core/Model.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 using namespace au;
+using au::test::TempPath;
 using namespace au::apps;
 
 //===----------------------------------------------------------------------===//
@@ -35,8 +37,8 @@ ModelConfig cfg(const char *Name, Algorithm A = Algorithm::AdamOpt) {
   return C;
 }
 
-/// Writes a trained SL model and returns its path.
-std::string writeTrainedModel() {
+/// Writes a trained SL model to \p Path.
+void writeTrainedModel(const std::string &Path) {
   SlModel M(cfg("m"));
   Rng R(12);
   for (int I = 0; I < 30; ++I) {
@@ -44,52 +46,51 @@ std::string writeTrainedModel() {
     M.addSample({X}, {X}, {{"Y", 1}});
   }
   M.train(5, 8);
-  std::string Path = "/tmp/au_robust.aumodel";
   EXPECT_TRUE(M.save(Path));
-  return Path;
 }
 } // namespace
 
 TEST(PersistenceRobustness, TruncatedFileRejected) {
-  std::string Path = writeTrainedModel();
+  TempPath Path("model.aumodel");
+  writeTrainedModel(Path.str());
   // Truncate to a prefix that still contains a valid magic.
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  std::FILE *F = std::fopen(Path.str().c_str(), "rb");
   ASSERT_TRUE(F);
   char Buf[64];
   size_t N = std::fread(Buf, 1, sizeof(Buf), F);
   std::fclose(F);
-  F = std::fopen(Path.c_str(), "wb");
+  F = std::fopen(Path.str().c_str(), "wb");
   std::fwrite(Buf, 1, N, F);
   std::fclose(F);
 
   SlModel M(cfg("m"));
-  EXPECT_FALSE(M.load(Path));
-  std::remove(Path.c_str());
+  EXPECT_FALSE(M.load(Path.str()));
 }
 
 TEST(PersistenceRobustness, WrongKindRejected) {
-  std::string Path = writeTrainedModel(); // Supervised on disk.
+  TempPath Path("model.aumodel");
+  writeTrainedModel(Path.str()); // Supervised on disk.
   RlModel M(cfg("m", Algorithm::QLearn));
-  EXPECT_FALSE(M.load(Path));
-  std::remove(Path.c_str());
+  EXPECT_FALSE(M.load(Path.str()));
 }
 
 TEST(PersistenceRobustness, EmptyFileRejected) {
-  std::string Path = "/tmp/au_robust_empty.aumodel";
-  std::fclose(std::fopen(Path.c_str(), "wb"));
+  TempPath Path("empty.aumodel");
+  std::fclose(std::fopen(Path.str().c_str(), "wb"));
   SlModel M(cfg("m"));
-  EXPECT_FALSE(M.load(Path));
-  std::remove(Path.c_str());
+  EXPECT_FALSE(M.load(Path.str()));
 }
 
 TEST(PersistenceRobustness, MissingFileRejected) {
   SlModel M(cfg("m"));
-  EXPECT_FALSE(M.load("/tmp/definitely_absent.aumodel"));
+  TempPath Absent("absent.aumodel");
+  EXPECT_FALSE(M.load(Absent.str()));
 }
 
 TEST(PersistenceRobustness, UnbuiltModelRefusesToSave) {
   SlModel M(cfg("m"));
-  EXPECT_FALSE(M.save("/tmp/au_unbuilt.aumodel"));
+  TempPath Path("unbuilt.aumodel");
+  EXPECT_FALSE(M.save(Path.str()));
 }
 
 //===----------------------------------------------------------------------===//

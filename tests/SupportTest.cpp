@@ -5,6 +5,7 @@
 #include "support/Ssim.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
+#include "TempPath.h"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cstdio>
 
 using namespace au;
+using au::test::TempPath;
 
 //===----------------------------------------------------------------------===//
 // Rng
@@ -228,18 +230,18 @@ TEST(ImageTest, PgmRoundTrip) {
   Rng R(3);
   for (float &P : I.data())
     P = static_cast<float>(R.uniform());
-  std::string Path = "/tmp/au_test_image.pgm";
-  ASSERT_TRUE(writePgm(I, Path));
-  Image Back = readPgm(Path);
+  TempPath Path("image.pgm");
+  ASSERT_TRUE(writePgm(I, Path.str()));
+  Image Back = readPgm(Path.str());
   ASSERT_EQ(Back.width(), 8);
   ASSERT_EQ(Back.height(), 6);
   for (size_t K = 0; K != I.size(); ++K)
     EXPECT_NEAR(Back.data()[K], I.data()[K], 1.0 / 255.0 + 1e-6);
-  std::remove(Path.c_str());
 }
 
 TEST(ImageTest, ReadPgmMissingFileIsEmpty) {
-  EXPECT_TRUE(readPgm("/tmp/definitely_not_here.pgm").empty());
+  TempPath Absent("absent.pgm");
+  EXPECT_TRUE(readPgm(Absent.str()).empty());
 }
 
 //===----------------------------------------------------------------------===//
