@@ -110,7 +110,7 @@ double benchLayerBatched(L &Layer, const Tensor &In, const Tensor &GradOut) {
   int BN = In.dim(0);
   double Ns = timeNs([&] {
     Tensor Y = Layer.forwardBatch(In);
-    Tensor GI = Layer.backwardBatch(GradOut);
+    Tensor GI = Layer.backwardBatch(GradOut, /*NeedGradIn=*/true);
     Sink = GI[0] + Y[0];
   });
   return Ns / BN;

@@ -322,6 +322,34 @@ void au::nn::reluBackwardKernel(float *G, const float *X, size_t N) {
       G[I] = 0.0f;
 }
 
+void au::nn::maxPool2x2Kernel(const float *In, int C, int H, int W,
+                              float *Out, uint8_t *Window) {
+  if (simdKernelsActive()) {
+    simd::maxPool2x2Avx(In, C, H, W, Out, Window);
+    return;
+  }
+  int OH = H / 2, OW = W / 2;
+  const size_t Offsets[3] = {1, static_cast<size_t>(W),
+                             static_cast<size_t>(W) + 1};
+  for (int Ch = 0; Ch < C; ++Ch)
+    for (int Oy = 0; Oy < OH; ++Oy)
+      for (int Ox = 0; Ox < OW; ++Ox) {
+        // Seeded from the first window element, not a finite sentinel, so
+        // arbitrarily negative inputs pool correctly.
+        const float *Win = In + (static_cast<size_t>(Ch) * H + Oy * 2) * W +
+                           Ox * 2;
+        float Best = Win[0];
+        uint8_t Slot = 0;
+        for (uint8_t J = 0; J != 3; ++J)
+          if (Win[Offsets[J]] > Best) {
+            Best = Win[Offsets[J]];
+            Slot = J + 1;
+          }
+        *Out++ = Best;
+        *Window++ = Slot;
+      }
+}
+
 void au::nn::biasAddRowsKernel(float *Y, const float *Bias, int Rows,
                                int Cols) {
   if (simdKernelsActive()) {

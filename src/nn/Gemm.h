@@ -131,6 +131,16 @@ void reluForwardKernel(float *Y, size_t N);
 /// G[i] = X[i] > 0 ? G[i] : 0.
 void reluBackwardKernel(float *G, const float *X, size_t N);
 
+/// 2x2/stride-2 max pooling of one (C, H, W) slab into the (C, H/2, W/2)
+/// slab \p Out; an odd trailing row or column is dropped. Each output is the
+/// first strict maximum of its window in the order (0,0), (0,1), (1,0),
+/// (1,1): a tie keeps the earlier element (+0 and -0 included) and a NaN
+/// wins only from the first slot. \p Window receives the winner's slot as
+/// 2 * dy + dx. Identical results under every engine, vectorized (branch
+/// free) under simd.
+void maxPool2x2Kernel(const float *In, int C, int H, int W, float *Out,
+                      uint8_t *Window);
+
 /// Fills each of \p Rows rows of \p Y (row stride \p Cols) with \p Bias.
 void biasAddRowsKernel(float *Y, const float *Bias, int Rows, int Cols);
 

@@ -407,6 +407,114 @@ void simd::reluBackwardAvx(float *G, const float *X, size_t N) {
       G[I] = 0.0f;
 }
 
+namespace {
+
+// 2x2 max pooling, one output row at a time. R0 and R1 point at the two
+// input rows of the outputs' first window. A window's four elements are
+// visited in the scalar order (0,0), (0,1), (1,0), (1,1), and each later
+// one replaces the running best only where it compares strictly greater
+// (ordered, so a NaN never replaces and a tie keeps the earlier element):
+// the blends reproduce the scalar branches lane by lane.
+
+/// One window, the scalar form (rows narrower than four outputs).
+inline void poolWindow(const float *R0, const float *R1, float *Out,
+                       uint8_t *Window) {
+  const float V[4] = {R0[0], R0[1], R1[0], R1[1]};
+  float Best = V[0];
+  uint8_t Slot = 0;
+  for (uint8_t J = 1; J != 4; ++J)
+    if (V[J] > Best) {
+      Best = V[J];
+      Slot = J;
+    }
+  *Out = Best;
+  *Window = Slot;
+}
+
+/// Four adjacent windows with SSE: _mm_shuffle_ps splits each 8-float row
+/// run into its even (left) and odd (right) columns.
+inline void poolWindows4(const float *R0, const float *R1, float *Out,
+                         uint8_t *Window) {
+  __m128 A0 = _mm_loadu_ps(R0), A1 = _mm_loadu_ps(R0 + 4);
+  __m128 B0 = _mm_loadu_ps(R1), B1 = _mm_loadu_ps(R1 + 4);
+  __m128 Best = _mm_shuffle_ps(A0, A1, _MM_SHUFFLE(2, 0, 2, 0));
+  __m128i Slot = _mm_setzero_si128();
+  const __m128 Cand[3] = {_mm_shuffle_ps(A0, A1, _MM_SHUFFLE(3, 1, 3, 1)),
+                          _mm_shuffle_ps(B0, B1, _MM_SHUFFLE(2, 0, 2, 0)),
+                          _mm_shuffle_ps(B0, B1, _MM_SHUFFLE(3, 1, 3, 1))};
+  for (int J = 0; J != 3; ++J) {
+    __m128 Gt = _mm_cmp_ps(Cand[J], Best, _CMP_GT_OQ);
+    Best = _mm_blendv_ps(Best, Cand[J], Gt);
+    Slot = _mm_blendv_epi8(Slot, _mm_set1_epi32(J + 1), _mm_castps_si128(Gt));
+  }
+  _mm_storeu_ps(Out, Best);
+  __m128i Words = _mm_packs_epi32(Slot, Slot);
+  int32_t Packed = _mm_cvtsi128_si32(_mm_packus_epi16(Words, Words));
+  std::memcpy(Window, &Packed, 4);
+}
+
+/// Eight adjacent windows with AVX. _mm256_shuffle_ps works within 128-bit
+/// halves, so the split leaves the windows in the order 0 1 4 5 2 3 6 7;
+/// one 64-bit permute restores it on the results.
+inline void poolWindows8(const float *R0, const float *R1, float *Out,
+                         uint8_t *Window) {
+  __m256 A0 = _mm256_loadu_ps(R0), A1 = _mm256_loadu_ps(R0 + 8);
+  __m256 B0 = _mm256_loadu_ps(R1), B1 = _mm256_loadu_ps(R1 + 8);
+  __m256 Best = _mm256_shuffle_ps(A0, A1, _MM_SHUFFLE(2, 0, 2, 0));
+  __m256i Slot = _mm256_setzero_si256();
+  const __m256 Cand[3] = {
+      _mm256_shuffle_ps(A0, A1, _MM_SHUFFLE(3, 1, 3, 1)),
+      _mm256_shuffle_ps(B0, B1, _MM_SHUFFLE(2, 0, 2, 0)),
+      _mm256_shuffle_ps(B0, B1, _MM_SHUFFLE(3, 1, 3, 1))};
+  for (int J = 0; J != 3; ++J) {
+    __m256 Gt = _mm256_cmp_ps(Cand[J], Best, _CMP_GT_OQ);
+    Best = _mm256_blendv_ps(Best, Cand[J], Gt);
+    Slot = _mm256_blendv_epi8(Slot, _mm256_set1_epi32(J + 1),
+                              _mm256_castps_si256(Gt));
+  }
+  constexpr int Order = _MM_SHUFFLE(3, 1, 2, 0);
+  Best = _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(Best), Order));
+  Slot = _mm256_permute4x64_epi64(Slot, Order);
+  _mm256_storeu_ps(Out, Best);
+  __m128i Words = _mm_packs_epi32(_mm256_castsi256_si128(Slot),
+                                  _mm256_extracti128_si256(Slot, 1));
+  _mm_storel_epi64(reinterpret_cast<__m128i *>(Window),
+                   _mm_packus_epi16(Words, Words));
+}
+
+} // namespace
+
+void simd::maxPool2x2Avx(const float *In, int C, int H, int W, float *Out,
+                         uint8_t *Window) {
+  const int OH = H / 2, OW = W / 2;
+  for (int Ch = 0; Ch < C; ++Ch)
+    for (int Oy = 0; Oy < OH; ++Oy) {
+      const float *R0 = In + (static_cast<size_t>(Ch) * H + Oy * 2) * W;
+      const float *R1 = R0 + W;
+      // Full vectors, then one more vector ending at the last output when
+      // the row leaves a tail: it recomputes a few outputs already written,
+      // with the same values (as copyRun overlaps its tail store).
+      if (OW >= 8) {
+        int X = 0;
+        for (; X + 8 <= OW; X += 8)
+          poolWindows8(R0 + 2 * X, R1 + 2 * X, Out + X, Window + X);
+        if (X != OW)
+          poolWindows8(R0 + 2 * (OW - 8), R1 + 2 * (OW - 8), Out + OW - 8,
+                       Window + OW - 8);
+      } else if (OW >= 4) {
+        poolWindows4(R0, R1, Out, Window);
+        if (OW != 4)
+          poolWindows4(R0 + 2 * (OW - 4), R1 + 2 * (OW - 4), Out + OW - 4,
+                       Window + OW - 4);
+      } else {
+        for (int X = 0; X < OW; ++X)
+          poolWindow(R0 + 2 * X, R1 + 2 * X, Out + X, Window + X);
+      }
+      Out += OW;
+      Window += OW;
+    }
+}
+
 void simd::biasAddRowsAvx(float *Y, const float *Bias, int Rows, int Cols) {
   for (int R = 0; R < Rows; ++R)
     std::memcpy(Y + static_cast<size_t>(R) * Cols, Bias,
@@ -517,6 +625,9 @@ void simd::im2colAvx(const float *, int, int, int, int, int, float *) {
 }
 void simd::reluForwardAvx(float *, size_t) { unreachableSimd(); }
 void simd::reluBackwardAvx(float *, const float *, size_t) {
+  unreachableSimd();
+}
+void simd::maxPool2x2Avx(const float *, int, int, int, float *, uint8_t *) {
   unreachableSimd();
 }
 void simd::biasAddRowsAvx(float *, const float *, int, int) {

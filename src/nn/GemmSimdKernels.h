@@ -23,6 +23,7 @@
 #define AU_NN_GEMMSIMDKERNELS_H
 
 #include <cstddef>
+#include <cstdint>
 
 namespace au {
 namespace nn {
@@ -63,6 +64,8 @@ void im2colAvx(const float *In, int C, int H, int W, int K, int S,
 // Elementwise AVX2 bodies (see the dispatched wrappers in Gemm.h).
 void reluForwardAvx(float *Y, size_t N);
 void reluBackwardAvx(float *G, const float *X, size_t N);
+void maxPool2x2Avx(const float *In, int C, int H, int W, float *Out,
+                   uint8_t *Window);
 void biasAddRowsAvx(float *Y, const float *Bias, int Rows, int Cols);
 double mseBatchAvx(const float *P, const float *T, float *G, int Rows,
                    int Cols);

@@ -48,8 +48,11 @@ public:
 
   /// Batched backward pass; must follow a forwardBatch() on the same batch.
   /// Accumulates the summed minibatch parameter gradients and returns
-  /// dLoss/dIn with the same leading batch dimension.
-  virtual Tensor backwardBatch(const Tensor &GradOut) = 0;
+  /// dLoss/dIn with the same leading batch dimension. With \p NeedGradIn
+  /// false nobody reads dLoss/dIn: a layer with parameters then skips it and
+  /// returns an empty tensor (Network::backwardBatch passes false only to
+  /// the first such layer).
+  virtual Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) = 0;
 
   /// Parameter tensors (empty for stateless layers such as ReLU).
   virtual std::vector<ParamView> params() { return {}; }

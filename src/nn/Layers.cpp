@@ -61,7 +61,7 @@ Tensor Dense::forwardBatch(const Tensor &Input) {
   return Y;
 }
 
-Tensor Dense::backwardBatch(const Tensor &GradOut) {
+Tensor Dense::backwardBatch(const Tensor &GradOut, bool NeedGradIn) {
   assert(GradOut.rank() == 2 && GradOut.dim(1) == Out &&
          "dense batched gradient shape mismatch");
   int BN = GradOut.dim(0);
@@ -78,6 +78,8 @@ Tensor Dense::backwardBatch(const Tensor &GradOut) {
   // ascending-sample accumulation per element — deterministic.
   sgemm(/*TransA=*/true, /*TransB=*/false, Out, In, BN, 1.0f, G, Out,
         LastIn.data(), In, 1.0f, GW.data(), In);
+  if (!NeedGradIn)
+    return Tensor();
   // Input gradients: GI = GradOut * W, with W served from the packed cache.
   Tensor GI = Workspace::acquire({BN, In});
   ensurePackedB(PackedWB, paramGen(), /*TransB=*/false, Out, In, W.data(),
@@ -108,7 +110,7 @@ Tensor ReLU::forwardBatch(const Tensor &In) {
   return Y;
 }
 
-Tensor ReLU::backwardBatch(const Tensor &GradOut) {
+Tensor ReLU::backwardBatch(const Tensor &GradOut, bool) {
   assert(GradOut.size() == LastIn.size() &&
          "relu batched gradient size mismatch");
   Tensor GradIn = Workspace::acquire(GradOut.shape());
@@ -183,7 +185,7 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   return OutT;
 }
 
-Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
+Tensor Conv2D::backwardBatch(const Tensor &GradOut, bool NeedGradIn) {
   assert(GradOut.rank() == 4 && GradOut.dim(1) == OutC &&
          "conv batched gradient shape mismatch");
   int BN = GradOut.dim(0), OH = GradOut.dim(2), OW = GradOut.dim(3);
@@ -214,14 +216,27 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
 
   // Weight gradients: GW += sum_b GradOut_b * Col_b^T, accumulated into
   // per-shard buffers and tree-reduced so any thread count rounds alike.
-  parallelShardedSum(BN, 1, W.size(),
-                     [&](size_t B0, size_t B1, float *Acc) {
+  // Each sample runs the transposed product Col_b * GradOut_b^T
+  // (M = CKK, N = OutC): the few output channels as the GEMM's N fill the
+  // register tile, where the CKK columns of the direct form leave most of
+  // it padding. Every element is still one k-ascending chain of the same
+  // products, so the bits are unchanged; the reduced sum, held transposed,
+  // is added into GW once.
+  const float *GWT = parallelShardedReduce(BN, 1, W.size(),
+                                           [&](size_t B0, size_t B1,
+                                               float *Acc) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
-      sgemm(/*TransA=*/false, /*TransB=*/true, OutC, CKK, OH * OW, 1.0f,
-            GD + Bi * GSz, OH * OW, &Cols[Bi * ColSz], OH * OW, 1.0f, Acc,
-            CKK);
-  }, GW.data());
+      sgemm(/*TransA=*/false, /*TransB=*/true, CKK, OutC, OH * OW, 1.0f,
+            &Cols[Bi * ColSz], OH * OW, GD + Bi * GSz, OH * OW, 1.0f, Acc,
+            OutC);
+  });
+  for (int Oc = 0; Oc < OutC; ++Oc)
+    for (int J = 0; J < CKK; ++J)
+      GW[static_cast<size_t>(Oc) * CKK + J] +=
+          GWT[static_cast<size_t>(J) * OutC + Oc];
 
+  if (!NeedGradIn)
+    return Tensor();
   // Input gradients: dCol_b = W^T * GradOut_b, scattered back by col2im.
   // col2im accumulates, so the workspace tensor must be zeroed explicitly.
   if (DCols.size() < static_cast<size_t>(BN) * ColSz)
@@ -250,39 +265,6 @@ std::vector<ParamView> Conv2D::params() {
 // MaxPool2D
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// 2x2/stride-2 max pooling of one (C, H, W) slab. Records, per output
-/// element, the flat index of the winning input offset by \p BaseIndex (the
-/// slab's position within a batch). The running max is seeded from the first
-/// window element — not a finite sentinel — so arbitrarily negative inputs
-/// pool correctly.
-void maxPool2x2(const float *In, int C, int H, int W, float *Out,
-                size_t *ArgMax, size_t BaseIndex) {
-  int OH = H / 2, OW = W / 2;
-  size_t Flat = 0;
-  for (int Ch = 0; Ch < C; ++Ch)
-    for (int Oy = 0; Oy < OH; ++Oy)
-      for (int Ox = 0; Ox < OW; ++Ox, ++Flat) {
-        size_t Idx = (static_cast<size_t>(Ch) * H + Oy * 2) * W + Ox * 2;
-        float Best = In[Idx];
-        size_t BestIdx = Idx;
-        const size_t Offsets[3] = {1, static_cast<size_t>(W),
-                                   static_cast<size_t>(W) + 1};
-        for (size_t Off : Offsets) {
-          float V = In[Idx + Off];
-          if (V > Best) {
-            Best = V;
-            BestIdx = Idx + Off;
-          }
-        }
-        Out[Flat] = Best;
-        ArgMax[Flat] = BaseIndex + BestIdx;
-      }
-}
-
-} // namespace
-
 Tensor MaxPool2D::forwardBatch(const Tensor &In) {
   assert(In.rank() == 4 && "maxpool batched input must be rank 4");
   int BN = In.dim(0), C = In.dim(1), H = In.dim(2), W = In.dim(3);
@@ -290,37 +272,47 @@ Tensor MaxPool2D::forwardBatch(const Tensor &In) {
   assert(OH > 0 && OW > 0 && "maxpool input too small");
   InShape = In.shape();
   Tensor Out = Workspace::acquire({BN, C, OH, OW});
-  ArgMax.assign(Out.size(), 0);
+  // Every code is written below, so a resize (no fill) suffices.
+  Window.resize(Out.size());
   size_t InSz = In.sampleSize(), OutSz = Out.sampleSize();
   const float *InD = In.data();
   float *OutD = Out.data();
-  size_t *AM = ArgMax.data();
+  uint8_t *Code = Window.data();
   ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
-      maxPool2x2(InD + Bi * InSz, C, H, W, OutD + Bi * OutSz,
-                 AM + Bi * OutSz, Bi * InSz);
+      maxPool2x2Kernel(InD + Bi * InSz, C, H, W, OutD + Bi * OutSz,
+                       Code + Bi * OutSz);
   });
   return Out;
 }
 
-Tensor MaxPool2D::backwardBatch(const Tensor &GradOut) {
-  assert(GradOut.size() == ArgMax.size() &&
+Tensor MaxPool2D::backwardBatch(const Tensor &GradOut, bool) {
+  assert(GradOut.size() == Window.size() &&
          "maxpool batched gradient size mismatch");
-  int BN = InShape[0];
-  // The scatter below only writes the winning indices, so zero the rest.
+  int BN = InShape[0], C = InShape[1], H = InShape[2], W = InShape[3];
+  int OH = H / 2, OW = W / 2;
   Tensor GradIn = Workspace::acquire(InShape);
-  GradIn.fill(0.0f);
-  size_t OutSz = GradOut.sampleSize();
+  size_t InSz = GradIn.sampleSize(), OutSz = GradOut.sampleSize();
   const float *G = GradOut.data();
+  const uint8_t *Code = Window.data();
   float *D = GradIn.data();
-  // Each sample scatters only into its own input slab, so batch-parallel
-  // scatter is race-free and deterministic.
+  // Each sample zeroes and scatters into only its own input slab, so the
+  // batch-parallel scatter is race-free and deterministic.
   ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
                                    [&](size_t B0, size_t B1) {
-    for (size_t Bi = B0; Bi != B1; ++Bi)
-      for (size_t I = Bi * OutSz, E = (Bi + 1) * OutSz; I != E; ++I)
-        D[ArgMax[I]] += G[I];
+    for (size_t Bi = B0; Bi != B1; ++Bi) {
+      float *Slab = D + Bi * InSz;
+      std::fill(Slab, Slab + InSz, 0.0f);
+      size_t I = Bi * OutSz;
+      for (int Ch = 0; Ch < C; ++Ch)
+        for (int Oy = 0; Oy < OH; ++Oy)
+          for (int Ox = 0; Ox < OW; ++Ox, ++I) {
+            int Dy = Code[I] >> 1, Dx = Code[I] & 1;
+            Slab[(static_cast<size_t>(Ch) * H + Oy * 2 + Dy) * W + Ox * 2 +
+                 Dx] += G[I];
+          }
+    }
   });
   return GradIn;
 }
@@ -359,7 +351,7 @@ Tensor Reshape::forwardBatch(const Tensor &In) {
   return reshapedCopy(In, NewShape);
 }
 
-Tensor Reshape::backwardBatch(const Tensor &GradOut) {
+Tensor Reshape::backwardBatch(const Tensor &GradOut, bool) {
   return reshapedCopy(GradOut, InShape);
 }
 
@@ -372,6 +364,6 @@ Tensor Flatten::forwardBatch(const Tensor &In) {
   return reshapedCopy(In, {In.dim(0), static_cast<int>(In.sampleSize())});
 }
 
-Tensor Flatten::backwardBatch(const Tensor &GradOut) {
+Tensor Flatten::backwardBatch(const Tensor &GradOut, bool) {
   return reshapedCopy(GradOut, InShape);
 }

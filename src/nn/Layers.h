@@ -29,7 +29,7 @@ public:
   Dense(int InSize, int OutSize, Rng &Rand);
 
   Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut) override;
+  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
   std::vector<ParamView> params() override;
   std::string kind() const override { return "dense"; }
 
@@ -63,7 +63,7 @@ private:
 class ReLU : public Layer {
 public:
   Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut) override;
+  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
   std::string kind() const override { return "relu"; }
 
 private:
@@ -78,7 +78,7 @@ public:
          Rng &Rand);
 
   Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut) override;
+  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
   std::vector<ParamView> params() override;
   std::string kind() const override { return "conv2d"; }
 
@@ -116,11 +116,11 @@ private:
 class MaxPool2D : public Layer {
 public:
   Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut) override;
+  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
   std::string kind() const override { return "maxpool2d"; }
 
 private:
-  std::vector<size_t> ArgMax; // Flat index into the batch per output element.
+  std::vector<uint8_t> Window; // Per output: winning window slot, 2*dy + dx.
   std::vector<int> InShape;
 };
 
@@ -133,7 +133,7 @@ public:
       : Target(std::move(TargetShape)) {}
 
   Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut) override;
+  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
   std::string kind() const override { return "reshape"; }
 
 private:
@@ -146,7 +146,7 @@ private:
 class Flatten : public Layer {
 public:
   Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut) override;
+  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
   std::string kind() const override { return "flatten"; }
 
 private:

@@ -14,6 +14,8 @@ using namespace au::nn;
 
 Network &Network::add(std::unique_ptr<Layer> L) {
   assert(L && "adding a null layer");
+  if (FirstParamLayer == Layers.size() && L->params().empty())
+    ++FirstParamLayer;
   Layers.push_back(std::move(L));
   return *this;
 }
@@ -34,11 +36,17 @@ Tensor Network::forwardBatch(const Tensor &In) {
   return X;
 }
 
-Tensor Network::backwardBatch(const Tensor &GradOut) {
+Tensor Network::backwardBatch(const Tensor &GradOut, bool WantGradIn) {
   assert(!Layers.empty() && "backwardBatch on an empty network");
-  Tensor G = Layers.back()->backwardBatch(GradOut);
-  for (size_t I = Layers.size() - 1; I-- > 0;) {
-    Tensor H = Layers[I]->backwardBatch(G);
+  // Without an input gradient to return, the layers in front of the first
+  // one with parameters have nothing to compute.
+  size_t Stop = WantGradIn ? 0 : FirstParamLayer;
+  if (Stop == Layers.size())
+    return Tensor();
+  size_t I = Layers.size() - 1;
+  Tensor G = Layers[I]->backwardBatch(GradOut, WantGradIn || I != Stop);
+  while (I-- > Stop) {
+    Tensor H = Layers[I]->backwardBatch(G, WantGradIn || I != Stop);
     Workspace::release(G);
     G = std::move(H);
   }

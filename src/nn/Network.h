@@ -43,8 +43,11 @@ public:
   Tensor forwardBatch(const Tensor &In);
 
   /// Batched backward pass; must follow forwardBatch() on the same batch.
-  /// Accumulates the summed minibatch gradients and returns dLoss/dInput.
-  Tensor backwardBatch(const Tensor &GradOut);
+  /// Accumulates the summed minibatch parameter gradients. Returns
+  /// dLoss/dInput when \p WantGradIn; otherwise the pass stops at the first
+  /// layer with parameters, which skips its own input gradient, and returns
+  /// an empty tensor. Parameter gradients are bitwise the same either way.
+  Tensor backwardBatch(const Tensor &GradOut, bool WantGradIn = false);
 
   /// All parameter views across layers, in a stable order.
   std::vector<ParamView> params();
@@ -83,6 +86,8 @@ public:
 
 private:
   std::vector<std::unique_ptr<Layer>> Layers;
+  /// Index of the first layer with parameters; Layers.size() when none.
+  size_t FirstParamLayer = 0;
 };
 
 /// Builds a fully connected ReLU network: InSize -> Hidden... -> OutSize.

@@ -38,7 +38,7 @@ std::vector<float> QLearner::qValues(const std::vector<float> &State) {
   Tensor Out = forwardOne(Online, State);
   assert(Out.size() == static_cast<size_t>(NumActions) &&
          "network output arity does not match action count");
-  std::vector<float> Q = Out.values();
+  std::vector<float> Q(Out.data(), Out.data() + Out.size());
   Workspace::release(Out);
   return Q;
 }
@@ -190,7 +190,6 @@ void QLearner::trainStep() {
   }
   Workspace::release(NextQ);
   Workspace::release(Pred);
-  Tensor DIn = Online.backwardBatch(BatchGrad);
-  Workspace::release(DIn);
+  Online.backwardBatch(BatchGrad);
   Opt.step(1.0 / Cfg.BatchSize);
 }

@@ -98,8 +98,7 @@ double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
       Tensor Pred = Net.forwardBatch(BatchX);
       EpochLoss += mseLossBatch(Pred, BatchY, GradB);
       Workspace::release(Pred);
-      Tensor DIn = Net.backwardBatch(GradB);
-      Workspace::release(DIn);
+      Net.backwardBatch(GradB);
       Opt.step(1.0 / static_cast<double>(Bn));
     }
     EpochLoss /= static_cast<double>(Data.size());

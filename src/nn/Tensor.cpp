@@ -16,7 +16,7 @@ Tensor::Tensor(std::vector<int> Shape, float Fill) : Dims(std::move(Shape)) {
   Data.assign(Dims.empty() ? 0 : N, Fill);
 }
 
-Tensor Tensor::adopt(std::vector<float> Buffer, std::vector<int> Shape) {
+Tensor Tensor::adopt(FloatBuffer Buffer, std::vector<int> Shape) {
   Tensor T;
   T.Dims = std::move(Shape);
   size_t N = 1;

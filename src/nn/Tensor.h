@@ -19,10 +19,41 @@
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace au {
 namespace nn {
+
+/// An allocator whose construct() without a value default-initializes, so
+/// resize() leaves the floats it adds unwritten. Tensor storage uses it: the
+/// workspace recycles one buffer across shapes of every size, and a buffer
+/// that grows back must not pay for a fill its next writer overwrites.
+template <typename T> struct DefaultInitAllocator {
+  using value_type = T;
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept {}
+  T *allocate(size_t N) { return std::allocator<T>().allocate(N); }
+  void deallocate(T *P, size_t N) noexcept {
+    std::allocator<T>().deallocate(P, N);
+  }
+  template <typename U, typename... Args> void construct(U *P, Args &&...As) {
+    if constexpr (sizeof...(Args) == 0)
+      ::new (static_cast<void *>(P)) U;
+    else
+      ::new (static_cast<void *>(P)) U(std::forward<Args>(As)...);
+  }
+  friend bool operator==(const DefaultInitAllocator &,
+                         const DefaultInitAllocator &) {
+    return true;
+  }
+};
+
+/// Tensor storage: a float vector whose growth writes nothing.
+using FloatBuffer = std::vector<float, DefaultInitAllocator<float>>;
 
 /// A row-major dense tensor of floats.
 class Tensor {
@@ -32,9 +63,10 @@ public:
   /// Creates a tensor of the given \p Shape filled with \p Fill.
   explicit Tensor(std::vector<int> Shape, float Fill = 0.0f);
 
-  /// Wraps an existing buffer (element count must match the shape product)
-  /// without initializing it — the workspace recycling path.
-  static Tensor adopt(std::vector<float> Buffer, std::vector<int> Shape);
+  /// Wraps \p Buffer as it is (its size must equal the shape product):
+  /// nothing is copied or written. Workspace::acquire hands out recycled
+  /// buffers this way, so their contents are whatever the last user left.
+  static Tensor adopt(FloatBuffer Buffer, std::vector<int> Shape);
 
   const std::vector<int> &shape() const { return Dims; }
   size_t size() const { return Data.size(); }
@@ -49,8 +81,8 @@ public:
 
   float *data() { return Data.data(); }
   const float *data() const { return Data.data(); }
-  std::vector<float> &values() { return Data; }
-  const std::vector<float> &values() const { return Data; }
+  FloatBuffer &values() { return Data; }
+  const FloatBuffer &values() const { return Data; }
 
   float &operator[](size_t I) {
     assert(I < Data.size() && "flat index out of range");
@@ -88,7 +120,7 @@ private:
   friend class Workspace; ///< Recycles Dims/Data buffers without copies.
 
   std::vector<int> Dims;
-  std::vector<float> Data;
+  FloatBuffer Data;
 };
 
 } // namespace nn

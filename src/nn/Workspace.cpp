@@ -12,7 +12,7 @@ namespace {
 /// One parked allocation: the float buffer plus the (tiny) shape vector, so
 /// a recycled acquire() reuses both heap blocks.
 struct Parked {
-  std::vector<float> Data;
+  FloatBuffer Data;
   std::vector<int> Dims;
 };
 
@@ -51,9 +51,9 @@ Tensor acquireImpl(const ShapeT &Shape) {
     List[Pick] = std::move(List.back());
     List.pop_back();
   }
-  // resize within capacity never reallocates; the value-init of any grown
-  // tail is the price of std::vector storage (amortized away once the
-  // buffer has seen the workload's high-water mark).
+  // resize within capacity neither reallocates nor writes: FloatBuffer
+  // leaves grown elements uninitialized, so the caller gets the buffer's
+  // old contents (or indeterminate floats past them).
   Slot.Data.resize(N);
   Slot.Dims.assign(Shape.begin(), Shape.end());
   return Tensor::adopt(std::move(Slot.Data), std::move(Slot.Dims));
@@ -74,7 +74,7 @@ void Workspace::release(Tensor &T) {
   if (T.Data.capacity() == 0 && T.Dims.capacity() == 0)
     return; // Nothing worth parking (moved-from or default tensor).
   if (List.size() >= MaxParked) {
-    T.Data = std::vector<float>();
+    T.Data = FloatBuffer();
     T.Dims = std::vector<int>();
     return;
   }

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// A per-thread recycling arena for intermediate tensors. acquire() hands out
-/// a tensor whose buffer comes from a thread-local freelist (contents
-/// UNINITIALIZED — callers that accumulate must fill(0) first); release()
+/// a tensor whose buffer comes from a thread-local freelist; its contents
+/// are UNSPECIFIED (whatever the buffer's last user left, nothing is
+/// zeroed), so callers that accumulate must fill(0) first. release()
 /// returns the buffer to the freelist. Buffer capacities converge on the
 /// high-water mark of the workload, so steady-state forwardBatch /
 /// backwardBatch / TS-mode inference perform zero heap allocations.
@@ -39,7 +40,7 @@ namespace nn {
 class Workspace {
 public:
   /// Returns a tensor of \p Shape backed by a recycled buffer when one with
-  /// sufficient capacity exists. Contents are UNINITIALIZED.
+  /// sufficient capacity exists. Contents are UNSPECIFIED.
   static Tensor acquire(const std::vector<int> &Shape);
 
   /// Brace-list form; avoids materializing a heap-backed shape vector at the

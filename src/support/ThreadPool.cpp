@@ -222,8 +222,16 @@ void ThreadPool::setGlobalThreads(int NumThreads) {
 
 void au::parallelShardedSum(size_t Items, size_t ShardGrain, size_t AccSize,
                             ShardBodyRef Body, float *Out) {
+  if (const float *Sum = parallelShardedReduce(Items, ShardGrain, AccSize,
+                                               Body))
+    for (size_t K = 0; K != AccSize; ++K)
+      Out[K] += Sum[K];
+}
+
+const float *au::parallelShardedReduce(size_t Items, size_t ShardGrain,
+                                       size_t AccSize, ShardBodyRef Body) {
   if (Items == 0 || AccSize == 0)
-    return;
+    return nullptr;
   assert(ShardGrain > 0 && "shard grain must be positive");
   // Shard structure is a pure function of the workload, never of the thread
   // count, so the reduction tree (and its rounding) is reproducible.
@@ -252,6 +260,5 @@ void au::parallelShardedSum(size_t Items, size_t ShardGrain, size_t AccSize,
       for (size_t K = 0; K != AccSize; ++K)
         Dst[K] += Src[K];
     }
-  for (size_t K = 0; K != AccSize; ++K)
-    Out[K] += Bufs[K];
+  return Bufs.data();
 }

@@ -151,8 +151,8 @@ public:
   static void setGlobalThreads(int NumThreads);
 
 private:
-  friend void parallelShardedSum(size_t, size_t, size_t, ShardBodyRef,
-                                 float *);
+  friend const float *parallelShardedReduce(size_t, size_t, size_t,
+                                            ShardBodyRef);
   /// parallelFor, with its cost measured under \p Site.
   void parallelFor(size_t Begin, size_t End, size_t Grain, LoopBodyRef Body,
                    uintptr_t Site);
@@ -200,6 +200,13 @@ private:
 /// must not be called recursively from inside its own Body.
 void parallelShardedSum(size_t Items, size_t ShardGrain, size_t AccSize,
                         ShardBodyRef Body, float *Out);
+
+/// parallelShardedSum without the final add: returns the reduced buffer of
+/// \p AccSize floats (nullptr when \p Items or \p AccSize is 0) for a
+/// caller that adds it in another layout. The buffer is the issuing
+/// thread's; it stays valid until that thread's next sharded call.
+const float *parallelShardedReduce(size_t Items, size_t ShardGrain,
+                                   size_t AccSize, ShardBodyRef Body);
 
 } // namespace au
 

@@ -25,6 +25,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -72,6 +74,11 @@ void expectClose(const std::vector<float> &A, const std::vector<float> &B,
     double Tol = 1e-4 * std::max(1.0, std::abs(static_cast<double>(B[I])));
     ASSERT_NEAR(A[I], B[I], Tol) << What << " at index " << I;
   }
+}
+
+/// A copy of \p T's elements, for the vector comparisons.
+std::vector<float> flat(const Tensor &T) {
+  return std::vector<float>(T.data(), T.data() + T.size());
 }
 
 Tensor randomTensor(std::vector<int> Shape, Rng &Rand) {
@@ -495,9 +502,9 @@ void expectMatchesOracle(Layer &L, const Tensor &In, const Tensor &GradOut,
                                     << " batch " << In.dim(0));
   L.zeroGrads();
   Tensor Out = L.forwardBatch(In);
-  Tensor GradIn = L.backwardBatch(GradOut);
-  expectClose(Out.values(), Ref.Out, "forward");
-  expectClose(GradIn.values(), Ref.GradIn, "grad-in");
+  Tensor GradIn = L.backwardBatch(GradOut, /*NeedGradIn=*/true);
+  expectClose(flat(Out), Ref.Out, "forward");
+  expectClose(flat(GradIn), Ref.GradIn, "grad-in");
   expectClose(gradSnapshot(L), Ref.ParamGrads, "param grads");
 }
 
@@ -560,6 +567,114 @@ TEST_F(NnKernelsTest, MaxPoolBatchMatchesOracle) {
   }
 }
 
+namespace {
+
+/// Asserts that \p A holds exactly the bits of \p B (NaN payloads and the
+/// sign of zero included).
+void expectBitwise(const float *A, const std::vector<float> &B,
+                   const char *What) {
+  for (size_t I = 0; I != B.size(); ++I) {
+    uint32_t X, Y;
+    std::memcpy(&X, A + I, sizeof(X));
+    std::memcpy(&Y, &B[I], sizeof(Y));
+    ASSERT_EQ(X, Y) << What << " at index " << I << ": " << A[I] << " vs "
+                    << B[I];
+  }
+}
+
+/// Overwrites some 2x2 windows of the (Batch, C, H, W) tensor \p In with
+/// the cases a vector max can get wrong, cycling through them by output
+/// index (11 cases, prime to the vector widths, so each reaches every lane
+/// and the overlapped row tails): four equal values, +0 against -0 in
+/// either order, a NaN in each of the four slots, and ties between later
+/// slots. The other windows keep their random values.
+void plantMaxPoolEdgeCases(Tensor &In) {
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const float Cases[11][4] = {
+      {0.5f, 0.5f, 0.5f, 0.5f},   {-0.0f, 0.0f, -0.0f, 0.0f},
+      {0.0f, -0.0f, -0.0f, -0.0f}, {-0.0f, -0.0f, 0.0f, 0.0f},
+      {Nan, 0.25f, 0.75f, 0.5f},  {0.25f, Nan, 0.75f, 0.5f},
+      {0.25f, 0.75f, Nan, 0.5f},  {0.25f, 0.5f, 0.75f, Nan},
+      {-1.0f, 0.75f, 0.25f, 0.75f}, {-1.0f, -2.0f, 0.75f, 0.75f},
+      {Nan, Nan, 1.0f, 1.0f}};
+  int BN = In.dim(0), C = In.dim(1), H = In.dim(2), W = In.dim(3);
+  size_t Window = 0;
+  for (int B = 0; B < BN; ++B)
+    for (int Ch = 0; Ch < C; ++Ch)
+      for (int Oy = 0; Oy < H / 2; ++Oy)
+        for (int Ox = 0; Ox < W / 2; ++Ox, ++Window) {
+          // Every third window keeps its random values.
+          if (Window % 3 == 0)
+            continue;
+          const float *Case = Cases[(Window / 3 * 2 + Window % 3) % 11];
+          float *Win = In.sampleData(B) +
+                       (static_cast<size_t>(Ch) * H + Oy * 2) * W + Ox * 2;
+          Win[0] = Case[0];
+          Win[1] = Case[1];
+          Win[W] = Case[2];
+          Win[W + 1] = Case[3];
+        }
+}
+
+} // namespace
+
+TEST_F(NnKernelsTest, MaxPoolIsBitwiseTheOracleOnTiesZerosAndNaN) {
+  // 30x30 rows take two vectors, the second overlapping the first; 13x13
+  // and 7x9 rows are narrower than one AVX vector and odd, so a row and a
+  // column are dropped.
+  struct Shape {
+    int H, W;
+  } Shapes[] = {{30, 30}, {13, 13}, {7, 9}};
+  for (int Threads : {1, 4}) {
+    ThreadPool::setGlobalThreads(Threads);
+    for (Backend Be : comparableBackends()) {
+      setBackend(Be);
+      for (const Shape &Sh : Shapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << backendName(Be) << " " << Threads << " threads, "
+                     << Sh.H << "x" << Sh.W);
+        const int BN = 3, C = 4, OH = Sh.H / 2, OW = Sh.W / 2;
+        Rng Rand(static_cast<uint64_t>(Sh.H * 100 + Sh.W));
+        Tensor In = randomTensor({BN, C, Sh.H, Sh.W}, Rand);
+        plantMaxPoolEdgeCases(In);
+        Tensor GradOut = randomTensor({BN, C, OH, OW}, Rand);
+        oracle::Reference Ref = oracle::runMaxPool(In, GradOut);
+
+        MaxPool2D Pool;
+        Tensor Out = Pool.forwardBatch(In);
+        Tensor GradIn = Pool.backwardBatch(GradOut, /*NeedGradIn=*/true);
+        ASSERT_EQ(Out.size(), Ref.Out.size());
+        ASSERT_EQ(GradIn.size(), Ref.GradIn.size());
+        expectBitwise(Out.data(), Ref.Out, "forward");
+        expectBitwise(GradIn.data(), Ref.GradIn, "backward");
+
+        // The window codes, straight from the kernel, name the oracle's
+        // argmax in every window of every sample.
+        std::vector<float> KOut(static_cast<size_t>(C) * OH * OW);
+        std::vector<uint8_t> Code(KOut.size());
+        for (int B = 0; B < BN; ++B) {
+          maxPool2x2Kernel(In.sampleData(B), C, Sh.H, Sh.W, KOut.data(),
+                           Code.data());
+          size_t I = 0;
+          for (int Ch = 0; Ch < C; ++Ch)
+            for (int Oy = 0; Oy < OH; ++Oy)
+              for (int Ox = 0; Ox < OW; ++Ox, ++I) {
+                size_t Arg = oracle::maxPoolArgMax(In.sampleData(B), Sh.H,
+                                                   Sh.W, Ch, Oy, Ox);
+                size_t Base =
+                    (static_cast<size_t>(Ch) * Sh.H + Oy * 2) * Sh.W + Ox * 2;
+                size_t Expect = Arg - Base >= static_cast<size_t>(Sh.W)
+                                    ? 2 + (Arg - Base - Sh.W)
+                                    : Arg - Base;
+                ASSERT_EQ(Code[I], Expect)
+                    << "window code, sample " << B << " output " << I;
+              }
+        }
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Full network: a batch equals its samples run one at a time (CNN stack:
 // reshape/conv/relu/pool/flatten/dense)
@@ -580,7 +695,7 @@ TEST_F(NnKernelsTest, CnnForwardBatchMatchesScalarForward) {
     Tensor Y = Single.forwardBatch(X);
     std::vector<float> BatchRow(BatchOut.sampleData(B),
                                 BatchOut.sampleData(B) + Y.size());
-    expectClose(BatchRow, Y.values(), "cnn forward");
+    expectClose(BatchRow, flat(Y), "cnn forward");
   }
 }
 
@@ -681,7 +796,7 @@ TEST_F(NnKernelsTest, MaxPoolHandlesArbitrarilyNegativeInputs) {
   EXPECT_FLOAT_EQ(Out[0], -2e30f);
   Tensor G({1, 1, 1, 1});
   G[0] = 1.0f;
-  Tensor GI = Pool.backwardBatch(G);
+  Tensor GI = Pool.backwardBatch(G, true);
   EXPECT_FLOAT_EQ(GI[3], 1.0f);
   EXPECT_FLOAT_EQ(GI[0], 0.0f);
 }
@@ -751,7 +866,7 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterParamLoad) {
     Tensor Grad = randomTensor({3, 2}, Rand);
 
     Tensor Before = Net.forwardBatch(In); // Packs the initial weights.
-    std::vector<float> Expect = Before.values();
+    std::vector<float> Expect = flat(Before);
 
     std::string Path =
         ::testing::TempDir() + "nn_kernels_packed_reload.bin";
@@ -764,9 +879,141 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterParamLoad) {
     ASSERT_TRUE(Net.loadParams(Path));
 
     Tensor After = Net.forwardBatch(In);
-    expectClose(After.values(), Expect,
+    expectClose(flat(After), Expect,
                 "prediction after param reload (stale packed weights?)");
     std::remove(Path.c_str());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The input gradient is computed only when asked for
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The two network families the paper trains, built identically from
+/// \p Seed: a DNN over 12 features and a CNN over 16x16 frames.
+Network buildFamily(bool Cnn, uint64_t Seed) {
+  Rng R(Seed);
+  return Cnn ? buildDeepMindCnn(1, 16, {12}, 3, R)
+             : buildDnn(12, {16, 8}, 3, R);
+}
+
+/// Every parameter gradient of \p Net, in params() order.
+std::vector<float> allGrads(Network &Net) {
+  std::vector<float> Out;
+  for (ParamView P : Net.params())
+    Out.insert(Out.end(), P.Grads, P.Grads + P.Count);
+  return Out;
+}
+
+} // namespace
+
+TEST_F(NnKernelsTest, ParamGradsAreBitwiseTheSameWithoutTheInputGrad) {
+  for (int Threads : {1, 4}) {
+    ThreadPool::setGlobalThreads(Threads);
+    for (Backend Be : comparableBackends()) {
+      setBackend(Be);
+      for (bool Cnn : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << backendName(Be) << " " << Threads << " threads, "
+                     << (Cnn ? "cnn" : "dnn"));
+        Rng Rand(23);
+        Tensor In = randomTensor({5, Cnn ? 16 * 16 : 12}, Rand);
+        Tensor Grad = randomTensor({5, 3}, Rand);
+        std::vector<float> Grads[2];
+        for (bool Want : {false, true}) {
+          Network Net = buildFamily(Cnn, 19);
+          Net.zeroGrads();
+          Tensor Out = Net.forwardBatch(In);
+          Workspace::release(Out);
+          Tensor GradIn = Net.backwardBatch(Grad, Want);
+          if (Want)
+            EXPECT_EQ(GradIn.shape(), In.shape());
+          else
+            EXPECT_TRUE(GradIn.empty());
+          Workspace::release(GradIn);
+          Grads[Want] = allGrads(Net);
+        }
+        ASSERT_FALSE(Grads[0].empty());
+        expectBitwise(Grads[0].data(), Grads[1], "parameter gradients");
+      }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Workspace contents are unspecified: no consumer reads what acquire returns
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One forward and backward of \p Net, the input gradient included: the
+/// outputs, then the input gradients, then every parameter gradient.
+std::vector<float> forwardBackward(Network &Net, const Tensor &In,
+                                   const Tensor &Grad) {
+  Net.zeroGrads();
+  Tensor Out = Net.forwardBatch(In);
+  Tensor GradIn = Net.backwardBatch(Grad, /*WantGradIn=*/true);
+  std::vector<float> All = flat(Out);
+  std::vector<float> Rest = flat(GradIn);
+  All.insert(All.end(), Rest.begin(), Rest.end());
+  Rest = allGrads(Net);
+  All.insert(All.end(), Rest.begin(), Rest.end());
+  Workspace::release(Out);
+  Workspace::release(GradIn);
+  return All;
+}
+
+/// Parks NaN-filled buffers of every activation shape of \p Net at \p In
+/// (its input and each layer's output, twice each: one for the forward
+/// pass and one for the backward) on this thread's workspace freelist.
+void poisonWorkspace(Network &Net, const Tensor &In) {
+  std::vector<std::vector<int>> Shapes = {In.shape()};
+  Tensor X = In;
+  for (size_t I = 0; I != Net.numLayers(); ++I) {
+    Tensor Y = Net.layer(I).forwardBatch(X);
+    Shapes.push_back(Y.shape());
+    X = std::move(Y);
+  }
+  std::vector<Tensor> Held;
+  for (int Copy = 0; Copy < 2; ++Copy)
+    for (const std::vector<int> &S : Shapes) {
+      Held.push_back(Workspace::acquire(S));
+      Held.back().fill(std::numeric_limits<float>::quiet_NaN());
+    }
+  for (Tensor &T : Held)
+    Workspace::release(T);
+}
+
+} // namespace
+
+TEST_F(NnKernelsTest, PoisonedWorkspaceBuffersChangeNoResult) {
+  for (int Threads : {1, 4}) {
+    ThreadPool::setGlobalThreads(Threads);
+    for (Backend Be : comparableBackends()) {
+      setBackend(Be);
+      for (bool Cnn : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << backendName(Be) << " " << Threads << " threads, "
+                     << (Cnn ? "cnn" : "dnn"));
+        Rng Rand(31);
+        Tensor In = randomTensor({6, Cnn ? 16 * 16 : 12}, Rand);
+        Tensor Grad = randomTensor({6, 3}, Rand);
+
+        Workspace::clear();
+        Network Clean = buildFamily(Cnn, 37);
+        std::vector<float> Expect = forwardBackward(Clean, In, Grad);
+
+        Network Poisoned = buildFamily(Cnn, 37);
+        Workspace::clear();
+        poisonWorkspace(Poisoned, In);
+        ASSERT_GT(Workspace::freeCount(), 0u);
+        std::vector<float> Got = forwardBackward(Poisoned, In, Grad);
+        ASSERT_EQ(Got.size(), Expect.size());
+        expectBitwise(Got.data(), Expect, "poisoned run");
+      }
+    }
   }
 }
 

@@ -133,7 +133,8 @@ void checkParamGradients(Network &Net, const Tensor &In, double Tol) {
 void checkInputGradients(Network &Net, Tensor In, double Tol) {
   Net.zeroGrads();
   Tensor Out = Net.forwardBatch(In);
-  Tensor GradIn = Net.backwardBatch(Tensor(Out.shape(), 1.0f));
+  Tensor GradIn =
+      Net.backwardBatch(Tensor(Out.shape(), 1.0f), /*WantGradIn=*/true);
   int Compared = 0, Kinks = 0;
   for (size_t I = 0; I != In.size();
        I += std::max<size_t>(1, In.size() / 9)) {
@@ -265,7 +266,7 @@ TEST(LayerTest, MaxPoolSelectsMaximum) {
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_FLOAT_EQ(Out[0], 4.0f);
   // Gradient routes only to the argmax.
-  Tensor G = P.backwardBatch(Tensor({1, 1, 1, 1}, 1.0f));
+  Tensor G = P.backwardBatch(Tensor({1, 1, 1, 1}, 1.0f), true);
   EXPECT_FLOAT_EQ(G[1], 1.0f);
   EXPECT_FLOAT_EQ(G[0], 0.0f);
 }
@@ -283,7 +284,7 @@ TEST(LayerTest, ReshapeRoundTrip) {
   Tensor In = Tensor::adopt({1, 2, 3, 4, 5, 6, 7, 8}, {1, 8});
   Tensor Out = L.forwardBatch(In);
   EXPECT_EQ(Out.shape(), (std::vector<int>{1, 2, 2, 2}));
-  Tensor Back = L.backwardBatch(Out);
+  Tensor Back = L.backwardBatch(Out, true);
   EXPECT_EQ(Back.shape(), (std::vector<int>{1, 8}));
   EXPECT_FLOAT_EQ(Back[7], 8.0f);
 }
