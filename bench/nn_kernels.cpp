@@ -108,9 +108,10 @@ Tensor randomBatch(std::vector<int> Shape, Rng &Rand) {
 template <typename L>
 double benchLayerBatched(L &Layer, const Tensor &In, const Tensor &GradOut) {
   int BN = In.dim(0);
+  LayerCtx Ctx;
   double Ns = timeNs([&] {
-    Tensor Y = Layer.forwardBatch(In);
-    Tensor GI = Layer.backwardBatch(GradOut, /*NeedGradIn=*/true);
+    Tensor Y = Layer.forward(In, &Ctx);
+    Tensor GI = Layer.backward(GradOut, Ctx, /*NeedGradIn=*/true);
     Sink = GI[0] + Y[0];
   });
   return Ns / BN;
@@ -120,7 +121,7 @@ template <typename L>
 double benchLayerForwardOnly(L &Layer, const Tensor &In) {
   int BN = In.dim(0);
   double Ns = timeNs([&] {
-    Tensor Y = Layer.forwardBatch(In);
+    Tensor Y = Layer.forward(In, nullptr);
     Sink = Y[0];
   });
   return Ns / BN;
@@ -215,6 +216,7 @@ void benchDqnStepCase(const std::vector<int> &ThreadsSet) {
       Target.copyParamsFrom(Online);
       Adam Opt(Online, 5e-4);
       Tensor S({Batch, In}), N({Batch, In}), Grad({Batch, Actions});
+      ForwardCtx Ctx;
       std::vector<int> Rows(Batch);
       Rng PickRand(7);
       double Total[4] = {0, 0, 0, 0};
@@ -227,9 +229,9 @@ void benchDqnStepCase(const std::vector<int> &ThreadsSet) {
                     N.sampleData(B));
         }
         Clock::time_point T0 = Clock::now();
-        Tensor NextQ = Target.forwardBatch(N);
+        Tensor NextQ = Target.forward(N);
         Clock::time_point T1 = Clock::now();
-        Tensor Pred = Online.forwardBatch(S);
+        Tensor Pred = Online.forward(S, &Ctx);
         Grad.fill(0.0f);
         for (int B = 0; B < Batch; ++B) {
           int R = Rows[B];
@@ -244,7 +246,7 @@ void benchDqnStepCase(const std::vector<int> &ThreadsSet) {
         Workspace::release(NextQ);
         Workspace::release(Pred);
         Clock::time_point T2 = Clock::now();
-        Tensor DIn = Online.backwardBatch(Grad);
+        Tensor DIn = Online.backward(Grad, Ctx);
         Workspace::release(DIn);
         Clock::time_point T3 = Clock::now();
         Opt.step(1.0 / Batch);

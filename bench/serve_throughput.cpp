@@ -7,7 +7,7 @@
 //   per-call : each session runs its own extract -> nn -> write_back loop
 //              (K independent single-session loops, the pre-split shape).
 //   batched  : the K calls of one round fuse into ONE
-//              Engine::nnBatchSessions pass — one forwardBatch serves
+//              Engine::nnBatchSessions pass — one forward serves
 //              every tenant's row.
 //
 // Output: one JSON line per case,
@@ -179,7 +179,7 @@ int main() {
 
   const long Rounds = scaled(2000, 50);
   for (int K : {1, 2, 4, 8, 16}) {
-    // Warm both paths (replica construction, staging growth), then measure.
+    // Warm both paths (snapshot refresh, staging growth), then measure.
     servePerCall(Eng, ModelId, K, 10);
     serveBatched(Eng, ModelId, K, 10);
     ServeResult Per = servePerCall(Eng, ModelId, K, Rounds);

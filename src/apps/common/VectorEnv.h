@@ -60,15 +60,10 @@ public:
   /// be safe to call concurrently (it is called once per actor).
   void resetAll(const std::function<uint64_t(int)> &SeedOf);
 
-  /// Steps every actor in parallel: actor k takes \p Actions[k] and fills
-  /// \p Rewards[k] and \p Terminals[k] (1 = episode ended at the new
-  /// state).
-  void stepAll(const int *Actions, float *Rewards, uint8_t *Terminals) {
-    stepWhere(nullptr, Actions, Rewards, Terminals);
-  }
-
-  /// stepAll restricted to actors with \p Active[k] != 0 (null = all).
-  /// Inactive actors' reward/terminal slots are left untouched.
+  /// Steps, in parallel, every actor with \p Active[k] != 0 (null = all):
+  /// actor k takes \p Actions[k] and fills \p Rewards[k] and
+  /// \p Terminals[k] (1 = episode ended at the new state). Inactive actors'
+  /// reward/terminal slots are left untouched.
   void stepWhere(const uint8_t *Active, const int *Actions, float *Rewards,
                  uint8_t *Terminals);
 

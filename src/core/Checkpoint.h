@@ -67,10 +67,8 @@ public:
   /// Restores the last snapshot into the registered state and \p Db (Rule
   /// RESTORE's rtSnapshot). The snapshot stays valid, so ending states can
   /// roll back repeatedly to the same checkpoint, as Mario training does.
-  /// Requires hasCheckpoint().
+  /// Requires a prior checkpoint().
   void restore(DatabaseStore &Db);
-
-  bool hasCheckpoint() const { return HasSnapshot; }
 
   /// Snapshot footprint in bytes (region bytes + object blobs + pi values).
   size_t snapshotBytes() const;
@@ -80,7 +78,6 @@ public:
   /// observable behavior is identical; kept so the overhead benchmarks can
   /// measure the delta path against the full path.
   void setDirtyTracking(bool On) { DirtyTracking = On; }
-  bool dirtyTracking() const { return DirtyTracking; }
 
   /// Slots/regions actually copied by the most recent checkpoint()
   /// (diagnostics for the overhead benchmarks).

@@ -51,7 +51,6 @@ public:
   size_t size() const { return Total; }
   size_t numSpans() const { return Spans.size(); }
   const float *spanData(size_t I) const { return Spans[I].Data; }
-  size_t spanSize(size_t I) const { return Spans[I].Len; }
 
   /// Gathers the spans into \p Dst (which must hold size() floats).
   void copyTo(float *Dst) const;

@@ -137,8 +137,8 @@ bool Engine::saveAllModels() {
 uint64_t Engine::publish(EngineModelEntry *E) {
   if (!E || !E->M)
     return 0;
-  auto S = std::make_shared<ParamSnapshot>();
-  if (!E->M->captureParams(*S))
+  std::unique_ptr<ModelSnapshot> S = E->M->snapshot();
+  if (!S)
     return 0;
   std::lock_guard<std::mutex> L(E->SnapM);
   uint64_t V = E->Version.load(std::memory_order_relaxed) + 1;
@@ -147,6 +147,18 @@ uint64_t Engine::publish(EngineModelEntry *E) {
   // Release: a reader that acquire-loads V sees the fully built snapshot.
   E->Version.store(V, std::memory_order_release);
   return V;
+}
+
+bool EngineModelEntry::refresh(std::shared_ptr<const ModelSnapshot> &Held) {
+  // Steady state: one acquire-load, no locks.
+  uint64_t V = Version.load(std::memory_order_acquire);
+  if (V == 0)
+    return false;
+  if (Held && Held->Version == V)
+    return true;
+  std::lock_guard<std::mutex> L(SnapM);
+  Held = Snap;
+  return Held != nullptr;
 }
 
 uint64_t Engine::publishModel(const std::string &ModelName) {
@@ -158,14 +170,6 @@ uint64_t Engine::publishModel(NameId Id) { return publish(entryById(Id)); }
 uint64_t Engine::modelVersion(NameId Id) {
   EngineModelEntry *E = entryById(Id);
   return E ? E->Version.load(std::memory_order_acquire) : 0;
-}
-
-std::shared_ptr<const ParamSnapshot> Engine::modelSnapshot(NameId Id) {
-  EngineModelEntry *E = entryById(Id);
-  if (!E)
-    return nullptr;
-  std::lock_guard<std::mutex> L(E->SnapM);
-  return E->Snap;
 }
 
 EngineModelEntry *Engine::entryById(NameId Id) {
@@ -180,48 +184,6 @@ EngineModelEntry *Engine::entryByName(const std::string &Name) {
 }
 
 //===----------------------------------------------------------------------===//
-// InferenceReplica
-//===----------------------------------------------------------------------===//
-
-bool InferenceReplica::refresh(Engine &Eng, NameId ModelId) {
-  if (!Entry) {
-    Entry = Eng.entryById(ModelId);
-    if (!Entry)
-      return false;
-  }
-  // Steady state: one acquire-load, no locks.
-  uint64_t V = Entry->Version.load(std::memory_order_acquire);
-  if (V == 0)
-    return false;
-  if (V == SeenVersion && Trainer)
-    return true;
-
-  std::shared_ptr<const ParamSnapshot> S;
-  {
-    std::lock_guard<std::mutex> L(Entry->SnapM);
-    S = Entry->Snap;
-  }
-  if (!S)
-    return false;
-  Model *M = Entry->M.get();
-  if (!M || !SlModel::classof(M))
-    return false;
-  auto *Sl = static_cast<SlModel *>(M);
-
-  // Same architecture across versions: install in place. Fall back to a
-  // full rebuild on the first refresh or a shape change.
-  if (Trainer && S->installInto(Trainer->network())) {
-    Trainer->setNormalization(S->XMean, S->XStd, S->YMean, S->YStd);
-  } else {
-    Trainer = Sl->makeReplica(*S);
-    if (!Trainer)
-      return false;
-  }
-  SeenVersion = S->Version;
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
 // Cross-session inference batchers
 //===----------------------------------------------------------------------===//
 
@@ -230,10 +192,10 @@ void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
                              const std::vector<WriteBackHandle> &Outputs) {
   assert(K > 0 && Sessions && ExtIds && "nnBatchSessions of no sessions");
   std::lock_guard<std::mutex> BL(BatchM);
-  Model *M = getModel(ModelId);
-  assert(M && "au_NN on an unconfigured model");
-  auto *Sl = static_cast<SlModel *>(M);
-  assert(SlModel::classof(M) && "supervised au_NN form on an RL model");
+  EngineModelEntry *Entry = entryById(ModelId);
+  assert(Entry && Entry->M && "au_NN on an unconfigured model");
+  auto *Sl = static_cast<SlModel *>(Entry->M.get());
+  assert(SlModel::classof(Sl) && "supervised au_NN form on an RL model");
   assert(!Outputs.empty() && "au_NN must declare at least one output");
 
   // Gather session k's serialized features into row k of one K x D staging
@@ -251,15 +213,13 @@ void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
         }
       });
 
-  // ONE forwardBatch for the whole tenant set — this is where K per-call
-  // predictions collapse into a single batched network pass. Serve from a
-  // replica of the latest published snapshot when one exists; fall back to
-  // the live model otherwise (single-tenant semantics).
-  std::unique_ptr<InferenceReplica> &Rep = ServeReps[ModelId];
-  if (!Rep)
-    Rep = std::make_unique<InferenceReplica>();
-  if (Rep->refresh(*this, ModelId))
-    Rep->predictRows(NnStaging.data(), K, NnOut);
+  // ONE forward for the whole tenant set — this is where K per-call
+  // predictions collapse into a single batched network pass. Serve from
+  // the latest published snapshot when one exists; fall back to the live
+  // model otherwise (single-tenant semantics).
+  std::shared_ptr<const ModelSnapshot> Snap;
+  if (Entry->refresh(Snap))
+    nn::predictRows(Snap->Net, Snap->Norm, NnStaging.data(), K, NnOut);
   else
     Sl->predictRows(NnStaging.data(), K, NnOut);
 

@@ -16,16 +16,19 @@
 ///    any thread (mutex-guarded; the name table's deque storage keeps
 ///    returned string references stable forever).
 ///  - Training mutates the *live* model and must stay on one thread per
-///    model (the semantics' single TR execution). publishModel() snapshots
-///    the live parameters into an immutable ParamSnapshot and installs it
-///    with a release-store of the version counter; any number of TS-mode
-///    readers then refresh InferenceReplicas from the snapshot with an
-///    acquire-load and serve inference without ever touching the live
-///    model. Lock order: BatchM -> ModelsM -> NamesM (and entry SnapM
+///    model (the semantics' single TR execution). publishModel() copies the
+///    live network into an immutable ModelSnapshot, packs it, and installs
+///    it with a release-store of the version counter. Any number of TS-mode
+///    readers then share that one snapshot: each holds a
+///    shared_ptr<const ModelSnapshot>, refreshed with an acquire-load, and
+///    runs forward on it with no context of its own, never touching the
+///    live model. The active NN engine (nn::setBackend) must not change
+///    while readers serve, since a published network is packed for one
+///    engine. Lock order: BatchM -> ModelsM -> NamesM (and entry SnapM
 ///    innermost); no path takes them in any other order.
 ///  - nnBatchSessions()/nnRlSessions() fuse K sessions' au_NN calls into
-///    one forwardBatch under BatchM; the per-session gathers and scatters
-///    touch disjoint stores and parallelize on the global ThreadPool.
+///    one forward under BatchM; the per-session gathers and scatters touch
+///    disjoint stores and parallelize on the global ThreadPool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +46,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace au {
@@ -51,45 +53,22 @@ namespace au {
 class Engine;
 
 /// One entry of the engine's model store: the live model plus the published
-/// parameter snapshot concurrent readers serve from. Internal to Engine and
-/// InferenceReplica; entries are created by config() and never destroyed
-/// before the Engine, so raw pointers to them are stable.
+/// snapshot concurrent readers serve from. Internal to Engine and Session;
+/// entries are created by config() and never destroyed before the Engine,
+/// so raw pointers to them are stable.
 struct EngineModelEntry {
   std::unique_ptr<Model> M;
   /// Publication counter: 0 = nothing published yet. Written with
   /// memory_order_release after the snapshot is installed; readers
   /// acquire-load it to decide whether to refresh.
   std::atomic<uint64_t> Version{0};
-  std::shared_ptr<const ParamSnapshot> Snap;
+  std::shared_ptr<const ModelSnapshot> Snap;
   std::mutex SnapM; ///< Guards Snap (the pointer, not the snapshot).
-};
 
-/// A reader's private clone of a published model version: an
-/// inference-only SupervisedTrainer rebuilt from the latest ParamSnapshot.
-/// refresh() is cheap when the version is unchanged (one acquire-load);
-/// on a version change it installs the new parameters into the clone.
-/// Prediction runs the exact predictRowsInto code path direct serving
-/// uses, so replica and live predictions are bitwise identical for the
-/// same parameters.
-class InferenceReplica {
-public:
-  /// Binds to \p ModelId on first call, then brings the clone up to the
-  /// engine's latest published snapshot. Returns false while the model is
-  /// unknown, is not supervised, or has no published snapshot yet (the
-  /// caller falls back to the live model).
-  bool refresh(Engine &Eng, NameId ModelId);
-
-  /// The snapshot version currently installed (0 = none).
-  uint64_t version() const { return SeenVersion; }
-
-  void predictRows(const float *Xs, int Rows, std::vector<float> &Out) {
-    Trainer->predictRowsInto(Xs, Rows, Out);
-  }
-
-private:
-  EngineModelEntry *Entry = nullptr;
-  uint64_t SeenVersion = 0;
-  std::unique_ptr<nn::SupervisedTrainer> Trainer;
+  /// Points \p Held at the latest published snapshot: one acquire-load
+  /// while \p Held is current, a locked pointer copy when a newer version
+  /// is out. Returns false while nothing is published.
+  bool refresh(std::shared_ptr<const ModelSnapshot> &Held);
 };
 
 /// The process-wide model plane. Owns theta and the master name table;
@@ -156,9 +135,6 @@ public:
   /// Latest published version (acquire-load; 0 = none).
   uint64_t modelVersion(NameId Id);
 
-  /// The latest published snapshot (null when none).
-  std::shared_ptr<const ParamSnapshot> modelSnapshot(NameId Id);
-
   //===--------------------------------------------------------------------===//
   // Cross-session inference batchers
   //===--------------------------------------------------------------------===//
@@ -166,8 +142,8 @@ public:
   /// Fused supervised au_NN for \p K sessions: gathers session k's
   /// serialized features pi_k[ExtIds[k]] into row k of one K x D staging
   /// block (parallel, disjoint stores), predicts all K rows with ONE
-  /// forwardBatch call — through a serving replica of the latest published
-  /// snapshot when one exists, else the live model — and scatters each
+  /// forward call — on the latest published snapshot when one exists, else
+  /// on the live model — and scatters each
   /// declared output into each session's store (parallel). Counts one
   /// au_NN per session; deployment-mode only. This is the multi-tenant
   /// serving hot path: K per-call predictions collapse into one batched
@@ -188,7 +164,6 @@ public:
 
 private:
   friend class Session;
-  friend class InferenceReplica;
 
   /// Replays master-table names [From, size) into \p Db in order; returns
   /// the new high-water mark. Throws StoreDivergenceError when the replay
@@ -215,8 +190,6 @@ private:
   std::vector<float> NnStaging;
   std::vector<float> NnOut;
   std::vector<int> ActionsScratch;
-  /// Engine-level serving replicas for nnBatchSessions, one per model.
-  std::unordered_map<NameId, std::unique_ptr<InferenceReplica>> ServeReps;
 };
 
 } // namespace au

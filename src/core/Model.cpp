@@ -12,20 +12,6 @@ using namespace au;
 
 Model::~Model() = default;
 
-bool ParamSnapshot::installInto(nn::Network &Net) const {
-  std::vector<nn::ParamView> Ps = Net.params();
-  if (Ps.size() != Params.size())
-    return false;
-  for (size_t I = 0; I != Ps.size(); ++I) {
-    if (Params[I].size() != Ps[I].Count)
-      return false;
-    std::memcpy(Ps[I].Values, Params[I].data(), Ps[I].Count * sizeof(float));
-  }
-  // θ changed behind the layers' backs: invalidate packed-weight caches.
-  Net.bumpParamGeneration();
-  return true;
-}
-
 nn::Network Model::makeNetwork(int InputSize, int OutSize, Rng &Rand) const {
   if (Cfg.CustomNetwork)
     return Cfg.CustomNetwork(InputSize, OutSize, Rand);
@@ -115,18 +101,18 @@ void writeHeader(BinFile &B, const Model &M, int ActionOrOutSize) {
   }
 }
 
-void writeParams(BinFile &B, nn::Network &Net) {
-  std::vector<nn::ParamView> Ps = Net.params();
+void writeParams(BinFile &B, const nn::Network &Net) {
+  const std::vector<nn::ParamView> &Ps = Net.params();
   B.writeU32(static_cast<uint32_t>(Ps.size()));
   for (const nn::ParamView &P : Ps)
     B.writeFloats(P.Values, P.Count);
 }
 
 bool readParams(BinFile &B, nn::Network &Net) {
-  std::vector<nn::ParamView> Ps = Net.params();
+  const std::vector<nn::ParamView> &Ps = Net.params();
   if (B.readU32() != Ps.size())
     return false;
-  for (nn::ParamView &P : Ps) {
+  for (const nn::ParamView &P : Ps) {
     std::vector<float> V = B.readFloatVec();
     if (!B.Ok || V.size() != P.Count)
       return false;
@@ -228,30 +214,15 @@ size_t SlModel::numSamples() const {
   return Trainer ? Trainer->numSamples() : 0;
 }
 
-bool SlModel::captureParams(ParamSnapshot &S) {
+std::unique_ptr<ModelSnapshot> SlModel::snapshot() {
   if (!Built || !Trainer)
-    return false;
-  S.InSize = InSize;
-  S.OutSize = totalOutputSize();
-  S.Params.clear();
-  for (const nn::ParamView &P : Trainer->network().params())
-    S.Params.emplace_back(P.Values, P.Values + P.Count);
-  Trainer->getNormalization(S.XMean, S.XStd, S.YMean, S.YStd);
-  return true;
-}
-
-std::unique_ptr<nn::SupervisedTrainer>
-SlModel::makeReplica(const ParamSnapshot &S) const {
-  // A private Rng: the initialization is immediately overwritten by the
-  // snapshot, and the live model's Rand must not advance.
-  Rng R(Cfg.Seed);
-  double Lr = Cfg.LearningRate > 0 ? Cfg.LearningRate : 1e-3;
-  auto T = std::make_unique<nn::SupervisedTrainer>(
-      makeNetwork(S.InSize, S.OutSize, R), Lr);
-  if (!S.installInto(T->network()))
     return nullptr;
-  T->setNormalization(S.XMean, S.XStd, S.YMean, S.YStd);
-  return T;
+  auto S = std::make_unique<ModelSnapshot>();
+  S->Net = Trainer->network().clone();
+  // Packed here, before publication, and never again: readers only read.
+  S->Net.pack();
+  S->Norm = Trainer->normalization();
+  return S;
 }
 
 size_t SlModel::modelSizeBytes() {
@@ -271,12 +242,11 @@ bool SlModel::save(const std::string &Path) {
     return false;
   writeHeader(B, *this, totalOutputSize());
   writeParams(B, Trainer->network());
-  std::vector<float> XM, XS, YM, YS;
-  Trainer->getNormalization(XM, XS, YM, YS);
-  B.writeFloatVec(XM);
-  B.writeFloatVec(XS);
-  B.writeFloatVec(YM);
-  B.writeFloatVec(YS);
+  const nn::Normalization &N = Trainer->normalization();
+  B.writeFloatVec(N.XMean);
+  B.writeFloatVec(N.XStd);
+  B.writeFloatVec(N.YMean);
+  B.writeFloatVec(N.YStd);
   std::fclose(B.F);
   return B.Ok;
 }
@@ -302,16 +272,16 @@ bool SlModel::load(const std::string &Path) {
   Trainer = std::make_unique<nn::SupervisedTrainer>(
       makeNetwork(InSize, H.ActionOrOutSize, Rand), Lr);
   bool Ok = readParams(B, Trainer->network());
-  std::vector<float> XM = B.readFloatVec();
-  std::vector<float> XS = B.readFloatVec();
-  std::vector<float> YM = B.readFloatVec();
-  std::vector<float> YS = B.readFloatVec();
+  nn::Normalization N;
+  N.XMean = B.readFloatVec();
+  N.XStd = B.readFloatVec();
+  N.YMean = B.readFloatVec();
+  N.YStd = B.readFloatVec();
   Ok = Ok && B.Ok;
   std::fclose(B.F);
   if (!Ok)
     return false;
-  Trainer->setNormalization(std::move(XM), std::move(XS), std::move(YM),
-                            std::move(YS));
+  Trainer->setNormalization(std::move(N));
   Built = true;
   return true;
 }
@@ -492,8 +462,5 @@ bool RlModel::load(const std::string &Path) {
   build(H.InSize, H.Outs.front());
   bool Ok = readParams(B, Learner->onlineNetwork());
   std::fclose(B.F);
-  if (!Ok)
-    return false;
-  Learner->onlineNetwork();
-  return true;
+  return Ok;
 }

@@ -39,27 +39,15 @@ struct WriteBackSpec {
   int Size = 1;
 };
 
-namespace nn {
-class Network;
-}
-
-/// An immutable copy of a model's trainable parameters and normalization
-/// statistics, published by the Engine so concurrent TS-mode readers serve
-/// inference from a consistent version while the live model keeps training
-/// (DESIGN.md §10). Snapshots are never mutated after publication; readers
-/// hold them via shared_ptr<const ParamSnapshot>.
-struct ParamSnapshot {
+/// One immutable published version of a supervised model (DESIGN.md
+/// §10): a packed copy of the trained network and its normalization
+/// statistics, built once on the trainer thread. Readers hold it through
+/// shared_ptr<const ModelSnapshot> and run nn::predictRows on it with no
+/// state of their own; nothing mutates it after publication.
+struct ModelSnapshot {
   uint64_t Version = 0; ///< Monotone publication counter (1 = first).
-  int InSize = 0;
-  int OutSize = 0;
-  /// One vector per ParamView of the source network, in params() order.
-  std::vector<std::vector<float>> Params;
-  std::vector<float> XMean, XStd, YMean, YStd;
-
-  /// Copies the captured parameters into \p Net (which must have the same
-  /// architecture) and invalidates its packed-weight caches. Returns false
-  /// on a shape mismatch.
-  bool installInto(nn::Network &Net) const;
+  nn::Network Net;
+  nn::Normalization Norm;
 };
 
 /// Base class for model-store entries.
@@ -90,13 +78,11 @@ public:
   /// Loads a model persisted by save(); returns false on failure.
   virtual bool load(const std::string &Path) = 0;
 
-  /// Captures the current parameters into \p S for snapshot publication.
-  /// Returns false when the model kind does not support snapshot serving
-  /// (RL models serve through the live learner) or the model is unbuilt.
-  virtual bool captureParams(ParamSnapshot &S) {
-    (void)S;
-    return false;
-  }
+  /// A packed copy of the live network and its statistics, for
+  /// publication; null when the model kind does not support snapshot
+  /// serving (RL models serve through the live learner) or the model is
+  /// unbuilt. Call from the thread that trains the model.
+  virtual std::unique_ptr<ModelSnapshot> snapshot() { return nullptr; }
 
 protected:
   Model(KindTy K, ModelConfig C) : Kind(K), Cfg(std::move(C)) {}
@@ -147,17 +133,7 @@ public:
   bool save(const std::string &Path) override;
   bool load(const std::string &Path) override;
 
-  /// Copies the trained parameters and normalization into \p S. Must be
-  /// called from the thread that owns the live model (the trainer).
-  bool captureParams(ParamSnapshot &S) override;
-
-  /// Builds an independent inference-only trainer from a published
-  /// snapshot: same architecture, snapshot parameters, snapshot
-  /// normalization. Touches none of the live training state, so replicas
-  /// can be created while the live model trains. Returns null on an
-  /// architecture/snapshot mismatch.
-  std::unique_ptr<nn::SupervisedTrainer>
-  makeReplica(const ParamSnapshot &S) const;
+  std::unique_ptr<ModelSnapshot> snapshot() override;
 
 private:
   int totalOutputSize() const;

@@ -128,11 +128,11 @@ void Session::nn(NameId ModelId, NameId ExtId,
     P.Outputs = Outputs;
     Pending.push_back(std::move(P));
   } else {
-    // Rule TEST: gather the spans into the staging buffer, run one
-    // forwardBatch row, and scatter the predictions into pi. Under shared
-    // inference the row is served from this session's replica of the
-    // engine's latest published snapshot; otherwise (and while nothing is
-    // published) from the live model, exactly as before the split.
+    // Rule TEST: gather the spans into the staging buffer, run one forward
+    // row, and scatter the predictions into pi. Under shared inference the
+    // row is served from the engine's latest published snapshot; otherwise
+    // (and while nothing is published) from the live model, exactly as
+    // before the split.
     NnStaging.resize(V.size());
     V.copyTo(NnStaging.data());
     if (!(SharedInference &&
@@ -390,19 +390,19 @@ std::string Session::modelPath(const std::string &ModelName) const {
 
 bool Session::predictShared(NameId ModelId, const float *Xs, int Rows,
                             std::vector<float> &Out) {
-  if (ModelId >= Replicas.size())
-    Replicas.resize(ModelId + 1);
-  std::unique_ptr<InferenceReplica> &Rep = Replicas[ModelId];
-  if (!Rep)
-    Rep = std::make_unique<InferenceReplica>();
-  if (!Rep->refresh(Eng, ModelId))
+  if (ModelId >= Serving.size())
+    Serving.resize(ModelId + 1);
+  Served &Sv = Serving[ModelId];
+  if (!Sv.Entry)
+    Sv.Entry = Eng.entryById(ModelId);
+  if (!Sv.Entry || !Sv.Entry->refresh(Sv.Snap))
     return false;
-  Rep->predictRows(Xs, Rows, Out);
+  nn::predictRows(Sv.Snap->Net, Sv.Snap->Norm, Xs, Rows, Out);
   return true;
 }
 
 uint64_t Session::servingVersion(NameId ModelId) const {
-  return ModelId < Replicas.size() && Replicas[ModelId]
-             ? Replicas[ModelId]->version()
+  return ModelId < Serving.size() && Serving[ModelId].Snap
+             ? Serving[ModelId].Snap->Version
              : 0;
 }

@@ -46,7 +46,7 @@
 namespace au {
 
 class Engine;
-class InferenceReplica;
+struct EngineModelEntry;
 
 /// Primitive-level counters (used by the overhead microbenchmarks and by
 /// the Table 2 trace-size accounting); each Session owns one.
@@ -185,15 +185,15 @@ public:
 
   /// Handle-keyed au_NN forms. The feature/state list is gathered from the
   /// serialize spans into a reusable staging buffer and, in TS mode, fed
-  /// through the batched forwardBatch engine (Rows = 1), so the steady
-  /// state allocates nothing per call.
+  /// through the batched forward engine (Rows = 1), so the steady state
+  /// allocates nothing per call.
   void nn(NameId ModelId, NameId ExtId,
           const std::vector<WriteBackHandle> &Outputs);
   void nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
           const WriteBackHandle &Output);
 
   /// Batched TS-mode au_NN: pi[ExtId] holds \p Rows feature vectors back to
-  /// back; one forwardBatch call predicts all of them and each declared
+  /// back; one forward call predicts all of them and each declared
   /// output receives its Rows x Size predictions concatenated row-major.
   /// Deployment-mode only (TR samples are labeled per iteration).
   void nnBatch(NameId ModelId, NameId ExtId, int Rows,
@@ -263,16 +263,15 @@ public:
   // Shared-inference serving (DESIGN.md §10)
   //===--------------------------------------------------------------------===//
 
-  /// When enabled, TS-mode supervised au_NN serves from a session-local
-  /// replica of the engine's latest *published* parameter snapshot instead
-  /// of touching the live (possibly training) model: many sessions on many
-  /// threads then run inference concurrently while one trainer publishes.
-  /// Off by default: the single-tenant path reads the live model directly.
+  /// When enabled, TS-mode supervised au_NN serves from the engine's latest
+  /// *published* snapshot instead of touching the live (possibly training)
+  /// model: many sessions on many threads then run inference concurrently
+  /// on that one immutable network while one trainer publishes. Off by
+  /// default: the single-tenant path reads the live model directly.
   void setSharedInference(bool On) { SharedInference = On; }
-  bool sharedInference() const { return SharedInference; }
 
-  /// The snapshot version the session's serving replica of \p ModelId last
-  /// refreshed to (0 = never served / no snapshot yet).
+  /// The snapshot version this session last served \p ModelId from (0 =
+  /// never served / no snapshot yet).
   uint64_t servingVersion(NameId ModelId) const;
 
 private:
@@ -301,9 +300,9 @@ private:
     return Out < WbOwner.size() ? WbOwner[Out] : InvalidNameId;
   }
 
-  /// Serves one TS prediction from the session replica when shared
-  /// inference is on and a snapshot is published; returns false to fall
-  /// back to the live model.
+  /// Serves one TS prediction from the engine's published snapshot;
+  /// returns false, to fall back to the live model, while none is
+  /// published.
   bool predictShared(NameId ModelId, const float *Xs, int Rows,
                      std::vector<float> &Out);
 
@@ -320,8 +319,12 @@ private:
   std::vector<PendingSample> Pending;
   SessionStats Stats;
   bool SharedInference = false;
-  /// NameId -> serving replica (only populated under shared inference).
-  std::vector<std::unique_ptr<InferenceReplica>> Replicas;
+  /// What shared inference serves one model from.
+  struct Served {
+    EngineModelEntry *Entry = nullptr;
+    std::shared_ptr<const ModelSnapshot> Snap; ///< Last snapshot served.
+  };
+  std::vector<Served> Serving; ///< NameId -> serving state.
 
   // Reusable hot-path staging (DESIGN.md §7): model inputs gathered from
   // serialize spans, batched predictions, per-output scatter, and numeric

@@ -6,11 +6,13 @@
 ///
 /// \file
 /// The layer abstraction for the NN substrate. A layer computes on batches:
-/// forwardBatch/backwardBatch take rank-(N+1) tensors whose leading
-/// dimension is the minibatch, so a whole minibatch flows through the
-/// network in one call of the GEMM/im2col compute engine. A single sample is
-/// a batch of one. A layer owns its parameters and the gradient accumulators
-/// that the optimizer consumes.
+/// forward/backward take rank-(N+1) tensors whose leading dimension is the
+/// minibatch, so a whole minibatch flows through the network in one call of
+/// the GEMM/im2col compute engine. A single sample is a batch of one. A
+/// layer owns its parameters and the gradient accumulators that the
+/// optimizer consumes, and nothing else: whatever one pass leaves for its
+/// backward lives in a LayerCtx the caller owns. forward is const, so any
+/// number of threads may run it on one layer at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +21,8 @@
 
 #include "nn/Tensor.h"
 
-#include <string>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace au {
@@ -34,34 +37,53 @@ struct ParamView {
   size_t Count;
 };
 
-/// Base class for all layers. forwardBatch caches whatever backwardBatch
-/// needs, so a layer instance processes one batch at a time (forward
-/// immediately followed by the matching backward).
+/// What one layer's forward leaves for the matching backward. The caller
+/// owns it (Network keeps one per layer in a ForwardCtx), so the layer
+/// itself holds no per-call state.
+struct LayerCtx {
+  /// The forward input, for a layer whose backward reads it (Dense, ReLU).
+  /// Not owned: whoever passed the input keeps it alive until the backward.
+  const Tensor *In = nullptr;
+  /// The input's shape, for a layer whose backward needs only that.
+  std::vector<int> InShape;
+  /// Layer-specific saved state: Conv2D's im2col columns (a workspace
+  /// tensor, released by the owner after the backward).
+  Tensor Saved;
+  /// MaxPool2D's winning window slot per output, 2 * dy + dx.
+  std::vector<uint8_t> Window;
+};
+
+/// Base class for all layers.
 class Layer {
 public:
   virtual ~Layer();
 
   /// Batched forward pass: \p In is a rank-(N+1) tensor whose leading
-  /// dimension is the minibatch. Caches whatever backwardBatch needs for the
-  /// whole batch.
-  virtual Tensor forwardBatch(const Tensor &In) = 0;
+  /// dimension is the minibatch; returns a workspace tensor. With \p Ctx,
+  /// records in it what backward needs (possibly a pointer to \p In); with
+  /// a null \p Ctx (inference) nothing is saved and scratch comes from the
+  /// Workspace.
+  virtual Tensor forward(const Tensor &In, LayerCtx *Ctx) const = 0;
 
-  /// Batched backward pass; must follow a forwardBatch() on the same batch.
-  /// Accumulates the summed minibatch parameter gradients and returns
-  /// dLoss/dIn with the same leading batch dimension. With \p NeedGradIn
-  /// false nobody reads dLoss/dIn: a layer with parameters then skips it and
-  /// returns an empty tensor (Network::backwardBatch passes false only to
-  /// the first such layer).
-  virtual Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) = 0;
+  /// Batched backward pass for the forward that filled \p Ctx. Accumulates
+  /// the summed minibatch parameter gradients and returns dLoss/dIn with
+  /// the same leading batch dimension. With \p NeedGradIn false nobody
+  /// reads dLoss/dIn: a layer with parameters then skips it and returns an
+  /// empty tensor (Network::backward passes false only to the first such
+  /// layer).
+  virtual Tensor backward(const Tensor &GradOut, LayerCtx &Ctx,
+                          bool NeedGradIn) = 0;
 
-  /// Parameter tensors (empty for stateless layers such as ReLU).
+  /// Parameter tensors (empty for stateless layers such as ReLU). The
+  /// pointers stay valid for the layer's lifetime.
   virtual std::vector<ParamView> params() { return {}; }
 
-  /// Zeroes all gradient accumulators.
-  void zeroGrads();
+  /// Packs the weight operands forward reads into the active engine's
+  /// layout, so later forwards only read them (DESIGN.md §9).
+  virtual void pack() const {}
 
-  /// Total number of trainable scalars.
-  size_t numParams();
+  /// A copy of this layer: parameters, gradients and packed caches.
+  virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Monotonic parameter version. Packed-weight caches (DESIGN.md §9) store
   /// the generation they were packed at and re-pack only when it moves.
@@ -70,9 +92,6 @@ public:
   /// Records that this layer's parameters changed (optimizer step, parameter
   /// load/restore, direct mutation through the raw accessors).
   void bumpParamGen() { ++ParamGen; }
-
-  /// Human-readable layer kind for diagnostics and serialization.
-  virtual std::string kind() const = 0;
 
 private:
   uint64_t ParamGen = 0;

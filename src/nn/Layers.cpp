@@ -16,18 +16,6 @@ using namespace au::nn;
 
 Layer::~Layer() = default;
 
-void Layer::zeroGrads() {
-  for (ParamView P : params())
-    std::fill(P.Grads, P.Grads + P.Count, 0.0f);
-}
-
-size_t Layer::numParams() {
-  size_t N = 0;
-  for (ParamView P : params())
-    N += P.Count;
-  return N;
-}
-
 //===----------------------------------------------------------------------===//
 // Dense
 //===----------------------------------------------------------------------===//
@@ -44,28 +32,34 @@ Dense::Dense(int InSize, int OutSize, Rng &Rand) : In(InSize), Out(OutSize) {
     V = static_cast<float>(Rand.uniform(-Limit, Limit));
 }
 
-Tensor Dense::forwardBatch(const Tensor &Input) {
+Tensor Dense::forward(const Tensor &Input, LayerCtx *Ctx) const {
   assert(Input.rank() == 2 && Input.dim(1) == In &&
          "dense batched input shape mismatch");
   int BN = Input.dim(0);
-  LastIn = Input;
+  if (Ctx)
+    Ctx->In = &Input;
   Tensor Y = Workspace::acquire({BN, Out});
   // Prefill each row with the bias, then accumulate X * W^T on top, so each
   // output is B[O] + sum_i X[i] * W[O][i] summed i-ascending. W^T is served
   // from the packed cache, so steady-state inference skips all packing work.
   float *YD = Y.data();
   biasAddRowsKernel(YD, B.data(), BN, Out);
-  ensurePackedB(PackedWT, paramGen(), /*TransB=*/true, In, Out, W.data(), In);
+  pack();
   sgemmPackedB(/*TransA=*/false, PackedWT, BN, Out, In, 1.0f, Input.data(),
                In, 1.0f, YD, Out);
   return Y;
 }
 
-Tensor Dense::backwardBatch(const Tensor &GradOut, bool NeedGradIn) {
+void Dense::pack() const {
+  ensurePackedB(PackedWT, paramGen(), /*TransB=*/true, In, Out, W.data(), In);
+}
+
+Tensor Dense::backward(const Tensor &GradOut, LayerCtx &Ctx,
+                       bool NeedGradIn) {
   assert(GradOut.rank() == 2 && GradOut.dim(1) == Out &&
          "dense batched gradient shape mismatch");
   int BN = GradOut.dim(0);
-  assert(LastIn.rank() == 2 && LastIn.dim(0) == BN &&
+  assert(Ctx.In && Ctx.In->rank() == 2 && Ctx.In->dim(0) == BN &&
          "batched backward without matching forward");
   const float *G = GradOut.data();
   // Bias gradients in fixed ascending-sample order.
@@ -77,7 +71,7 @@ Tensor Dense::backwardBatch(const Tensor &GradOut, bool NeedGradIn) {
   // Weight gradients: GW += GradOut^T * X. Row-parallel over Out with
   // ascending-sample accumulation per element — deterministic.
   sgemm(/*TransA=*/true, /*TransB=*/false, Out, In, BN, 1.0f, G, Out,
-        LastIn.data(), In, 1.0f, GW.data(), In);
+        Ctx.In->data(), In, 1.0f, GW.data(), In);
   if (!NeedGradIn)
     return Tensor();
   // Input gradients: GI = GradOut * W, with W served from the packed cache.
@@ -97,8 +91,9 @@ std::vector<ParamView> Dense::params() {
 // ReLU
 //===----------------------------------------------------------------------===//
 
-Tensor ReLU::forwardBatch(const Tensor &In) {
-  LastIn = In;
+Tensor ReLU::forward(const Tensor &In, LayerCtx *Ctx) const {
+  if (Ctx)
+    Ctx->In = &In;
   Tensor Y = Workspace::acquire(In.shape());
   float *D = Y.data();
   const float *S = In.data();
@@ -110,13 +105,13 @@ Tensor ReLU::forwardBatch(const Tensor &In) {
   return Y;
 }
 
-Tensor ReLU::backwardBatch(const Tensor &GradOut, bool) {
-  assert(GradOut.size() == LastIn.size() &&
+Tensor ReLU::backward(const Tensor &GradOut, LayerCtx &Ctx, bool) {
+  assert(Ctx.In && GradOut.size() == Ctx.In->size() &&
          "relu batched gradient size mismatch");
   Tensor GradIn = Workspace::acquire(GradOut.shape());
   float *D = GradIn.data();
   const float *S = GradOut.data();
-  const float *X = LastIn.data();
+  const float *X = Ctx.In->data();
   ThreadPool::global().parallelFor(0, GradIn.size(), 8192,
                                    [&](size_t B, size_t E) {
     std::memcpy(D + B, S + B, sizeof(float) * (E - B));
@@ -142,7 +137,7 @@ Conv2D::Conv2D(int InChannels, int OutChannels, int KernelSize, int Stride,
     V = static_cast<float>(Rand.uniform(-Limit, Limit));
 }
 
-Tensor Conv2D::forwardBatch(const Tensor &Input) {
+Tensor Conv2D::forward(const Tensor &Input, LayerCtx *Ctx) const {
   assert(Input.rank() == 4 && Input.dim(1) == InC &&
          "conv batched input shape mismatch");
   int BN = Input.dim(0), H = Input.dim(2), Wd = Input.dim(3);
@@ -150,11 +145,9 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   int OH = convOutDim(H, K, S), OW = convOutDim(Wd, K, S);
   int CKK = InC * K * K;
   size_t ColSz = static_cast<size_t>(CKK) * OH * OW;
-  if (Cols.size() < static_cast<size_t>(BN) * ColSz)
-    Cols.resize(static_cast<size_t>(BN) * ColSz);
-  InShape = Input.shape();
-  LastOH = OH;
-  LastOW = OW;
+  // The whole batch's im2col columns ([Batch][InC*K*K][OH*OW]), which the
+  // weight-gradient GEMM of a training pass reads again.
+  Tensor Cols = Workspace::acquire({BN, CKK, OH * OW});
   Tensor OutT = Workspace::acquire({BN, OutC, OH, OW});
   size_t InSz = Input.sampleSize(), OutSz = OutT.sampleSize();
   const float *InD = Input.data();
@@ -168,7 +161,7 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi) {
-      float *Col = &Cols[Bi * ColSz];
+      float *Col = Cols.data() + Bi * ColSz;
       im2col(InD + Bi * InSz, InC, H, Wd, K, S, Col);
       float *O = OutD + Bi * OutSz;
       if (Simd) {
@@ -182,18 +175,28 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
             W.data(), CKK, Col, OH * OW, 1.0f, O, OH * OW);
     }
   });
+  if (!Ctx) {
+    Workspace::release(Cols);
+    return OutT;
+  }
+  Ctx->InShape = Input.shape();
+  Workspace::release(Ctx->Saved);
+  Ctx->Saved = std::move(Cols);
   return OutT;
 }
 
-Tensor Conv2D::backwardBatch(const Tensor &GradOut, bool NeedGradIn) {
+Tensor Conv2D::backward(const Tensor &GradOut, LayerCtx &Ctx,
+                        bool NeedGradIn) {
   assert(GradOut.rank() == 4 && GradOut.dim(1) == OutC &&
          "conv batched gradient shape mismatch");
   int BN = GradOut.dim(0), OH = GradOut.dim(2), OW = GradOut.dim(3);
-  assert(!InShape.empty() && InShape[0] == BN && OH == LastOH &&
-         OW == LastOW && "batched backward without matching forward");
-  int H = InShape[2], Wd = InShape[3];
   int CKK = InC * K * K;
   size_t ColSz = static_cast<size_t>(CKK) * OH * OW;
+  assert(Ctx.InShape.size() == 4 && Ctx.InShape[0] == BN &&
+         Ctx.Saved.size() == static_cast<size_t>(BN) * ColSz &&
+         "batched backward without matching forward");
+  int H = Ctx.InShape[2], Wd = Ctx.InShape[3];
+  const float *Cols = Ctx.Saved.data();
   size_t GSz = GradOut.sampleSize();
   const float *GD = GradOut.data();
   size_t PlaneSz = static_cast<size_t>(OH) * OW;
@@ -227,7 +230,7 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut, bool NeedGradIn) {
                                                float *Acc) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
       sgemm(/*TransA=*/false, /*TransB=*/true, CKK, OutC, OH * OW, 1.0f,
-            &Cols[Bi * ColSz], OH * OW, GD + Bi * GSz, OH * OW, 1.0f, Acc,
+            Cols + Bi * ColSz, OH * OW, GD + Bi * GSz, OH * OW, 1.0f, Acc,
             OutC);
   });
   for (int Oc = 0; Oc < OutC; ++Oc)
@@ -239,21 +242,21 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut, bool NeedGradIn) {
     return Tensor();
   // Input gradients: dCol_b = W^T * GradOut_b, scattered back by col2im.
   // col2im accumulates, so the workspace tensor must be zeroed explicitly.
-  if (DCols.size() < static_cast<size_t>(BN) * ColSz)
-    DCols.resize(static_cast<size_t>(BN) * ColSz);
-  Tensor GradIn = Workspace::acquire(InShape);
+  Tensor DCols = Workspace::acquire({BN, CKK, OH * OW});
+  Tensor GradIn = Workspace::acquire(Ctx.InShape);
   GradIn.fill(0.0f);
   float *GID = GradIn.data();
   size_t InSz = GradIn.sampleSize();
   ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi) {
-      float *DCol = &DCols[Bi * ColSz];
+      float *DCol = DCols.data() + Bi * ColSz;
       sgemm(/*TransA=*/true, /*TransB=*/false, CKK, OH * OW, OutC, 1.0f,
             W.data(), CKK, GD + Bi * GSz, OH * OW, 0.0f, DCol, OH * OW);
       col2im(DCol, InC, H, Wd, K, S, GID + Bi * InSz);
     }
   });
+  Workspace::release(DCols);
   return GradIn;
 }
 
@@ -265,12 +268,17 @@ std::vector<ParamView> Conv2D::params() {
 // MaxPool2D
 //===----------------------------------------------------------------------===//
 
-Tensor MaxPool2D::forwardBatch(const Tensor &In) {
+Tensor MaxPool2D::forward(const Tensor &In, LayerCtx *Ctx) const {
   assert(In.rank() == 4 && "maxpool batched input must be rank 4");
   int BN = In.dim(0), C = In.dim(1), H = In.dim(2), W = In.dim(3);
   int OH = H / 2, OW = W / 2;
   assert(OH > 0 && OW > 0 && "maxpool input too small");
-  InShape = In.shape();
+  // An inference pass reads no window codes back; they go to per-thread
+  // scratch.
+  static thread_local std::vector<uint8_t> Scratch;
+  std::vector<uint8_t> &Window = Ctx ? Ctx->Window : Scratch;
+  if (Ctx)
+    Ctx->InShape = In.shape();
   Tensor Out = Workspace::acquire({BN, C, OH, OW});
   // Every code is written below, so a resize (no fill) suffices.
   Window.resize(Out.size());
@@ -287,15 +295,16 @@ Tensor MaxPool2D::forwardBatch(const Tensor &In) {
   return Out;
 }
 
-Tensor MaxPool2D::backwardBatch(const Tensor &GradOut, bool) {
-  assert(GradOut.size() == Window.size() &&
+Tensor MaxPool2D::backward(const Tensor &GradOut, LayerCtx &Ctx, bool) {
+  const std::vector<int> &InShape = Ctx.InShape;
+  assert(InShape.size() == 4 && GradOut.size() == Ctx.Window.size() &&
          "maxpool batched gradient size mismatch");
   int BN = InShape[0], C = InShape[1], H = InShape[2], W = InShape[3];
   int OH = H / 2, OW = W / 2;
   Tensor GradIn = Workspace::acquire(InShape);
   size_t InSz = GradIn.sampleSize(), OutSz = GradOut.sampleSize();
   const float *G = GradOut.data();
-  const uint8_t *Code = Window.data();
+  const uint8_t *Code = Ctx.Window.data();
   float *D = GradIn.data();
   // Each sample zeroes and scatters into only its own input slab, so the
   // batch-parallel scatter is race-free and deterministic.
@@ -323,17 +332,9 @@ Tensor MaxPool2D::backwardBatch(const Tensor &GradOut, bool) {
 
 namespace {
 
-/// Workspace copy of \p In under \p NewShape (reshapes without disturbing
+/// Workspace copy of \p In with \p Y's shape (reshapes without disturbing
 /// the caller's tensor, which the Network chain releases separately).
-Tensor reshapedCopy(const Tensor &In, std::initializer_list<int> NewShape) {
-  Tensor Y = Workspace::acquire(NewShape);
-  assert(Y.size() == In.size() && "reshape must preserve element count");
-  std::memcpy(Y.data(), In.data(), sizeof(float) * In.size());
-  return Y;
-}
-
-Tensor reshapedCopy(const Tensor &In, const std::vector<int> &NewShape) {
-  Tensor Y = Workspace::acquire(NewShape);
+Tensor copyInto(Tensor Y, const Tensor &In) {
   assert(Y.size() == In.size() && "reshape must preserve element count");
   std::memcpy(Y.data(), In.data(), sizeof(float) * In.size());
   return Y;
@@ -341,29 +342,27 @@ Tensor reshapedCopy(const Tensor &In, const std::vector<int> &NewShape) {
 
 } // namespace
 
-Tensor Reshape::forwardBatch(const Tensor &In) {
-  InShape = In.shape();
-  // NewShape is retained so steady-state calls reuse its capacity.
-  NewShape.clear();
-  NewShape.reserve(Target.size() + 1);
-  NewShape.push_back(In.dim(0));
-  NewShape.insert(NewShape.end(), Target.begin(), Target.end());
-  return reshapedCopy(In, NewShape);
+Tensor Reshape::forward(const Tensor &In, LayerCtx *Ctx) const {
+  if (Ctx)
+    Ctx->InShape = In.shape();
+  return copyInto(Workspace::acquire(In.dim(0), Target), In);
 }
 
-Tensor Reshape::backwardBatch(const Tensor &GradOut, bool) {
-  return reshapedCopy(GradOut, InShape);
+Tensor Reshape::backward(const Tensor &GradOut, LayerCtx &Ctx, bool) {
+  return copyInto(Workspace::acquire(Ctx.InShape), GradOut);
 }
 
 //===----------------------------------------------------------------------===//
 // Flatten
 //===----------------------------------------------------------------------===//
 
-Tensor Flatten::forwardBatch(const Tensor &In) {
-  InShape = In.shape();
-  return reshapedCopy(In, {In.dim(0), static_cast<int>(In.sampleSize())});
+Tensor Flatten::forward(const Tensor &In, LayerCtx *Ctx) const {
+  if (Ctx)
+    Ctx->InShape = In.shape();
+  return copyInto(
+      Workspace::acquire({In.dim(0), static_cast<int>(In.sampleSize())}), In);
 }
 
-Tensor Flatten::backwardBatch(const Tensor &GradOut, bool) {
-  return reshapedCopy(GradOut, InShape);
+Tensor Flatten::backward(const Tensor &GradOut, LayerCtx &Ctx, bool) {
+  return copyInto(Workspace::acquire(Ctx.InShape), GradOut);
 }

@@ -28,10 +28,14 @@ public:
   /// Initializes with He-uniform weights drawn from \p Rand.
   Dense(int InSize, int OutSize, Rng &Rand);
 
-  Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
+  Tensor forward(const Tensor &In, LayerCtx *Ctx) const override;
+  Tensor backward(const Tensor &GradOut, LayerCtx &Ctx,
+                  bool NeedGradIn) override;
   std::vector<ParamView> params() override;
-  std::string kind() const override { return "dense"; }
+  void pack() const override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<Dense>(*this);
+  }
 
   int inSize() const { return In; }
   int outSize() const { return Out; }
@@ -54,20 +58,22 @@ private:
   std::vector<float> B;  // Out.
   std::vector<float> GW; // Gradient accumulators.
   std::vector<float> GB;
-  Tensor LastIn;          // Activation cache ([Batch, In]).
-  PackedOperand PackedWT; // Forward operand op(B) = W^T, engine layout.
-  PackedOperand PackedWB; // Backward operand op(B) = W (input gradients).
+  // Packed weight operands, engine layout, filled lazily. A forward that
+  // finds PackedWT fresh only reads it, so a packed network serves many
+  // threads at once.
+  mutable PackedOperand PackedWT; // Forward operand op(B) = W^T.
+  PackedOperand PackedWB;         // Backward operand op(B) = W.
 };
 
 /// Rectified linear unit, elementwise max(0, x).
 class ReLU : public Layer {
 public:
-  Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
-  std::string kind() const override { return "relu"; }
-
-private:
-  Tensor LastIn;
+  Tensor forward(const Tensor &In, LayerCtx *Ctx) const override;
+  Tensor backward(const Tensor &GradOut, LayerCtx &Ctx,
+                  bool NeedGradIn) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<ReLU>(*this);
+  }
 };
 
 /// 2-D convolution over (channels, height, width) tensors, stride
@@ -77,10 +83,13 @@ public:
   Conv2D(int InChannels, int OutChannels, int KernelSize, int Stride,
          Rng &Rand);
 
-  Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
+  Tensor forward(const Tensor &In, LayerCtx *Ctx) const override;
+  Tensor backward(const Tensor &GradOut, LayerCtx &Ctx,
+                  bool NeedGradIn) override;
   std::vector<ParamView> params() override;
-  std::string kind() const override { return "conv2d"; }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<Conv2D>(*this);
+  }
 
   int inChannels() const { return InC; }
   int outChannels() const { return OutC; }
@@ -102,26 +111,17 @@ private:
   std::vector<float> B;  // OutC.
   std::vector<float> GW;
   std::vector<float> GB;
-  // Workspace, preallocated and reused across calls: the im2col column
-  // cache for the whole batch ([Batch][InC*K*K][OH*OW], also the activation
-  // cache the weight-gradient GEMM consumes) and the column-gradient scratch
-  // of identical layout.
-  std::vector<float> Cols;
-  std::vector<float> DCols;
-  std::vector<int> InShape; // Cached input shape.
-  int LastOH = 0, LastOW = 0;
 };
 
 /// 2x2 max pooling with stride 2 over (channels, height, width) tensors.
 class MaxPool2D : public Layer {
 public:
-  Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
-  std::string kind() const override { return "maxpool2d"; }
-
-private:
-  std::vector<uint8_t> Window; // Per output: winning window slot, 2*dy + dx.
-  std::vector<int> InShape;
+  Tensor forward(const Tensor &In, LayerCtx *Ctx) const override;
+  Tensor backward(const Tensor &GradOut, LayerCtx &Ctx,
+                  bool NeedGradIn) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<MaxPool2D>(*this);
+  }
 };
 
 /// Reshapes the input to a fixed target shape (element counts must match).
@@ -132,25 +132,26 @@ public:
   explicit Reshape(std::vector<int> TargetShape)
       : Target(std::move(TargetShape)) {}
 
-  Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
-  std::string kind() const override { return "reshape"; }
+  Tensor forward(const Tensor &In, LayerCtx *Ctx) const override;
+  Tensor backward(const Tensor &GradOut, LayerCtx &Ctx,
+                  bool NeedGradIn) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<Reshape>(*this);
+  }
 
 private:
   std::vector<int> Target;
-  std::vector<int> InShape;
-  std::vector<int> NewShape; // Target shape with the batch, reused per call.
 };
 
 /// Flattens any tensor to rank 1.
 class Flatten : public Layer {
 public:
-  Tensor forwardBatch(const Tensor &In) override;
-  Tensor backwardBatch(const Tensor &GradOut, bool NeedGradIn) override;
-  std::string kind() const override { return "flatten"; }
-
-private:
-  std::vector<int> InShape;
+  Tensor forward(const Tensor &In, LayerCtx *Ctx) const override;
+  Tensor backward(const Tensor &GradOut, LayerCtx &Ctx,
+                  bool NeedGradIn) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<Flatten>(*this);
+  }
 };
 
 } // namespace nn

@@ -6,77 +6,103 @@
 #include "nn/Workspace.h"
 #include "support/Rng.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <cstring>
 
 using namespace au;
 using namespace au::nn;
 
+void ForwardCtx::release() {
+  for (Tensor &A : Acts)
+    Workspace::release(A);
+  for (LayerCtx &L : Layers) {
+    L.In = nullptr;
+    Workspace::release(L.Saved);
+  }
+}
+
 Network &Network::add(std::unique_ptr<Layer> L) {
   assert(L && "adding a null layer");
-  if (FirstParamLayer == Layers.size() && L->params().empty())
+  std::vector<ParamView> Ps = L->params();
+  if (FirstParamLayer == Layers.size() && Ps.empty())
     ++FirstParamLayer;
+  Params.insert(Params.end(), Ps.begin(), Ps.end());
   Layers.push_back(std::move(L));
   return *this;
 }
 
-Tensor Network::forwardBatch(const Tensor &In) {
+Tensor Network::forward(const Tensor &In, ForwardCtx *Ctx) const {
   assert(In.rank() >= 2 && "batched input needs a leading batch dimension");
-  assert(!Layers.empty() && "forwardBatch on an empty network");
-  // Layers return workspace tensors; release each intermediate back to the
-  // arena as soon as the next layer has consumed it. The caller's input is
-  // never released (it is not ours), and the final output is the caller's to
-  // release.
-  Tensor X = Layers.front()->forwardBatch(In);
-  for (size_t I = 1, E = Layers.size(); I != E; ++I) {
-    Tensor Y = Layers[I]->forwardBatch(X);
-    Workspace::release(X);
-    X = std::move(Y);
+  assert(!Layers.empty() && "forward on an empty network");
+  const size_t E = Layers.size();
+  if (!Ctx) {
+    // Release each intermediate back to the arena as soon as the next
+    // layer has read it. The caller's input is never released (it is not
+    // ours), and the final output is the caller's to release.
+    Tensor X = Layers.front()->forward(In, nullptr);
+    for (size_t I = 1; I != E; ++I) {
+      Tensor Y = Layers[I]->forward(X, nullptr);
+      Workspace::release(X);
+      X = std::move(Y);
+    }
+    return X;
   }
-  return X;
+  Ctx->release(); // What a forward without its backward left behind.
+  Ctx->Layers.resize(E);
+  Ctx->Acts.resize(E);
+  const Tensor *X = &In;
+  for (size_t I = 0;; ++I) {
+    LayerCtx &LC = Ctx->Layers[I];
+    Tensor Y = Layers[I]->forward(*X, &LC);
+    // An intermediate that no backward reads goes back to the arena now;
+    // one the layer pointed its context at lives until backward.
+    if (I != 0 && LC.In != X)
+      Workspace::release(Ctx->Acts[I - 1]);
+    if (I + 1 == E)
+      return Y;
+    Ctx->Acts[I] = std::move(Y);
+    X = &Ctx->Acts[I];
+  }
 }
 
-Tensor Network::backwardBatch(const Tensor &GradOut, bool WantGradIn) {
-  assert(!Layers.empty() && "backwardBatch on an empty network");
+Tensor Network::backward(const Tensor &GradOut, ForwardCtx &Ctx,
+                         bool WantGradIn) {
+  assert(Ctx.Layers.size() == Layers.size() &&
+         "backward without a matching forward");
   // Without an input gradient to return, the layers in front of the first
   // one with parameters have nothing to compute.
   size_t Stop = WantGradIn ? 0 : FirstParamLayer;
-  if (Stop == Layers.size())
-    return Tensor();
-  size_t I = Layers.size() - 1;
-  Tensor G = Layers[I]->backwardBatch(GradOut, WantGradIn || I != Stop);
-  while (I-- > Stop) {
-    Tensor H = Layers[I]->backwardBatch(G, WantGradIn || I != Stop);
+  Tensor G;
+  for (size_t I = Layers.size(); I-- > Stop;) {
+    Tensor H = Layers[I]->backward(I + 1 == Layers.size() ? GradOut : G,
+                                   Ctx.Layers[I], WantGradIn || I != Stop);
     Workspace::release(G);
     G = std::move(H);
+    // Layer I's input and saved state have no reader left.
+    if (I != 0)
+      Workspace::release(Ctx.Acts[I - 1]);
+    Workspace::release(Ctx.Layers[I].Saved);
   }
+  Ctx.release();
   return G;
 }
 
-std::vector<ParamView> Network::params() {
-  std::vector<ParamView> All;
-  for (auto &L : Layers)
-    for (ParamView P : L->params())
-      All.push_back(P);
-  return All;
-}
-
 void Network::zeroGrads() {
-  for (auto &L : Layers)
-    L->zeroGrads();
+  for (ParamView P : Params)
+    std::fill(P.Grads, P.Grads + P.Count, 0.0f);
 }
 
-size_t Network::numParams() {
+size_t Network::numParams() const {
   size_t N = 0;
-  for (auto &L : Layers)
-    N += L->numParams();
+  for (ParamView P : Params)
+    N += P.Count;
   return N;
 }
 
-size_t Network::sizeInBytes() {
+size_t Network::sizeInBytes() const {
   // float32 parameters plus an 8-byte count header per parameter tensor.
   size_t Bytes = 0;
-  for (ParamView P : params())
+  for (ParamView P : Params)
     Bytes += 8 + P.Count * sizeof(float);
   return Bytes;
 }
@@ -86,47 +112,27 @@ void Network::bumpParamGeneration() {
     L->bumpParamGen();
 }
 
-void Network::copyParamsFrom(Network &Other) {
-  std::vector<ParamView> Dst = params();
-  std::vector<ParamView> Src = Other.params();
-  assert(Dst.size() == Src.size() && "network architecture mismatch");
-  for (size_t I = 0, E = Dst.size(); I != E; ++I) {
-    assert(Dst[I].Count == Src[I].Count && "parameter tensor size mismatch");
-    std::memcpy(Dst[I].Values, Src[I].Values, Dst[I].Count * sizeof(float));
+void Network::copyParamsFrom(const Network &Other) {
+  const std::vector<ParamView> &Src = Other.Params;
+  assert(Params.size() == Src.size() && "network architecture mismatch");
+  for (size_t I = 0, E = Params.size(); I != E; ++I) {
+    assert(Params[I].Count == Src[I].Count && "parameter tensor size mismatch");
+    std::memcpy(Params[I].Values, Src[I].Values,
+                Params[I].Count * sizeof(float));
   }
   bumpParamGeneration();
 }
 
-bool Network::saveParams(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = true;
-  for (ParamView P : params()) {
-    uint64_t N = P.Count;
-    Ok = Ok && std::fwrite(&N, sizeof(N), 1, F) == 1;
-    Ok = Ok && std::fwrite(P.Values, sizeof(float), P.Count, F) == P.Count;
-  }
-  std::fclose(F);
-  return Ok;
+void Network::pack() const {
+  for (auto &L : Layers)
+    L->pack();
 }
 
-bool Network::loadParams(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  bool Ok = true;
-  for (ParamView P : params()) {
-    uint64_t N = 0;
-    Ok = Ok && std::fread(&N, sizeof(N), 1, F) == 1 && N == P.Count;
-    Ok = Ok && std::fread(P.Values, sizeof(float), P.Count, F) == P.Count;
-    if (!Ok)
-      break;
-  }
-  std::fclose(F);
-  if (Ok)
-    bumpParamGeneration();
-  return Ok;
+Network Network::clone() const {
+  Network Copy;
+  for (auto &L : Layers)
+    Copy.add(L->clone());
+  return Copy;
 }
 
 Network au::nn::buildDnn(int InSize, const std::vector<int> &Hidden,

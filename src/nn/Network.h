@@ -8,9 +8,7 @@
 /// A sequential network of layers plus builders for the two model families
 /// the paper uses: buildDnn (fully connected stacks, au_config model type
 /// DNN) and buildDeepMindCnn (the DeepMind-style conv/pool front end followed
-/// by the same dense head, used by the Raw pixel baselines). Networks can be
-/// serialized to a binary file, realizing the semantics' loadModel() /
-/// CONFIG-TEST rule.
+/// by the same dense head, used by the Raw pixel baselines).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,12 +18,28 @@
 #include "nn/Layer.h"
 
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace au {
 class Rng;
 namespace nn {
+
+/// What one Network::forward leaves for the matching backward: a LayerCtx
+/// per layer and the intermediate activations they point into. The caller
+/// owns it and reuses it for every minibatch; its buffers recycle through
+/// the Workspace, so the steady state allocates nothing. One context serves
+/// one forward/backward pair at a time.
+class ForwardCtx {
+  friend class Network;
+
+  /// Returns every tensor the context holds to this thread's workspace.
+  void release();
+
+  std::vector<LayerCtx> Layers;
+  /// Acts[I] is layer I's output, kept while layer I + 1's context points
+  /// at it (the last layer's output goes to the caller instead).
+  std::vector<Tensor> Acts;
+};
 
 /// An owning sequence of layers evaluated front to back.
 class Network {
@@ -39,31 +53,38 @@ public:
 
   /// Runs the forward pass on a whole minibatch at once; \p In is a
   /// rank-(N+1) tensor whose leading dimension is the batch (1 for a single
-  /// sample). Uses the GEMM/im2col compute engine.
-  Tensor forwardBatch(const Tensor &In);
+  /// sample). Returns a workspace tensor the caller releases. With a null
+  /// \p Ctx (inference) nothing is kept; a network whose packed caches are
+  /// fresh (pack()) is then only read, so any number of threads may run it
+  /// at once. With \p Ctx, the context keeps what backward() needs, and
+  /// \p In must stay alive until that backward.
+  Tensor forward(const Tensor &In, ForwardCtx *Ctx = nullptr) const;
 
-  /// Batched backward pass; must follow forwardBatch() on the same batch.
-  /// Accumulates the summed minibatch parameter gradients. Returns
-  /// dLoss/dInput when \p WantGradIn; otherwise the pass stops at the first
-  /// layer with parameters, which skips its own input gradient, and returns
-  /// an empty tensor. Parameter gradients are bitwise the same either way.
-  Tensor backwardBatch(const Tensor &GradOut, bool WantGradIn = false);
+  /// Backward pass for the forward that filled \p Ctx. Accumulates the
+  /// summed minibatch parameter gradients, then releases what \p Ctx held.
+  /// Returns dLoss/dInput when \p WantGradIn; otherwise the pass stops at
+  /// the first layer with parameters, which skips its own input gradient,
+  /// and returns an empty tensor. Parameter gradients are bitwise the same
+  /// either way.
+  Tensor backward(const Tensor &GradOut, ForwardCtx &Ctx,
+                  bool WantGradIn = false);
 
-  /// All parameter views across layers, in a stable order.
-  std::vector<ParamView> params();
+  /// All parameter views across layers, in a stable order (built once, as
+  /// the layers are added).
+  const std::vector<ParamView> &params() const { return Params; }
 
   /// Zeroes every gradient accumulator.
   void zeroGrads();
 
   /// Total number of trainable scalars.
-  size_t numParams();
+  size_t numParams() const;
 
   /// Serialized model size in bytes (parameters as float32 plus a small
   /// header), mirroring Table 2's "Model Size" column.
-  size_t sizeInBytes();
+  size_t sizeInBytes() const;
 
   size_t numLayers() const { return Layers.size(); }
-  Layer &layer(size_t I) {
+  const Layer &layer(size_t I) const {
     assert(I < Layers.size() && "layer index out of range");
     return *Layers[I];
   }
@@ -75,17 +96,18 @@ public:
 
   /// Copies parameter values from \p Other (architectures must match).
   /// Used for DQN target-network synchronization.
-  void copyParamsFrom(Network &Other);
+  void copyParamsFrom(const Network &Other);
 
-  /// Writes all parameters to a binary file; returns false on I/O failure.
-  /// The architecture is not stored — load into an identically built net.
-  bool saveParams(const std::string &Path);
+  /// Packs every layer's forward weight operands for the active engine
+  /// (DESIGN.md §9), so that later forwards only read the network.
+  void pack() const;
 
-  /// Reads parameters written by saveParams; returns false on mismatch.
-  bool loadParams(const std::string &Path);
+  /// A deep copy: layers, parameters, gradients and packed caches.
+  Network clone() const;
 
 private:
   std::vector<std::unique_ptr<Layer>> Layers;
+  std::vector<ParamView> Params;
   /// Index of the first layer with parameters; Layers.size() when none.
   size_t FirstParamLayer = 0;
 };

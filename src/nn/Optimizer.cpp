@@ -13,9 +13,9 @@ using namespace au::nn;
 
 Adam::Adam(Network &Net, double LearningRate, double Beta1, double Beta2,
            double Epsilon)
-    : Net(&Net), Params(Net.params()), Lr(LearningRate), B1(Beta1), B2(Beta2),
-      Eps(Epsilon) {
+    : Net(&Net), Lr(LearningRate), B1(Beta1), B2(Beta2), Eps(Epsilon) {
   assert(Lr > 0 && "learning rate must be positive");
+  const std::vector<ParamView> &Params = Net.params();
   M.reserve(Params.size());
   V.reserve(Params.size());
   for (const ParamView &P : Params) {
@@ -28,8 +28,9 @@ void Adam::step(double BatchScale) {
   ++Step;
   double Bias1 = 1.0 - std::pow(B1, Step);
   double Bias2 = 1.0 - std::pow(B2, Step);
+  const std::vector<ParamView> &Params = Net->params();
   for (size_t T = 0, E = Params.size(); T != E; ++T) {
-    ParamView &P = Params[T];
+    const ParamView &P = Params[T];
     adamUpdateKernel(P.Values, P.Grads, M[T].data(), V[T].data(), P.Count, Lr,
                      B1, B2, Eps, Bias1, Bias2, BatchScale);
   }

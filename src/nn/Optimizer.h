@@ -36,11 +36,9 @@ public:
 
   /// Adjusts the step size (used for learning-rate schedules).
   void setLearningRate(double LearningRate) { Lr = LearningRate; }
-  double learningRate() const { return Lr; }
 
 private:
-  Network *Net; ///< For parameter-generation bumps on step().
-  std::vector<ParamView> Params;
+  Network *Net; ///< Parameters to update; bumps their generation on step().
   double Lr, B1, B2, Eps;
   long Step = 0;
   std::vector<std::vector<float>> M;

@@ -12,12 +12,12 @@ using namespace au::nn;
 
 namespace {
 
-/// Single-state inference: a forwardBatch over a batch of one. Returns a
+/// Single-state inference: a forward over a batch of one. Returns a
 /// workspace tensor; the caller releases it.
-Tensor forwardOne(Network &Net, const std::vector<float> &State) {
+Tensor forwardOne(const Network &Net, const std::vector<float> &State) {
   Tensor X = Workspace::acquire({1, static_cast<int>(State.size())});
   std::copy(State.begin(), State.end(), X.data());
-  Tensor Out = Net.forwardBatch(X);
+  Tensor Out = Net.forward(X);
   Workspace::release(X);
   return Out;
 }
@@ -86,7 +86,7 @@ void QLearner::selectActionsBatch(const float *States, int K, int D,
   if (ActStaging.size() != static_cast<size_t>(K) * D)
     ActStaging = Tensor({K, D});
   std::copy(States, States + static_cast<size_t>(K) * D, ActStaging.data());
-  Tensor Out = Online.forwardBatch(ActStaging);
+  Tensor Out = Online.forward(ActStaging);
   // Serial epsilon-greedy pass in actor order: actor k's draws always come
   // from stream k, so the chosen actions are identical at any thread count.
   for (int A = 0; A < K; ++A) {
@@ -149,10 +149,10 @@ void QLearner::trainStep() {
   if (Replay.size() < static_cast<size_t>(Cfg.BatchSize))
     return;
   ++TrainSteps;
-  Online.zeroGrads();
-  // One forwardBatch over the target and online networks per minibatch,
-  // assembled straight from the replay ring into reused batch tensors (no
-  // per-step allocation).
+  // The gradients are zero here: Adam clears them after every update. One
+  // forward over the target and online networks per minibatch, assembled
+  // straight from the replay ring into reused batch tensors (no per-step
+  // allocation); only the online pass keeps activations for backward.
   int Bn = Cfg.BatchSize;
   BatchPtrs.resize(static_cast<size_t>(Bn));
   for (int B = 0; B < Bn; ++B)
@@ -171,8 +171,8 @@ void QLearner::trainStep() {
       std::copy(T.NextState.begin(), T.NextState.end(),
                 BatchNext.sampleData(B));
   }
-  Tensor NextQ = Target.forwardBatch(BatchNext);
-  Tensor Pred = Online.forwardBatch(BatchStates);
+  Tensor NextQ = Target.forward(BatchNext);
+  Tensor Pred = Online.forward(BatchStates, &Ctx);
   BatchGrad.fill(0.0f);
   for (int B = 0; B < Bn; ++B) {
     const Transition &T = *BatchPtrs[static_cast<size_t>(B)];
@@ -190,6 +190,6 @@ void QLearner::trainStep() {
   }
   Workspace::release(NextQ);
   Workspace::release(Pred);
-  Online.backwardBatch(BatchGrad);
+  Online.backward(BatchGrad, Ctx);
   Opt.step(1.0 / Cfg.BatchSize);
 }

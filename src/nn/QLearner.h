@@ -17,7 +17,7 @@
 /// The multi-actor mode (DESIGN.md §8) generalizes this to K concurrent
 /// rollouts: configureActors(K) shards the replay ring per actor and gives
 /// each actor its own counter-based exploration stream, selectActionsBatch
-/// fuses the K action selections into one forwardBatch, and
+/// fuses the K action selections into one forward, and
 /// observeActor/finishTick split the per-transition recording (safe from
 /// actor threads, disjoint shards) from the global training schedule (run
 /// once per tick on the driving thread). All of it is deterministic at any
@@ -92,8 +92,8 @@ public:
   int numActors() const { return static_cast<int>(Streams.size()); }
 
   /// Epsilon-greedy actions for \p K states of \p D floats each, held back
-  /// to back in \p States (K x D row-major), fused into one forwardBatch
-  /// over the online network. Exploration draws come from the per-actor
+  /// to back in \p States (K x D row-major), fused into one forward over
+  /// the online network. Exploration draws come from the per-actor
   /// streams in actor order, so the result is independent of how the states
   /// were produced. Does not decay epsilon; finishTick does.
   void selectActionsBatch(const float *States, int K, int D, bool Learning,
@@ -145,6 +145,7 @@ private:
   // tensor, so the steady state allocates nothing per call.
   Tensor BatchStates, BatchNext, BatchGrad, ActStaging;
   std::vector<const Transition *> BatchPtrs;
+  ForwardCtx Ctx; ///< Online-network activations of the current minibatch.
 };
 
 } // namespace nn

@@ -28,6 +28,7 @@ void SupervisedTrainer::addSample(std::vector<float> X, std::vector<float> Y) {
 
 void SupervisedTrainer::computeNormalization() {
   size_t NX = Data.front().X.size(), NY = Data.front().Y.size();
+  auto &[XMean, XStd, YMean, YStd] = Norm;
   XMean.assign(NX, 0.0f);
   XStd.assign(NX, 0.0f);
   YMean.assign(NY, 0.0f);
@@ -66,6 +67,7 @@ double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
     Order[I] = I;
 
   size_t NX = Data.front().X.size(), NY = Data.front().Y.size();
+  const auto &[XMean, XStd, YMean, YStd] = Norm;
   // Minibatch staging tensors, reused across batches and epochs.
   Tensor BatchX, BatchY, GradB;
 
@@ -95,10 +97,10 @@ double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
         for (size_t I = 0; I != NY; ++I)
           YRow[I] = (Smp.Y[I] - YMean[I]) / YStd[I];
       }
-      Tensor Pred = Net.forwardBatch(BatchX);
+      Tensor Pred = Net.forward(BatchX, &Ctx);
       EpochLoss += mseLossBatch(Pred, BatchY, GradB);
       Workspace::release(Pred);
-      Net.backwardBatch(GradB);
+      Net.backward(GradB, Ctx);
       Opt.step(1.0 / static_cast<double>(Bn));
     }
     EpochLoss /= static_cast<double>(Data.size());
@@ -106,22 +108,20 @@ double SupervisedTrainer::train(int Epochs, int BatchSize, Rng &Rand) {
   return EpochLoss;
 }
 
-void SupervisedTrainer::predictRowsInto(const float *Xs, int Rows,
-                                        std::vector<float> &Out) {
-  assert(Normalized && "predict before train");
+void au::nn::predictRows(const Network &Net, const Normalization &Norm,
+                         const float *Xs, int Rows, std::vector<float> &Out) {
   assert(Xs && Rows > 0 && "invalid row buffer");
+  const auto &[XMean, XStd, YMean, YStd] = Norm;
   const size_t NX = XMean.size(), NY = YMean.size();
-
-  if (RowStaging.rank() != 2 || RowStaging.dim(0) != Rows ||
-      RowStaging.dim(1) != static_cast<int>(NX))
-    RowStaging = Tensor({Rows, static_cast<int>(NX)});
+  Tensor In = Workspace::acquire({Rows, static_cast<int>(NX)});
   for (int R = 0; R != Rows; ++R) {
     const float *Row = Xs + static_cast<size_t>(R) * NX;
-    float *Dst = RowStaging.sampleData(R);
+    float *Dst = In.sampleData(R);
     for (size_t I = 0; I != NX; ++I)
       Dst[I] = (Row[I] - XMean[I]) / XStd[I];
   }
-  Tensor Pred = Net.forwardBatch(RowStaging);
+  Tensor Pred = Net.forward(In);
+  Workspace::release(In);
   assert(Pred.size() == static_cast<size_t>(Rows) * NY &&
          "model output size mismatch");
   Out.resize(static_cast<size_t>(Rows) * NY);
@@ -133,36 +133,30 @@ void SupervisedTrainer::predictRowsInto(const float *Xs, int Rows,
   Workspace::release(Pred);
 }
 
+void SupervisedTrainer::predictRowsInto(const float *Xs, int Rows,
+                                        std::vector<float> &Out) {
+  assert(Normalized && "predict before train");
+  predictRows(Net, Norm, Xs, Rows, Out);
+}
+
 std::vector<float> SupervisedTrainer::predict(const std::vector<float> &X) {
   std::vector<float> Y;
   predictRowsInto(X.data(), 1, Y);
   return Y;
 }
 
-void SupervisedTrainer::getNormalization(std::vector<float> &XM,
-                                         std::vector<float> &XS,
-                                         std::vector<float> &YM,
-                                         std::vector<float> &YS) {
+const Normalization &SupervisedTrainer::normalization() {
   if (!Normalized) {
     assert(!Data.empty() && "no data to compute normalization from");
     computeNormalization();
   }
-  XM = XMean;
-  XS = XStd;
-  YM = YMean;
-  YS = YStd;
+  return Norm;
 }
 
-void SupervisedTrainer::setNormalization(std::vector<float> XM,
-                                         std::vector<float> XS,
-                                         std::vector<float> YM,
-                                         std::vector<float> YS) {
-  assert(XM.size() == XS.size() && YM.size() == YS.size() &&
+void SupervisedTrainer::setNormalization(Normalization N) {
+  assert(N.XMean.size() == N.XStd.size() && N.YMean.size() == N.YStd.size() &&
          "normalization vector size mismatch");
-  XMean = std::move(XM);
-  XStd = std::move(XS);
-  YMean = std::move(YM);
-  YStd = std::move(YS);
+  Norm = std::move(N);
   Normalized = true;
 }
 

@@ -31,6 +31,22 @@ struct Sample {
   std::vector<float> Y;
 };
 
+/// Per-dimension z-score statistics: inputs are normalized with the X pair,
+/// predictions de-normalized with the Y pair.
+struct Normalization {
+  std::vector<float> XMean, XStd, YMean, YStd;
+};
+
+/// The prediction routine, shared by a live trainer and by a published
+/// snapshot: normalizes \p Rows raw feature vectors held back to back in
+/// \p Xs (Rows x inputs, row-major), runs one context-free forward of
+/// \p Net and writes the Rows x outputs de-normalized predictions to
+/// \p Out. Reads \p Net and \p Norm only, so any number of threads may
+/// call it on one packed network; its staging comes from the Workspace, so
+/// the steady state allocates nothing.
+void predictRows(const Network &Net, const Normalization &Norm,
+                 const float *Xs, int Rows, std::vector<float> &Out);
+
 /// Trains a regression network on a dataset with Adam + MSE, normalizing
 /// inputs and outputs from dataset statistics.
 class SupervisedTrainer {
@@ -44,17 +60,13 @@ public:
   size_t numSamples() const { return Data.size(); }
 
   /// Trains for \p Epochs passes with the given minibatch size, shuffling
-  /// with \p Rand each epoch: one forwardBatch/backwardBatch and one Adam
-  /// step per minibatch. Returns the final epoch's mean loss (normalized
+  /// with \p Rand each epoch: one forward/backward and one Adam step per
+  /// minibatch. Returns the final epoch's mean loss (normalized
   /// space). No-op (returns 0) on an empty dataset.
   double train(int Epochs, int BatchSize, Rng &Rand);
 
-  /// The prediction entry point: \p Xs holds \p Rows raw feature vectors
-  /// back to back (Rows x inputSize, row-major); \p Out is resized to Rows x
-  /// outputSize de-normalized predictions, computed in one forwardBatch.
-  /// Normalization staging reuses a member tensor, so repeated calls at a
-  /// fixed row count allocate nothing here (the au_NN hot path; Rows == 1
-  /// is the single-call case).
+  /// predictRows over the live network and its statistics (the au_NN hot
+  /// path; Rows == 1 is the single-call case).
   void predictRowsInto(const float *Xs, int Rows, std::vector<float> &Out);
 
   /// predictRowsInto for one feature vector \p X.
@@ -66,15 +78,13 @@ public:
 
   Network &network() { return Net; }
 
-  /// Exports the dataset normalization statistics (for model persistence).
-  /// Computes them from the dataset when not yet available.
-  void getNormalization(std::vector<float> &XM, std::vector<float> &XS,
-                        std::vector<float> &YM, std::vector<float> &YS);
+  /// The dataset normalization statistics (for publication and model
+  /// persistence); computes them from the dataset when not yet available.
+  const Normalization &normalization();
 
   /// Installs normalization statistics (used when loading a saved model
   /// without its dataset).
-  void setNormalization(std::vector<float> XM, std::vector<float> XS,
-                        std::vector<float> YM, std::vector<float> YS);
+  void setNormalization(Normalization N);
 
 private:
   void computeNormalization();
@@ -82,10 +92,9 @@ private:
   Network Net;
   Adam Opt;
   std::vector<Sample> Data;
-  // Per-dimension normalization (computed lazily on first train()).
-  std::vector<float> XMean, XStd, YMean, YStd;
+  Normalization Norm; ///< Computed lazily on first train().
   bool Normalized = false;
-  Tensor RowStaging; ///< predictRowsInto input staging (reused per call).
+  ForwardCtx Ctx; ///< Activations of the current minibatch.
 };
 
 } // namespace nn

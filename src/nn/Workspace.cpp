@@ -26,9 +26,11 @@ std::vector<Parked> &freelist() {
   return List;
 }
 
+/// A recycled tensor of shape [Lead, Shape...], or of \p Shape alone when
+/// \p Lead is 0.
 template <typename ShapeT>
-Tensor acquireImpl(const ShapeT &Shape) {
-  size_t N = 1;
+Tensor acquireImpl(int Lead, const ShapeT &Shape) {
+  size_t N = Lead ? static_cast<size_t>(Lead) : 1;
   for (int D : Shape) {
     assert(D > 0 && "tensor dimensions must be positive");
     N *= static_cast<size_t>(D);
@@ -55,18 +57,26 @@ Tensor acquireImpl(const ShapeT &Shape) {
   // leaves grown elements uninitialized, so the caller gets the buffer's
   // old contents (or indeterminate floats past them).
   Slot.Data.resize(N);
-  Slot.Dims.assign(Shape.begin(), Shape.end());
+  Slot.Dims.clear();
+  if (Lead)
+    Slot.Dims.push_back(Lead);
+  Slot.Dims.insert(Slot.Dims.end(), Shape.begin(), Shape.end());
   return Tensor::adopt(std::move(Slot.Data), std::move(Slot.Dims));
 }
 
 } // namespace
 
 Tensor Workspace::acquire(const std::vector<int> &Shape) {
-  return acquireImpl(Shape);
+  return acquireImpl(0, Shape);
 }
 
 Tensor Workspace::acquire(std::initializer_list<int> Shape) {
-  return acquireImpl(Shape);
+  return acquireImpl(0, Shape);
+}
+
+Tensor Workspace::acquire(int Batch, const std::vector<int> &SampleShape) {
+  assert(Batch > 0 && "tensor dimensions must be positive");
+  return acquireImpl(Batch, SampleShape);
 }
 
 void Workspace::release(Tensor &T) {

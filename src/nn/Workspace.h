@@ -10,17 +10,19 @@
 /// are UNSPECIFIED (whatever the buffer's last user left, nothing is
 /// zeroed), so callers that accumulate must fill(0) first. release()
 /// returns the buffer to the freelist. Buffer capacities converge on the
-/// high-water mark of the workload, so steady-state forwardBatch /
-/// backwardBatch / TS-mode inference perform zero heap allocations.
+/// high-water mark of the workload, so steady-state forward / backward /
+/// TS-mode inference perform zero heap allocations.
 ///
-/// Ownership protocol (DESIGN.md §9): a layer's forwardBatch/backwardBatch
-/// returns an acquired tensor; the Network chain releases each intermediate
-/// as soon as the next layer has consumed it; the trainers release the final
-/// prediction and gradient tensors. Tensors that escape to callers (predict
-/// results copied into user buffers) are released by the trainer before
-/// returning. Releasing a tensor you did not acquire is safe — the buffer
-/// simply joins the freelist — but releases must happen on the acquiring
-/// thread for the freelist to stay warm.
+/// Ownership (DESIGN.md §9): a layer's forward/backward returns an acquired
+/// tensor, and so does Network::forward/backward. Without a context the
+/// Network releases each intermediate as soon as the next layer has read
+/// it; with a ForwardCtx it keeps the ones a layer's backward reads (Dense
+/// and ReLU inputs) and Conv2D's im2col columns until Network::backward,
+/// which releases them. The caller releases the final output and gradient.
+/// Each thread has its own freelist, so concurrent readers of one network
+/// never share a buffer. Releasing a tensor you did not acquire is safe —
+/// the buffer simply joins the freelist — but releases must happen on the
+/// acquiring thread for the freelist to stay warm.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +48,9 @@ public:
   /// Brace-list form; avoids materializing a heap-backed shape vector at the
   /// call site (the initializer list lives on the stack).
   static Tensor acquire(std::initializer_list<int> Shape);
+
+  /// A [Batch, SampleShape...] tensor; same contract as acquire(Shape).
+  static Tensor acquire(int Batch, const std::vector<int> &SampleShape);
 
   /// Returns \p T's buffer to this thread's freelist; \p T becomes empty.
   static void release(Tensor &T);

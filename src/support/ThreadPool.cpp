@@ -40,8 +40,17 @@ thread_local SiteCost SiteCosts[64];
 constexpr int64_t ReprobeFactor = 4;
 constexpr uint32_t ReprobeEvery = 64;
 
-using Clock = std::chrono::steady_clock;
-using Ns = std::chrono::nanoseconds;
+/// The inline policy's cost source; null means steady_clock.
+std::atomic<ThreadPool::CostClock> CostSource{nullptr};
+
+/// Now, in nanoseconds, on the inline policy's cost clock.
+int64_t costNow() {
+  if (ThreadPool::CostClock C = CostSource.load(std::memory_order_relaxed))
+    return C();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 void cpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -117,10 +126,10 @@ size_t ThreadPool::runChunks(uint64_t Epoch, int64_t *BodyNs) {
       continue;
     size_t C = JobChunks - (W & ChunkMask);
     size_t B = JobBegin + C * JobGrain;
-    auto T0 = BodyNs ? Clock::now() : Clock::time_point();
+    int64_t T0 = BodyNs ? costNow() : 0;
     (*JobBody)(B, std::min(JobEnd, B + JobGrain));
     if (BodyNs)
-      *BodyNs += Ns(Clock::now() - T0).count();
+      *BodyNs += costNow() - T0;
     Pending.fetch_sub(1, std::memory_order_release);
     ++Ran;
     W = JobWord.load(std::memory_order_relaxed);
@@ -163,13 +172,13 @@ void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Grain,
                  Cost.Calls % ReprobeEvery == 1);
   ++Cost.Calls;
   if (Inline || Busy.exchange(true, std::memory_order_acquire)) {
-    auto T0 = Clock::now();
+    int64_t T0 = costNow();
     Body(Begin, End);
-    Cost.SerialNs = Ns(Clock::now() - T0).count();
+    Cost.SerialNs = costNow() - T0;
     Slot = Cost; // The body's own loops may have taken the slot meanwhile.
     return;
   }
-  auto T0 = Clock::now();
+  int64_t T0 = costNow();
   JobBody = &Body;
   JobBegin = Begin;
   JobEnd = End;
@@ -198,9 +207,13 @@ void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Grain,
   }
   // An issuer that got no chunk of its own takes the loop's wall time.
   Cost.SerialNs = Ran ? BodyNs / int64_t(Ran) * int64_t(Chunks)
-                      : Ns(Clock::now() - T0).count();
+                      : costNow() - T0;
   Slot = Cost;
   Busy.store(false, std::memory_order_release);
+}
+
+void ThreadPool::setCostClock(CostClock Clock) {
+  CostSource.store(Clock, std::memory_order_relaxed);
 }
 
 ThreadPool &ThreadPool::global() {

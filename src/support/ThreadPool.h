@@ -129,6 +129,17 @@ public:
   /// DESIGN.md section 6 has the sweep that sized it.
   static constexpr std::chrono::nanoseconds InlineBelow{8000};
 
+  /// A source of nanosecond timestamps for the inline policy's cost
+  /// measurements.
+  using CostClock = int64_t (*)();
+
+  /// Makes the inline policy measure loop costs on \p Clock instead of
+  /// steady_clock (nullptr restores steady_clock). A test installs a clock
+  /// its loop bodies advance by hand, so that the policy's decisions follow
+  /// the costs the test sets rather than the host's scheduler. Must not race
+  /// with parallel work.
+  static void setCostClock(CostClock Clock);
+
   /// Runs \p Body over [Begin, End), partitioned into chunks of at most
   /// \p Grain iterations. Body receives half-open sub-ranges. Chunk
   /// boundaries are a pure function of the range and grain, so any

@@ -444,7 +444,7 @@ TEST(SessionTest, ModelPathComposition) {
   EXPECT_EQ(B.modelPath("m"), "m.aumodel");
 }
 
-TEST(RuntimeTest, StatsCountPrimitives) {
+TEST(SessionTest, StatsCountPrimitives) {
   Engine Eng;
   Session S(Eng, Mode::TR);
   ModelConfig C;
@@ -615,7 +615,7 @@ TEST(DatabaseStoreTest, NestedSerializeFlattensToConcreteSpans) {
   EXPECT_FLOAT_EQ(Db.get(ABC)[2], 3.0f);
 }
 
-TEST(RuntimeTest, StringAndHandleTracesAreEquivalent) {
+TEST(SessionTest, StringAndHandleTracesAreEquivalent) {
   // The same RL deployment loop driven once through the string API and
   // once through interned handles must be observationally identical: same
   // actions, same pi contents, same primitive counts.
@@ -664,7 +664,7 @@ TEST(RuntimeTest, StringAndHandleTracesAreEquivalent) {
   EXPECT_EQ(S.db().lifetimeAppended(), H.db().lifetimeAppended());
 }
 
-TEST(RuntimeTest, NnBatchMatchesScalarPredictions) {
+TEST(SessionTest, NnBatchMatchesScalarPredictions) {
   Engine Eng;
   Session S(Eng, Mode::TR);
   ModelConfig C;

@@ -1,7 +1,7 @@
 //===- tests/EngineSessionTest.cpp - Engine/Session architecture ---------===//
 //
 // The Engine/Session split of DESIGN.md §10: store-divergence detection,
-// replica/live prediction equivalence, the
+// published-snapshot/live prediction equivalence, the
 // cross-session inference batcher, and a multi-tenant stress test with
 // concurrent TS readers under a live TR trainer. The stress test doubles as
 // a race detector under the TSan CI job.
@@ -61,7 +61,7 @@ TEST(EngineSession, SessionsMirrorNamesInternedAnywhere) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parameter-snapshot publication and serving replicas
+// Snapshot publication and shared serving
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -123,8 +123,8 @@ TEST(EngineSession, SharedInferenceMatchesLiveModelBitwise) {
   Shared.nn(ModelId, Feat, {Out});
   Shared.writeBack(Out.Name, OutDim, FromShared);
 
-  // The replica runs the same predictRowsInto code path over the same
-  // parameters, so the results are bitwise identical.
+  // The published snapshot is a packed copy of the live network, served by
+  // the same nn::predictRows routine, so the results are bitwise identical.
   EXPECT_EQ(Shared.servingVersion(ModelId), Eng.modelVersion(ModelId));
   for (int J = 0; J < OutDim; ++J)
     EXPECT_EQ(FromLive[J], FromShared[J]);
@@ -140,7 +140,7 @@ TEST(EngineSession, NnBatchSessionsMatchesPerSessionCalls) {
   WriteBackHandle Out{Trainer.intern("out"), OutDim};
   std::vector<WriteBackHandle> Outs{Out};
 
-  // Batched: K sessions, one fused forwardBatch.
+  // Batched: K sessions, one fused forward.
   std::vector<std::unique_ptr<Session>> Batch;
   std::vector<Session *> Ptrs;
   std::vector<NameId> ExtIds(K, Feat);
@@ -204,7 +204,7 @@ TEST(EngineSessionStress, ConcurrentReadersUnderLiveTrainer) {
     for (int KR = 0; KR < NumReaders; ++KR)
       probeRow(KR, Rows.data() + static_cast<size_t>(KR) * FeatDim);
     // The trainer owns the live model; published snapshots carry exactly
-    // its parameters, and replica serving is bitwise-equal to this call.
+    // its parameters, and snapshot serving is bitwise-equal to this call.
     Sl->predictRows(Rows.data(), NumReaders, Expected[V]);
     MaxVerified.store(V, std::memory_order_release);
   };

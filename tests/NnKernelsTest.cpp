@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Model.h"
 #include "nn/Gemm.h"
 #include "nn/Layers.h"
 #include "nn/Loss.h"
@@ -153,12 +154,25 @@ bool leavesCaller(ThreadPool &Pool, const F &Chunk, bool AwaitTeam = false) {
   return Watch.left();
 }
 
-/// Restores the GEMM backend and a default pool after each test.
+/// A cost clock for the inline-policy tests: it moves only when a loop body
+/// advances it, so a chunk costs exactly what the test says, whatever the
+/// host's scheduler does meanwhile.
+std::atomic<int64_t> FakeNs{0};
+int64_t fakeClock() { return FakeNs.load(std::memory_order_relaxed); }
+
+/// A chunk body that costs \p Ns on the fake clock.
+void spendFake(std::chrono::nanoseconds Ns) {
+  FakeNs.fetch_add(Ns.count(), std::memory_order_relaxed);
+}
+
+/// Restores the GEMM backend, a default pool and the steady cost clock
+/// after each test.
 class NnKernelsTest : public ::testing::Test {
 protected:
   void TearDown() override {
     setBackend(defaultBackend());
     ThreadPool::setGlobalThreads(1);
+    ThreadPool::setCostClock(nullptr);
   }
 };
 
@@ -288,7 +302,8 @@ TEST_F(NnKernelsTest, PoolSurvivesParkingAndDestruction) {
 
 TEST_F(NnKernelsTest, CheapLoopRunsInlineOnceMeasured) {
   // The first call is unmeasured, so it goes to the team; after it, eight
-  // trivial chunks cost far less than a dispatch and stay on the caller.
+  // chunks that cost nothing stay on the caller.
+  ThreadPool::setCostClock(fakeClock);
   ThreadPool Pool(4);
   auto Trivial = [] {};
   leavesCaller(Pool, Trivial);
@@ -299,8 +314,9 @@ TEST_F(NnKernelsTest, CheapLoopRunsInlineOnceMeasured) {
 }
 
 TEST_F(NnKernelsTest, CostlyLoopReachesTheTeamOnEveryCall) {
+  ThreadPool::setCostClock(fakeClock);
   ThreadPool Pool(4);
-  auto Costly = [] { spinFor(std::chrono::microseconds(50)); };
+  auto Costly = [] { spendFake(std::chrono::microseconds(50)); };
   for (int Call = 0; Call < 20; ++Call)
     EXPECT_TRUE(leavesCaller(Pool, Costly, /*AwaitTeam=*/true))
         << "call " << Call;
@@ -310,9 +326,10 @@ TEST_F(NnKernelsTest, LoopThatTurnsCostlyReturnsToTheTeam) {
   // One call site, cheap for 100 calls, then 50 us a chunk. Its first costly
   // call runs inline on the cheap estimate and measures itself; the next one
   // must be back on the team.
+  ThreadPool::setCostClock(fakeClock);
   ThreadPool Pool(4);
   std::chrono::microseconds Wait{0};
-  auto Chunk = [&] { spinFor(Wait); };
+  auto Chunk = [&] { spendFake(Wait); };
   for (int Call = 0; Call < 100; ++Call)
     leavesCaller(Pool, Chunk);
   Wait = std::chrono::microseconds(50);
@@ -495,14 +512,16 @@ TEST_F(NnKernelsTest, AdamMomentsNeverStayOnSubnormals) {
 
 namespace {
 
-/// Checks one forwardBatch + backwardBatch of \p L against \p Ref.
+/// Checks one forward + backward of \p L against \p Ref.
 void expectMatchesOracle(Layer &L, const Tensor &In, const Tensor &GradOut,
                          const oracle::Reference &Ref, const char *What) {
   SCOPED_TRACE(::testing::Message() << What << " " << backendName(backend())
                                     << " batch " << In.dim(0));
-  L.zeroGrads();
-  Tensor Out = L.forwardBatch(In);
-  Tensor GradIn = L.backwardBatch(GradOut, /*NeedGradIn=*/true);
+  for (ParamView P : L.params())
+    std::fill(P.Grads, P.Grads + P.Count, 0.0f);
+  LayerCtx Ctx;
+  Tensor Out = L.forward(In, &Ctx);
+  Tensor GradIn = L.backward(GradOut, Ctx, /*NeedGradIn=*/true);
   expectClose(flat(Out), Ref.Out, "forward");
   expectClose(flat(GradIn), Ref.GradIn, "grad-in");
   expectClose(gradSnapshot(L), Ref.ParamGrads, "param grads");
@@ -641,8 +660,9 @@ TEST_F(NnKernelsTest, MaxPoolIsBitwiseTheOracleOnTiesZerosAndNaN) {
         oracle::Reference Ref = oracle::runMaxPool(In, GradOut);
 
         MaxPool2D Pool;
-        Tensor Out = Pool.forwardBatch(In);
-        Tensor GradIn = Pool.backwardBatch(GradOut, /*NeedGradIn=*/true);
+        LayerCtx Ctx;
+        Tensor Out = Pool.forward(In, &Ctx);
+        Tensor GradIn = Pool.backward(GradOut, Ctx, /*NeedGradIn=*/true);
         ASSERT_EQ(Out.size(), Ref.Out.size());
         ASSERT_EQ(GradIn.size(), Ref.GradIn.size());
         expectBitwise(Out.data(), Ref.Out, "forward");
@@ -688,11 +708,11 @@ TEST_F(NnKernelsTest, CnnForwardBatchMatchesScalarForward) {
   Rng Rand(7);
   const int BatchSize = 5, InSize = 16 * 16;
   Tensor In = randomTensor({BatchSize, InSize}, Rand);
-  Tensor BatchOut = Batched.forwardBatch(In);
+  Tensor BatchOut = Batched.forward(In);
   for (int B = 0; B < BatchSize; ++B) {
     Tensor X({1, InSize});
     std::copy(In.sampleData(B), In.sampleData(B) + InSize, X.data());
-    Tensor Y = Single.forwardBatch(X);
+    Tensor Y = Single.forward(X);
     std::vector<float> BatchRow(BatchOut.sampleData(B),
                                 BatchOut.sampleData(B) + Y.size());
     expectClose(BatchRow, flat(Y), "cnn forward");
@@ -791,12 +811,13 @@ TEST_F(NnKernelsTest, MaxPoolHandlesArbitrarilyNegativeInputs) {
   In[1] = -3e30f;
   In[2] = -5e30f;
   In[3] = -2e30f;
-  Tensor Out = Pool.forwardBatch(In);
+  LayerCtx Ctx;
+  Tensor Out = Pool.forward(In, &Ctx);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_FLOAT_EQ(Out[0], -2e30f);
   Tensor G({1, 1, 1, 1});
   G[0] = 1.0f;
-  Tensor GI = Pool.backwardBatch(G, true);
+  Tensor GI = Pool.backward(G, Ctx, true);
   EXPECT_FLOAT_EQ(GI[3], 1.0f);
   EXPECT_FLOAT_EQ(GI[0], 0.0f);
 }
@@ -840,8 +861,9 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterOptimizerStep) {
     Tensor In = randomTensor({4, 6}, Rand);
     Tensor Grad = randomTensor({4, 3}, Rand);
 
-    Net.forwardBatch(In); // Warms the packed-weight caches.
-    Net.backwardBatch(Grad);
+    ForwardCtx Ctx;
+    Net.forward(In, &Ctx); // Warms the packed-weight caches.
+    Net.backward(Grad, Ctx);
     Opt.step(4.0);
 
     // Post-step prediction must reflect the new weights: compare against a
@@ -849,7 +871,7 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterOptimizerStep) {
     Rng R2(30);
     Network Fresh = buildDnn(6, {8}, 3, R2);
     Fresh.copyParamsFrom(Net);
-    EXPECT_EQ(Net.forwardBatch(In).values(), Fresh.forwardBatch(In).values())
+    EXPECT_EQ(Net.forward(In).values(), Fresh.forward(In).values())
         << "stale packed weights after optimizer step, backend "
         << backendName(B);
   }
@@ -858,28 +880,39 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterOptimizerStep) {
 TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterParamLoad) {
   for (Backend B : comparableBackends()) {
     setBackend(B);
-    Rng R(31);
-    Network Net = buildDnn(5, {6}, 2, R);
-    Adam Opt(Net, 0.1);
+    ModelConfig Cfg;
+    Cfg.Name = "packed_reload";
+    Cfg.HiddenLayers = {6};
+    Cfg.Seed = 31;
+    Cfg.LearningRate = 0.1;
+    SlModel M(Cfg);
     Rng Rand(7);
-    Tensor In = randomTensor({3, 5}, Rand);
-    Tensor Grad = randomTensor({3, 2}, Rand);
-
-    Tensor Before = Net.forwardBatch(In); // Packs the initial weights.
-    std::vector<float> Expect = flat(Before);
+    for (int I = 0; I < 6; ++I) {
+      std::vector<float> X(5), Y(2);
+      for (float &V : X)
+        V = static_cast<float>(Rand.uniform(-1.5, 1.5));
+      for (float &V : Y)
+        V = static_cast<float>(Rand.uniform(-1.5, 1.5));
+      M.addSample(X, Y, {{"y", 2}});
+    }
+    const std::vector<float> Rows = {0.3f, -0.2f, 0.1f, 0.5f, -1.0f,
+                                     0.9f, 0.4f,  -0.6f, 1.2f, 0.0f,
+                                     -0.3f, 0.8f, 0.2f, -0.4f, 0.6f};
+    M.train(1, 6);
+    std::vector<float> Expect, After;
+    M.predictRows(Rows.data(), 3, Expect); // Packs the trained weights.
 
     std::string Path =
-        ::testing::TempDir() + "nn_kernels_packed_reload.bin";
-    ASSERT_TRUE(Net.saveParams(Path));
+        ::testing::TempDir() + "nn_kernels_packed_reload.aumodel";
+    ASSERT_TRUE(M.save(Path));
 
-    // Perturb the parameters, then load the saved ones back — the restore
-    // path readParams/loadParams rides through must invalidate the caches.
-    Net.backwardBatch(Grad);
-    Opt.step(3.0);
-    ASSERT_TRUE(Net.loadParams(Path));
+    // Perturb the parameters (repacking them), then load the saved ones
+    // back: the prediction must come from the loaded weights.
+    M.train(2, 3);
+    ASSERT_TRUE(M.load(Path));
 
-    Tensor After = Net.forwardBatch(In);
-    expectClose(flat(After), Expect,
+    M.predictRows(Rows.data(), 3, After);
+    expectClose(After, Expect,
                 "prediction after param reload (stale packed weights?)");
     std::remove(Path.c_str());
   }
@@ -925,9 +958,10 @@ TEST_F(NnKernelsTest, ParamGradsAreBitwiseTheSameWithoutTheInputGrad) {
         for (bool Want : {false, true}) {
           Network Net = buildFamily(Cnn, 19);
           Net.zeroGrads();
-          Tensor Out = Net.forwardBatch(In);
+          ForwardCtx Ctx;
+          Tensor Out = Net.forward(In, &Ctx);
           Workspace::release(Out);
-          Tensor GradIn = Net.backwardBatch(Grad, Want);
+          Tensor GradIn = Net.backward(Grad, Ctx, Want);
           if (Want)
             EXPECT_EQ(GradIn.shape(), In.shape());
           else
@@ -953,8 +987,9 @@ namespace {
 std::vector<float> forwardBackward(Network &Net, const Tensor &In,
                                    const Tensor &Grad) {
   Net.zeroGrads();
-  Tensor Out = Net.forwardBatch(In);
-  Tensor GradIn = Net.backwardBatch(Grad, /*WantGradIn=*/true);
+  ForwardCtx Ctx;
+  Tensor Out = Net.forward(In, &Ctx);
+  Tensor GradIn = Net.backward(Grad, Ctx, /*WantGradIn=*/true);
   std::vector<float> All = flat(Out);
   std::vector<float> Rest = flat(GradIn);
   All.insert(All.end(), Rest.begin(), Rest.end());
@@ -968,11 +1003,11 @@ std::vector<float> forwardBackward(Network &Net, const Tensor &In,
 /// Parks NaN-filled buffers of every activation shape of \p Net at \p In
 /// (its input and each layer's output, twice each: one for the forward
 /// pass and one for the backward) on this thread's workspace freelist.
-void poisonWorkspace(Network &Net, const Tensor &In) {
+void poisonWorkspace(const Network &Net, const Tensor &In) {
   std::vector<std::vector<int>> Shapes = {In.shape()};
   Tensor X = In;
   for (size_t I = 0; I != Net.numLayers(); ++I) {
-    Tensor Y = Net.layer(I).forwardBatch(X);
+    Tensor Y = Net.layer(I).forward(X, nullptr);
     Shapes.push_back(Y.shape());
     X = std::move(Y);
   }
@@ -1018,40 +1053,118 @@ TEST_F(NnKernelsTest, PoisonedWorkspaceBuffersChangeNoResult) {
 }
 
 //===----------------------------------------------------------------------===//
-// Zero-allocation steady state (workspace arena + retained layer caches)
+// Zero-allocation steady state (workspace arena + caller-owned contexts)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Runs warm forward passes of a DNN and a CNN on a pool of \p Threads and
-/// checks that a further eight allocate nothing on any thread.
-void expectSteadyStateForwardBatchDoesNotAllocate(int Threads) {
+/// Inputs for the two network families at batch 8: a DNN over 12 features
+/// and a CNN over 12x12 frames.
+struct FamilyInputs {
+  Tensor DnnIn, CnnIn;
+  FamilyInputs() {
+    Rng Rand(9);
+    DnnIn = randomTensor({8, 12}, Rand);
+    CnnIn = randomTensor({8, 1, 12, 12}, Rand);
+  }
+};
+
+/// Context-free forward passes of a DNN and a CNN.
+struct ForwardWork : FamilyInputs {
+  Rng R{41};
+  Network Dnn = buildDnn(12, {16, 16}, 4, R);
+  Network Cnn = buildDeepMindCnn(1, 12, {16}, 3, R);
+
+  void pass() {
+    Tensor A = Dnn.forward(DnnIn);
+    Workspace::release(A);
+    Tensor C = Cnn.forward(CnnIn);
+    Workspace::release(C);
+  }
+};
+
+/// Training steps of a DNN and a CNN: forward with a context, the MSE loss,
+/// backward and Adam::step.
+struct TrainStepWork : FamilyInputs {
+  Rng R{41};
+  Network Dnn = buildDnn(12, {16, 16}, 4, R);
+  Network Cnn = buildDeepMindCnn(1, 12, {16}, 3, R);
+  Adam DnnOpt{Dnn, 1e-3}, CnnOpt{Cnn, 1e-3};
+  ForwardCtx DnnCtx, CnnCtx;
+  Tensor DnnTarget{{8, 4}, 0.5f}, CnnTarget{{8, 3}, 0.5f};
+  Tensor DnnGrad, CnnGrad;
+
+  static void step(Network &Net, Adam &Opt, ForwardCtx &Ctx,
+                   const Tensor &In, const Tensor &Target, Tensor &Grad) {
+    Tensor Pred = Net.forward(In, &Ctx);
+    mseLossBatch(Pred, Target, Grad);
+    Workspace::release(Pred);
+    Net.backward(Grad, Ctx);
+    Opt.step(1.0 / 8);
+  }
+
+  void pass() {
+    step(Dnn, DnnOpt, DnnCtx, DnnIn, DnnTarget, DnnGrad);
+    step(Cnn, CnnOpt, CnnCtx, CnnIn, CnnTarget, CnnGrad);
+  }
+};
+
+/// A trained supervised model of \p Type over 12 features (a 12x12 frame
+/// for the CNN), with 8 recorded samples.
+std::unique_ptr<SlModel> trainedSlModel(ModelType Type) {
+  ModelConfig Cfg;
+  Cfg.Name = "steady";
+  Cfg.Type = Type;
+  Cfg.HiddenLayers = {16};
+  Cfg.FrameSide = 12;
+  Cfg.FrameChannels = 1;
+  auto M = std::make_unique<SlModel>(Cfg);
+  const int NX = Type == ModelType::CNN ? 144 : 12;
+  Rng Rand(5);
+  for (int I = 0; I < 8; ++I) {
+    std::vector<float> X(static_cast<size_t>(NX));
+    for (float &V : X)
+      V = static_cast<float>(Rand.uniform(-1.0, 1.0));
+    M->addSample(X, {X[0] + X[1], X[2]}, {{"y", 2}});
+  }
+  M->train(1, 4);
+  return M;
+}
+
+/// TS predictions of 8 rows served from published snapshots of a DNN and
+/// a CNN model, the way shared-inference readers serve them.
+struct SnapshotPredictWork : FamilyInputs {
+  std::unique_ptr<ModelSnapshot> Dnn =
+      trainedSlModel(ModelType::DNN)->snapshot();
+  std::unique_ptr<ModelSnapshot> Cnn =
+      trainedSlModel(ModelType::CNN)->snapshot();
+  std::vector<float> Out;
+
+  void pass() {
+    predictRows(Dnn->Net, Dnn->Norm, DnnIn.data(), 8, Out);
+    predictRows(Cnn->Net, Cnn->Norm, CnnIn.data(), 8, Out);
+  }
+};
+
+/// Runs warm passes of a fresh \p Work on a pool of \p Threads, under each
+/// engine, and checks that a further eight allocate nothing on any thread.
+template <typename Work>
+void expectSteadyStateDoesNotAllocate(int Threads, const char *What) {
   ThreadPool::setGlobalThreads(Threads);
   for (Backend B : comparableBackends()) {
     setBackend(B);
-    Rng R(41);
-    Network Dnn = buildDnn(12, {16, 16}, 4, R);
-    Network Cnn = buildDeepMindCnn(1, 12, {16}, 3, R);
-    Rng Rand(9);
-    Tensor DnnIn = randomTensor({8, 12}, Rand);
-    Tensor CnnIn = randomTensor({8, 1, 12, 12}, Rand);
+    auto W = std::make_unique<Work>();
 
-    // Building the networks above must have ticked the counter — guards
+    // Building the work above must have ticked the counter — guards
     // against the replacement operators not being linked in, which would
     // make the zero-alloc assertion below pass vacuously.
     ASSERT_GT(GHeapAllocs.load(std::memory_order_relaxed), 0);
 
-    auto Pass = [&] {
-      Tensor A = Dnn.forwardBatch(DnnIn);
-      Workspace::release(A);
-      Tensor C = Cnn.forwardBatch(CnnIn);
-      Workspace::release(C);
-    };
     // Warm-up: buffers converge on the workload's high-water mark, on every
     // thread that runs chunks. Chunks go to whichever thread claims them
     // first, so first run one pass on each thread of the team: chunks that
     // wait for one another run on distinct threads, and the loops nested in
-    // a pass run inline there. The passes take turns (one network).
+    // a pass run inline there. The passes take turns (one set of networks).
     // parallelFor may run any loop inline, which would deadlock this
     // barrier; it relies on the rule that a site its issuing thread has not
     // measured is dispatched, and, for the next backend's call, on a
@@ -1063,17 +1176,17 @@ void expectSteadyStateForwardBatchDoesNotAllocate(int Threads) {
       while (Arrived.load() < Threads)
         std::this_thread::yield();
       std::lock_guard<std::mutex> G(PassM);
-      Pass();
+      W->pass();
     });
     for (int I = 0; I < 3; ++I)
-      Pass();
+      W->pass();
 
     long Before = GHeapAllocs.load(std::memory_order_relaxed);
     for (int I = 0; I < 8; ++I)
-      Pass();
+      W->pass();
     long After = GHeapAllocs.load(std::memory_order_relaxed);
     EXPECT_EQ(After, Before)
-        << "steady-state forwardBatch allocated under backend "
+        << "steady-state " << What << " allocated under backend "
         << backendName(B) << " at " << Threads << " threads";
   }
 }
@@ -1081,9 +1194,80 @@ void expectSteadyStateForwardBatchDoesNotAllocate(int Threads) {
 } // namespace
 
 TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocate) {
-  expectSteadyStateForwardBatchDoesNotAllocate(1);
+  expectSteadyStateDoesNotAllocate<ForwardWork>(1, "forward");
 }
 
 TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocateAtFourThreads) {
-  expectSteadyStateForwardBatchDoesNotAllocate(4);
+  expectSteadyStateDoesNotAllocate<ForwardWork>(4, "forward");
+}
+
+TEST_F(NnKernelsTest, SteadyStateTrainingStepDoesNotAllocate) {
+  expectSteadyStateDoesNotAllocate<TrainStepWork>(1, "training step");
+}
+
+TEST_F(NnKernelsTest, SteadyStateTrainingStepDoesNotAllocateAtFourThreads) {
+  expectSteadyStateDoesNotAllocate<TrainStepWork>(4, "training step");
+}
+
+TEST_F(NnKernelsTest, SteadyStateSnapshotPredictDoesNotAllocate) {
+  expectSteadyStateDoesNotAllocate<SnapshotPredictWork>(1, "snapshot predict");
+}
+
+TEST_F(NnKernelsTest,
+       SteadyStateSnapshotPredictDoesNotAllocateAtFourThreads) {
+  expectSteadyStateDoesNotAllocate<SnapshotPredictWork>(4, "snapshot predict");
+}
+
+//===----------------------------------------------------------------------===//
+// One published network, many concurrent readers
+//===----------------------------------------------------------------------===//
+
+TEST_F(NnKernelsTest, ConcurrentForwardsOnOnePublishedNetworkMatchSerial) {
+  // Eight threads run forward at once on one packed, const network — what
+  // shared-inference readers do with a published snapshot. Forward only
+  // reads the network, so each result is bitwise the serial one (and the
+  // TSan job sees no write to the shared layers).
+  constexpr int Readers = 8, Calls = 20;
+  ThreadPool::setGlobalThreads(4);
+  for (Backend Be : comparableBackends()) {
+    setBackend(Be);
+    for (bool Cnn : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << backendName(Be) << " " << (Cnn ? "cnn" : "dnn"));
+      Network Live = buildFamily(Cnn, 43);
+      Network Copy = Live.clone();
+      Copy.pack();
+      const Network &Published = Copy;
+      std::vector<Tensor> Ins, Serial;
+      Rng Rand(47);
+      for (int K = 0; K < Readers; ++K) {
+        Ins.push_back(randomTensor({1 + K % 3, Cnn ? 16 * 16 : 12}, Rand));
+        Serial.push_back(Published.forward(Ins.back()));
+      }
+      std::vector<std::vector<Tensor>> Got(Readers);
+      std::atomic<int> Arrived{0};
+      std::vector<std::thread> Threads;
+      for (int K = 0; K < Readers; ++K)
+        Threads.emplace_back([&, K] {
+          ++Arrived;
+          while (Arrived.load() < Readers)
+            std::this_thread::yield();
+          for (int C = 0; C < Calls; ++C)
+            Got[static_cast<size_t>(K)].push_back(
+                Published.forward(Ins[static_cast<size_t>(K)]));
+        });
+      for (std::thread &T : Threads)
+        T.join();
+      for (int K = 0; K < Readers; ++K)
+        for (const Tensor &T : Got[static_cast<size_t>(K)]) {
+          ASSERT_EQ(T.shape(), Serial[static_cast<size_t>(K)].shape());
+          expectBitwise(T.data(), flat(Serial[static_cast<size_t>(K)]),
+                        "concurrent forward");
+        }
+      // The copy serves what the live network computes.
+      for (int K = 0; K < Readers; ++K)
+        expectBitwise(Live.forward(Ins[static_cast<size_t>(K)]).data(),
+                      flat(Serial[static_cast<size_t>(K)]), "copy vs live");
+    }
+  }
 }

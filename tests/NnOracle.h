@@ -13,8 +13,8 @@
 /// in both.
 ///
 /// runDense/runConv/runMaxPool take a batched input and output gradient
-/// (leading dimension = batch) and return what one forwardBatch followed by
-/// one backwardBatch must produce: the outputs, the input gradients, and
+/// (leading dimension = batch) and return what one forward followed by one
+/// backward must produce: the outputs, the input gradients, and
 /// the parameter gradients summed over the batch (weights then biases, the
 /// layer's params() order).
 ///
@@ -33,7 +33,7 @@ namespace au {
 namespace nn {
 namespace oracle {
 
-/// What one forwardBatch + backwardBatch pair must produce.
+/// What one forward + backward pair must produce.
 struct Reference {
   std::vector<float> Out;        ///< Forward outputs, batch-major.
   std::vector<float> GradIn;     ///< Input gradients, batch-major.

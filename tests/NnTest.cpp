@@ -1,5 +1,6 @@
 //===- tests/NnTest.cpp - Unit tests for the NN substrate ----------------===//
 
+#include "core/Model.h"
 #include "nn/Gemm.h"
 #include "nn/Layers.h"
 #include "nn/Loss.h"
@@ -78,7 +79,7 @@ Tensor makeBatch(const Tensor &Sample, int Batch, double Lo, double Hi,
 /// over the whole batch, so its gradients are the batch-summed ones the
 /// layers accumulate.
 double sumForward(Network &Net, const Tensor &In) {
-  Tensor Out = Net.forwardBatch(In);
+  Tensor Out = Net.forward(In);
   double S = 0.0;
   for (size_t I = 0; I != Out.size(); ++I)
     S += Out[I];
@@ -101,8 +102,9 @@ template <typename F> double centralDifference(F Loss, double Tol) {
 /// differences.
 void checkParamGradients(Network &Net, const Tensor &In, double Tol) {
   Net.zeroGrads();
-  Tensor Out = Net.forwardBatch(In);
-  Net.backwardBatch(Tensor(Out.shape(), 1.0f));
+  ForwardCtx Ctx;
+  Tensor Out = Net.forward(In, &Ctx);
+  Net.backward(Tensor(Out.shape(), 1.0f), Ctx);
   int Compared = 0, Kinks = 0;
   for (ParamView P : Net.params())
     for (size_t I = 0; I < P.Count; I += std::max<size_t>(1, P.Count / 13)) {
@@ -132,9 +134,10 @@ void checkParamGradients(Network &Net, const Tensor &In, double Tol) {
 /// differences.
 void checkInputGradients(Network &Net, Tensor In, double Tol) {
   Net.zeroGrads();
-  Tensor Out = Net.forwardBatch(In);
+  ForwardCtx Ctx;
+  Tensor Out = Net.forward(In, &Ctx);
   Tensor GradIn =
-      Net.backwardBatch(Tensor(Out.shape(), 1.0f), /*WantGradIn=*/true);
+      Net.backward(Tensor(Out.shape(), 1.0f), Ctx, /*WantGradIn=*/true);
   int Compared = 0, Kinks = 0;
   for (size_t I = 0; I != In.size();
        I += std::max<size_t>(1, In.size() / 9)) {
@@ -239,7 +242,7 @@ TEST(LayerTest, ConvOutputShape) {
   Rng R(8);
   Conv2D C(2, 5, 3, 1, R);
   Tensor In({1, 2, 10, 8});
-  Tensor Out = C.forwardBatch(In);
+  Tensor Out = C.forward(In, nullptr);
   EXPECT_EQ(Out.dim(0), 1);
   EXPECT_EQ(Out.dim(1), 5);
   EXPECT_EQ(Out.dim(2), 8);
@@ -250,7 +253,7 @@ TEST(LayerTest, ConvStrideTwo) {
   Rng R(9);
   Conv2D C(1, 1, 3, 2, R);
   Tensor In({1, 1, 9, 9});
-  Tensor Out = C.forwardBatch(In);
+  Tensor Out = C.forward(In, nullptr);
   EXPECT_EQ(Out.dim(2), 4);
   EXPECT_EQ(Out.dim(3), 4);
 }
@@ -262,11 +265,12 @@ TEST(LayerTest, MaxPoolSelectsMaximum) {
   In[1] = 4.0f; // (0, 1)
   In[2] = 2.0f; // (1, 0)
   In[3] = 3.0f; // (1, 1)
-  Tensor Out = P.forwardBatch(In);
+  LayerCtx Ctx;
+  Tensor Out = P.forward(In, &Ctx);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_FLOAT_EQ(Out[0], 4.0f);
   // Gradient routes only to the argmax.
-  Tensor G = P.backwardBatch(Tensor({1, 1, 1, 1}, 1.0f), true);
+  Tensor G = P.backward(Tensor({1, 1, 1, 1}, 1.0f), Ctx, true);
   EXPECT_FLOAT_EQ(G[1], 1.0f);
   EXPECT_FLOAT_EQ(G[0], 0.0f);
 }
@@ -274,7 +278,7 @@ TEST(LayerTest, MaxPoolSelectsMaximum) {
 TEST(LayerTest, ReluZeroesNegatives) {
   ReLU L;
   Tensor In = Tensor::adopt({-1.0f, 2.0f}, {1, 2});
-  Tensor Out = L.forwardBatch(In);
+  Tensor Out = L.forward(In, nullptr);
   EXPECT_FLOAT_EQ(Out[0], 0.0f);
   EXPECT_FLOAT_EQ(Out[1], 2.0f);
 }
@@ -282,9 +286,10 @@ TEST(LayerTest, ReluZeroesNegatives) {
 TEST(LayerTest, ReshapeRoundTrip) {
   Reshape L({2, 2, 2});
   Tensor In = Tensor::adopt({1, 2, 3, 4, 5, 6, 7, 8}, {1, 8});
-  Tensor Out = L.forwardBatch(In);
+  LayerCtx Ctx;
+  Tensor Out = L.forward(In, &Ctx);
   EXPECT_EQ(Out.shape(), (std::vector<int>{1, 2, 2, 2}));
-  Tensor Back = L.backwardBatch(Out, true);
+  Tensor Back = L.backward(Out, Ctx, true);
   EXPECT_EQ(Back.shape(), (std::vector<int>{1, 8}));
   EXPECT_FLOAT_EQ(Back[7], 8.0f);
 }
@@ -322,20 +327,21 @@ namespace {
 double trainLinear(Adam &Opt, Network &Net, int Steps) {
   Rng R(31);
   Tensor In({1, 1}), Target({1, 1}), Grad;
+  ForwardCtx Ctx;
   for (int S = 0; S < Steps; ++S) {
     float X = static_cast<float>(R.uniform(-1, 1));
     In[0] = X;
     Target[0] = 2 * X + 1;
-    Tensor Out = Net.forwardBatch(In);
+    Tensor Out = Net.forward(In, &Ctx);
     mseLossBatch(Out, Target, Grad);
-    Net.backwardBatch(Grad);
+    Net.backward(Grad, Ctx);
     Opt.step(1.0);
   }
   double Err = 0.0;
   int N = 0;
   for (float X = -1.0f; X <= 1.0f; X += 0.1f, ++N) {
     In[0] = X;
-    float Pred = Net.forwardBatch(In)[0];
+    float Pred = Net.forward(In)[0];
     Err += (Pred - (2 * X + 1)) * (Pred - (2 * X + 1));
   }
   return Err / N;
@@ -353,8 +359,10 @@ TEST(OptimizerTest, StepZeroesGradients) {
   Rng R(35);
   Network Net = buildDnn(2, {}, 1, R);
   Adam Opt(Net, 0.01);
-  Net.forwardBatch(Tensor({1, 2}, 1.0f));
-  Net.backwardBatch(Tensor({1, 1}, 1.0f));
+  Tensor In({1, 2}, 1.0f);
+  ForwardCtx Ctx;
+  Net.forward(In, &Ctx);
+  Net.backward(Tensor({1, 1}, 1.0f), Ctx);
   Opt.step(1.0);
   for (ParamView P : Net.params())
     for (size_t I = 0; I != P.Count; ++I)
@@ -365,26 +373,46 @@ TEST(OptimizerTest, StepZeroesGradients) {
 // Network persistence and copying
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// A supervised model mapping 3 features to 2 outputs through \p Hidden,
+/// built (and so initialized from \p Seed) by one recorded sample.
+std::unique_ptr<SlModel> smallSlModel(std::vector<int> Hidden, uint64_t Seed) {
+  ModelConfig Cfg;
+  Cfg.Name = "net";
+  Cfg.HiddenLayers = std::move(Hidden);
+  Cfg.Seed = Seed;
+  auto M = std::make_unique<SlModel>(Cfg);
+  M->addSample({0.1f, 0.2f, 0.3f}, {1.0f, -1.0f}, {{"y", 2}});
+  M->addSample({0.4f, -0.2f, 0.9f}, {0.5f, 2.0f}, {{"y", 2}});
+  return M;
+}
+} // namespace
+
 TEST(NetworkTest, SaveLoadRoundTrip) {
-  Rng R(41);
-  Network A = buildDnn(3, {5}, 2, R);
-  Network B = buildDnn(3, {5}, 2, R); // Different init.
+  std::unique_ptr<SlModel> A = smallSlModel({5}, 41);
+  std::unique_ptr<SlModel> B = smallSlModel({5}, 42); // Different init.
   TempPath Path("net.bin");
-  ASSERT_TRUE(A.saveParams(Path.str()));
-  ASSERT_TRUE(B.loadParams(Path.str()));
-  Tensor In = Tensor::adopt({0.1f, 0.2f, 0.3f}, {1, 3});
-  Tensor OA = A.forwardBatch(In), OB = B.forwardBatch(In);
+  ASSERT_TRUE(A->save(Path.str()));
+  ASSERT_TRUE(B->load(Path.str()));
+  std::vector<float> OA = A->predict({0.1f, 0.2f, 0.3f});
+  std::vector<float> OB = B->predict({0.1f, 0.2f, 0.3f});
   for (size_t I = 0; I != OA.size(); ++I)
     EXPECT_FLOAT_EQ(OA[I], OB[I]);
 }
 
 TEST(NetworkTest, LoadRejectsWrongArchitecture) {
-  Rng R(42);
-  Network A = buildDnn(3, {5}, 2, R);
-  Network B = buildDnn(3, {6}, 2, R);
+  std::unique_ptr<SlModel> A = smallSlModel({5}, 41);
+  // A model file carries its hidden layout, so a model with a custom
+  // network builder is the one whose architecture can disagree with it.
+  ModelConfig Cfg;
+  Cfg.Name = "net";
+  Cfg.CustomNetwork = [](int In, int Out, Rng &Rand) {
+    return buildDnn(In, {6}, Out, Rand);
+  };
+  SlModel B(Cfg);
   TempPath Path("net.bin");
-  ASSERT_TRUE(A.saveParams(Path.str()));
-  EXPECT_FALSE(B.loadParams(Path.str()));
+  ASSERT_TRUE(A->save(Path.str()));
+  EXPECT_FALSE(B.load(Path.str()));
 }
 
 TEST(NetworkTest, CopyParamsMakesOutputsEqual) {
@@ -393,7 +421,7 @@ TEST(NetworkTest, CopyParamsMakesOutputsEqual) {
   Network B = buildDnn(4, {6}, 3, R);
   B.copyParamsFrom(A);
   Tensor In = Tensor::adopt({0.5f, -0.5f, 0.25f, 1.0f}, {1, 4});
-  Tensor OA = A.forwardBatch(In), OB = B.forwardBatch(In);
+  Tensor OA = A.forward(In), OB = B.forward(In);
   for (size_t I = 0; I != OA.size(); ++I)
     EXPECT_FLOAT_EQ(OA[I], OB[I]);
 }
@@ -452,12 +480,11 @@ TEST(SupervisedTest, NormalizationExportImport) {
   SupervisedTrainer A(buildDnn(1, {4}, 1, R), 1e-3);
   A.addSample({2.0f}, {4.0f});
   A.addSample({4.0f}, {8.0f});
-  std::vector<float> XM, XS, YM, YS;
-  A.getNormalization(XM, XS, YM, YS);
-  EXPECT_FLOAT_EQ(XM[0], 3.0f);
+  Normalization N = A.normalization();
+  EXPECT_FLOAT_EQ(N.XMean[0], 3.0f);
   Rng R2(60);
   SupervisedTrainer B(buildDnn(1, {4}, 1, R2), 1e-3);
-  B.setNormalization(XM, XS, YM, YS);
+  B.setNormalization(N);
   B.network().copyParamsFrom(A.network());
   EXPECT_FLOAT_EQ(A.predict({2.0f})[0], B.predict({2.0f})[0]);
 }
