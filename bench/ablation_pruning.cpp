@@ -64,8 +64,8 @@ int main() {
     Opt.QCfg.TrainInterval = 2;
     Engine Eng;
     Session Sn(Eng, Mode::TR);
-    trainRl(Env, Sn, Opt);
-    RlEvalResult R = evalRl(Env, Sn, Opt, 10);
+    trainRl({&Env}, Sn, Opt);
+    RlEvalResult R = evalRl({&Env}, Sn, Opt, 10);
     Out.addRow({S.Label, fmt(static_cast<long long>(Opt.FeatureNames.size())),
                 fmtPercent(R.MeanProgress), fmtPercent(R.SuccessRate)});
   }

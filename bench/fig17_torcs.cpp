@@ -38,7 +38,7 @@ RlTrainResult trainSetting(TorcsEnv &Env, RlVariant Variant,
   Opt.EvalEpisodes = 6;
   Engine Eng;
   Session S(Eng, Mode::TR);
-  return trainRl(Env, S, Opt);
+  return trainRl({&Env}, S, Opt);
 }
 } // namespace
 

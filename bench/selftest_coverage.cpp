@@ -67,7 +67,7 @@ trainAgent(MarioEnv &Env, bool CoverageReward, long Budget,
   std::vector<std::pair<long, double>> Curve;
   long Done = 0;
   while (Done < Budget) {
-    trainRl(Env, S, Opt); // Continues the same model in the same session.
+    trainRl({&Env}, S, Opt); // Continues the same model in the same session.
     Done += Opt.TrainSteps;
     Curve.emplace_back(Done, Env.coverageFraction());
   }

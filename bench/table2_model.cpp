@@ -72,7 +72,7 @@ void addRlRow(Table &Out, GameEnv &Env, long Window) {
   AllOpt.QCfg.TrainInterval = 4;
   Engine AllEng;
   Session AllS(AllEng, Mode::TR);
-  RlTrainResult All = trainRl(Env, AllS, AllOpt);
+  RlTrainResult All = trainRl({&Env}, AllS, AllOpt);
 
   RlTrainOptions RawOpt;
   RawOpt.Variant = RlVariant::Raw;
@@ -82,7 +82,7 @@ void addRlRow(Table &Out, GameEnv &Env, long Window) {
   RawOpt.QCfg.TrainInterval = 4;
   Engine RawEng;
   Session RawS(RawEng, Mode::TR);
-  RlTrainResult Raw = trainRl(Env, RawS, RawOpt);
+  RlTrainResult Raw = trainRl({&Env}, RawS, RawOpt);
 
   Out.addRow({std::string("[RL] ") + Env.name(), kb(Raw.TraceBytes),
               kb(Raw.ModelBytes), kb(All.TraceBytes), kb(All.ModelBytes),

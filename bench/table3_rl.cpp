@@ -60,8 +60,8 @@ void addRows(Table &Out, GameEnv &Env, const EnvSchedule &Sched,
   AllOpt.QCfg.TrainInterval = 2;
   Engine AllEng;
   Session AllS(AllEng, Mode::TR);
-  RlTrainResult AllTrain = trainRl(Env, AllS, AllOpt);
-  RlEvalResult AllEval = evalRl(Env, AllS, AllOpt, 10);
+  RlTrainResult AllTrain = trainRl({&Env}, AllS, AllOpt);
+  RlEvalResult AllEval = evalRl({&Env}, AllS, AllOpt, 10);
 
   // Raw: rendered frames through the DeepMind-style CNN. Episodes are
   // capped at 500 iterations to bound the (much slower) evaluation.
@@ -74,8 +74,8 @@ void addRows(Table &Out, GameEnv &Env, const EnvSchedule &Sched,
   RawOpt.QCfg.TrainInterval = 2;
   Engine RawEng;
   Session RawS(RawEng, Mode::TR);
-  RlTrainResult RawTrain = trainRl(Env, RawS, RawOpt);
-  RlEvalResult RawEval = evalRl(Env, RawS, RawOpt, 10);
+  RlTrainResult RawTrain = trainRl({&Env}, RawS, RawOpt);
+  RlEvalResult RawEval = evalRl({&Env}, RawS, RawOpt, 10);
 
   Out.addRow({std::string("[RL] ^ ") + Env.name(),
               fmt(BaseStep * 1e6, 3), scorePair(Players),

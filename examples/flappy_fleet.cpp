@@ -2,13 +2,15 @@
 //
 // Trains the Flappy agent with a fleet of actors stepping in lockstep
 // (DESIGN.md §8): per tick, K environments extract their feature variables
-// into per-actor contexts, the K au_NN calls fuse into ONE batched model
-// step, transitions land in per-actor replay shards, and one minibatch
-// trains per tick (the vectorized-DQN schedule, TrainInterval = K). The
-// whole run is bitwise reproducible at any AU_NN_THREADS setting.
+// into per-actor lane sessions, the K au_NN calls fuse into ONE batched
+// model step, transitions land in per-actor replay shards, and one
+// minibatch trains per tick (the vectorized-DQN schedule, TrainInterval =
+// K). Each actor restores from its own checkpoint between episodes, as the
+// serial loop does. The whole run is bitwise reproducible at any
+// AU_NN_THREADS setting.
 //
-// Compares wall-clock and final greedy score against the serial loop of
-// examples/mario_selftest-style training.
+// Compares wall-clock and final greedy score against the serial loop (the
+// same trainer over one env).
 //
 // Build & run:  ./build/examples/flappy_fleet [actors]
 //
@@ -19,7 +21,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <vector>
 
 using namespace au;
 using namespace au::apps;
@@ -41,8 +43,8 @@ int main(int argc, char **argv) {
   FlappyEnv Env;
   Engine SerialEng;
   Session SerialS(SerialEng, Mode::TR);
-  RlTrainResult Serial = trainRl(Env, SerialS, Opt);
-  RlEvalResult SerialScore = evalRl(Env, SerialS, Opt, 20);
+  RlTrainResult Serial = trainRl({&Env}, SerialS, Opt);
+  RlEvalResult SerialScore = evalRl({&Env}, SerialS, Opt, 20);
 
   // Fleet: one minibatch per K-step tick, so spending the throughput win
   // on K-fold experience costs the same number of updates (and about the
@@ -55,26 +57,28 @@ int main(int argc, char **argv) {
               Opt.TrainSteps);
   Engine FleetEng;
   Session FleetMain(FleetEng, Mode::TR);
-  GameEnvFactory Factory = [] { return std::make_unique<FlappyEnv>(); };
-  RlTrainResult Fleet =
-      trainRlParallel(Factory, FleetEng, FleetMain, Opt, Actors);
-  RlEvalResult FleetScore = evalRlBatched(Factory, FleetEng, FleetMain, Opt, 20);
+  std::vector<FlappyEnv> Fleet(static_cast<size_t>(Actors));
+  std::vector<GameEnv *> FleetEnvs;
+  for (FlappyEnv &E : Fleet)
+    FleetEnvs.push_back(&E);
+  RlTrainResult FleetTrain = trainRl(FleetEnvs, FleetMain, Opt);
+  RlEvalResult FleetScore = evalRl(FleetEnvs, FleetMain, Opt, 20);
 
   std::printf("\n%-22s %12s %12s\n", "", "serial", "fleet");
   std::printf("%-22s %12.2f %12.2f\n", "train seconds",
-              Serial.TrainSeconds, Fleet.TrainSeconds);
+              Serial.TrainSeconds, FleetTrain.TrainSeconds);
   std::printf("%-22s %12.0f %12.0f\n", "env steps/sec",
               Serial.StepsRun / Serial.TrainSeconds,
-              Fleet.StepsRun / Fleet.TrainSeconds);
+              FleetTrain.StepsRun / FleetTrain.TrainSeconds);
   std::printf("%-22s %12ld %12ld\n", "episodes", Serial.Episodes,
-              Fleet.Episodes);
+              FleetTrain.Episodes);
   std::printf("%-22s %12.1f %12.1f\n", "eval mean progress",
               SerialScore.MeanProgress, FleetScore.MeanProgress);
   std::printf("%-22s %11.0f%% %11.0f%%\n", "eval success",
               100.0 * SerialScore.SuccessRate,
               100.0 * FleetScore.SuccessRate);
   std::printf("\nspeedup: %.2fx env steps/sec with %d actors\n",
-              (Fleet.StepsRun / Fleet.TrainSeconds) /
+              (FleetTrain.StepsRun / FleetTrain.TrainSeconds) /
                   (Serial.StepsRun / Serial.TrainSeconds),
               Actors);
   return 0;

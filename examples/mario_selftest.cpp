@@ -35,7 +35,7 @@ static double trainAndMeasure(bool CoverageReward, long Steps) {
   Opt.QCfg.EpsilonDecaySteps = static_cast<int>(Steps * 0.5);
   Opt.QCfg.LearningRateEnd = 1e-4;
   Opt.QCfg.TrainInterval = 2;
-  trainRl(Game, S, Opt);
+  trainRl({&Game}, S, Opt);
   return Game.coverageFraction();
 }
 

@@ -50,10 +50,10 @@ int main(int Argc, char **Argv) {
   Opt.QCfg.LearningRateEnd = 1e-4;
   Opt.QCfg.TrainInterval = 2;
   std::printf("Training for %ld control iterations...\n", Steps);
-  RlTrainResult Train = trainRl(Car, S, Opt);
+  RlTrainResult Train = trainRl({&Car}, S, Opt);
 
   // --- Drive. ---
-  RlEvalResult Drive = evalRl(Car, S, Opt, 10);
+  RlEvalResult Drive = evalRl({&Car}, S, Opt, 10);
   RlEvalResult Players = evalHeuristic(Car, Opt, 10);
   std::printf("\nTrained in %.1fs over %ld episodes.\n", Train.TrainSeconds,
               Train.Episodes);

@@ -50,7 +50,7 @@ namespace {
 /// to NameIds once here, so the per-step extract/serialize/nn/write_back
 /// path neither hashes nor copies a string. Handles come from the engine's
 /// master name table, so one handle set is valid in every Session of the
-/// engine — the lane sessions of the parallel paths included. Feature
+/// engine, every lane session included. Feature
 /// positions within Env.features() are resolved once too, replacing the
 /// per-step linear name search.
 struct RlHandles {
@@ -61,8 +61,8 @@ struct RlHandles {
   std::vector<size_t> FeatureIdx; ///< Position in Env.features().
 };
 
-/// K per-actor Sessions over one Engine (the DESIGN.md §10 shape of the §8
-/// actor fleet). Sessions are created mirroring the full master name table,
+/// K lane Sessions over one Engine, one per env (the DESIGN.md §10 shape of
+/// the §8 actor fleet). Sessions are created mirroring the full master name table,
 /// so handles interned beforehand index every lane store. On destruction
 /// nothing folds automatically — callers fold the lanes' primitive counters
 /// into the session whose stats they report (foldInto).
@@ -91,7 +91,7 @@ struct SessionPool {
 /// Interns the loop's names and resolves the positions of
 /// Opt.FeatureNames within Env.features() (\p Env must have been reset at
 /// least once). Every env exposes its features in a fixed order, so the
-/// positions hold for the whole run and for every env a factory builds.
+/// positions hold for the whole run and for every env of the same game.
 static RlHandles makeHandles(GameEnv &Env, Session &S,
                              const RlTrainOptions &Opt) {
   RlHandles H;
@@ -154,178 +154,122 @@ static Model *configureModel(GameEnv &Env, Session &S,
   return M;
 }
 
-RlTrainResult au::apps::trainRl(GameEnv &Env, Session &S,
-                                const RlTrainOptions &Opt) {
-  assert(S.mode() == Mode::TR && "training requires TR mode");
-  RlTrainResult Res;
-  Res.ModelName = rlModelName(Env, Opt.Variant);
-  Model *M = configureModel(Env, S, Opt);
-  Env.reset(makeSeed(Opt.Seed, 0));
-  RlHandles H = makeHandles(Env, S, Opt);
+/// The level seed of lane \p Lane's \p Episodes-th fresh episode in a
+/// K-lane run: a pure function of the seed and the episode count, and
+/// makeSeed(LevelSeed, Episodes) when K = 1.
+static uint64_t laneSeed(uint64_t LevelSeed, size_t Lane, size_t K,
+                         long Episodes) {
+  return makeSeed(LevelSeed, static_cast<uint64_t>(Episodes) * K + Lane);
+}
 
-  S.checkpoints().registerObject(&Env);
-  {
+RlTrainResult au::apps::trainRl(const std::vector<GameEnv *> &Envs,
+                                Session &Main, const RlTrainOptions &Opt) {
+  assert(Main.mode() == Mode::TR && "training requires TR mode");
+  assert(!Envs.empty() && "training needs at least one env");
+  const size_t K = Envs.size();
+  RlTrainResult Res;
+  Res.ModelName = rlModelName(*Envs[0], Opt.Variant);
+  Model *M = configureModel(*Envs[0], Main, Opt);
+  static_cast<RlModel *>(M)->configureActors(static_cast<int>(K));
+  for (size_t A = 0; A != K; ++A)
+    Envs[A]->reset(laneSeed(Opt.Seed, A, K, 0));
+  RlHandles H = makeHandles(*Envs[0], Main, Opt);
+
+  // The lane sessions come after every name is interned, so each lane store
+  // mirrors the full master table from birth. Each lane checkpoints its own
+  // env into its own manager.
+  Engine &Eng = Main.engine();
+  SessionPool Pool(Eng, Mode::TR, static_cast<int>(K));
+  for (size_t A = 0; A != K; ++A) {
+    Session &S = Pool.lane(static_cast<int>(A));
+    S.checkpoints().registerObject(Envs[A]);
     Timer T;
     S.checkpoint();
-    Res.CheckpointSeconds = T.seconds();
+    Res.CheckpointSeconds += T.seconds() / static_cast<double>(K);
   }
 
-  size_t TraceStart = S.stats().traceBytes();
-  double RestoreTotal = 0.0;
-  long Restores = 0;
+  /// Per-lane episode bookkeeping, touched only by the lane's own chunk.
+  struct LaneState {
+    long Episodes = 0;
+    int EpisodeSteps = 0;
+    bool Stepped = false; ///< This tick stepped the env (else: new episode).
+    long Restores = 0;
+    double RestoreSeconds = 0.0;
+  };
+  std::vector<LaneState> Lanes(K);
+  std::vector<NameId> ExtIds(K, InvalidNameId);
+  std::vector<float> Rewards(K, 0.0f);
+  std::vector<uint8_t> Terms(K, 0);
 
-  Timer TrainTimer;
-  float Reward = 0.0f;
-  bool Term = false;
-  int EpisodeSteps = 0;
-
-  while (Res.StepsRun < Opt.TrainSteps) {
-    NameId ExtId = extractState(Env, S, Opt, H);
-    S.nn(H.Model, ExtId, Reward, Term, H.Output);
+  /// Lane \p A's half of a tick after the fused au_NN: write the action
+  /// back, then either act or, when that au_NN carried the terminal
+  /// signal, start the next episode by au_restore or a fresh au_checkpoint.
+  auto ActLane = [&](size_t A) {
+    Session &S = Pool.lane(static_cast<int>(A));
+    GameEnv &Env = *Envs[A];
+    LaneState &L = Lanes[A];
     int Action = 0;
     S.writeBack(H.Output.Name, Env.numActions(), &Action);
-
-    if (Term) {
-      ++Res.Episodes;
-      EpisodeSteps = 0;
-      Reward = 0.0f;
-      Term = false;
-      if (Res.Episodes % 8 == 0) {
+    L.Stepped = !Terms[A];
+    if (Terms[A]) {
+      ++L.Episodes;
+      L.EpisodeSteps = 0;
+      Rewards[A] = 0.0f;
+      Terms[A] = 0;
+      if (L.Episodes % 8 == 0) {
         // Periodically start from a fresh jittered episode (and re-arm the
         // checkpoint) so learning sees level variation.
-        Env.reset(makeSeed(Opt.Seed, Res.Episodes));
+        Env.reset(laneSeed(Opt.Seed, A, K, L.Episodes));
         S.checkpoint();
       } else {
         Timer T;
         S.restore();
-        RestoreTotal += T.seconds();
-        ++Restores;
+        L.RestoreSeconds += T.seconds();
+        ++L.Restores;
       }
-      continue;
+      return;
     }
-
-    Reward = Env.step(Action);
-    Term = Env.terminal();
-    ++Res.StepsRun;
-    if (++EpisodeSteps >= Opt.MaxEpisodeSteps)
-      Term = true; // Truncate over-long episodes.
-
-    if (Opt.EvalEvery > 0 && Res.StepsRun % Opt.EvalEvery == 0) {
-      RlEvalResult E = evalRl(Env, S, Opt, Opt.EvalEpisodes);
-      Res.Curve.push_back({Res.StepsRun, E.MeanProgress, E.SuccessRate});
-    }
-  }
-
-  Res.TrainSeconds = TrainTimer.seconds();
-  Res.TraceBytes = S.stats().traceBytes() - TraceStart;
-  Res.ModelBytes = M->modelSizeBytes();
-  Res.NumParams = M->numParams();
-  if (Restores > 0)
-    Res.RestoreSeconds = RestoreTotal / static_cast<double>(Restores);
-  return Res;
-}
-
-RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
-                                        Engine &Eng, Session &Main,
-                                        const RlTrainOptions &Opt,
-                                        int NumActors) {
-  assert(Main.mode() == Mode::TR && "training requires TR mode");
-  assert(NumActors > 0 && "need at least one actor");
-  const int K = NumActors;
-  VectorEnv VE(Factory, K, Opt.Seed);
-
-  RlTrainResult Res;
-  Res.ModelName = rlModelName(VE.env(0), Opt.Variant);
-  Model *M = configureModel(VE.env(0), Main, Opt);
-  static_cast<RlModel *>(M)->configureActors(K);
-
-  // Actor k opens the fleet on episode jitter k; later episodes draw fresh
-  // jitters from one global counter, assigned serially in actor order so
-  // the seed sequence is thread-count independent. (Unlike trainRl there is
-  // no checkpoint/restore rollback — K actors restarting from one shared
-  // snapshot would collapse the fleet's level diversity; see DESIGN.md §8.)
-  VE.resetAll(
-      [&](int A) { return makeSeed(Opt.Seed, static_cast<uint64_t>(A)); });
-  uint64_t NextJitter = static_cast<uint64_t>(K);
-  RlHandles H = makeHandles(VE.env(0), Main, Opt);
-
-  // The lane sessions come after every name is interned, so each lane store
-  // mirrors the full master table from birth.
-  SessionPool Pool(Eng, Main.mode(), K);
+    Rewards[A] = Env.step(Action);
+    Terms[A] = Env.terminal() ? 1 : 0;
+    if (++L.EpisodeSteps >= Opt.MaxEpisodeSteps)
+      Terms[A] = 1; // Truncate over-long episodes.
+  };
 
   size_t TraceStart = Main.stats().traceBytes();
-  Timer TrainTimer;
-
-  std::vector<NameId> ExtIds(static_cast<size_t>(K), InvalidNameId);
-  std::vector<float> Rewards(static_cast<size_t>(K), 0.0f);
-  std::vector<uint8_t> Terms(static_cast<size_t>(K), 0);
-  std::vector<float> StepRewards(static_cast<size_t>(K), 0.0f);
-  std::vector<uint8_t> NewTerms(static_cast<size_t>(K), 0);
-  std::vector<uint8_t> Stepping(static_cast<size_t>(K), 0);
-  std::vector<int> EpSteps(static_cast<size_t>(K), 0);
   ThreadPool &TPool = ThreadPool::global();
-  long PrevSteps = 0;
-
+  Timer TrainTimer;
   while (Res.StepsRun < Opt.TrainSteps) {
-    // 1. Extract + serialize every actor's state into its own lane session
+    // Extract + serialize every lane's state into its own session
     // (disjoint stores; parallel).
-    TPool.parallelFor(0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
+    TPool.parallelFor(0, K, 1, [&](size_t B, size_t E) {
       for (size_t A = B; A != E; ++A)
-        ExtIds[A] = extractState(VE.env(static_cast<int>(A)),
-                                 Pool.lane(static_cast<int>(A)), Opt, H);
+        ExtIds[A] = extractState(*Envs[A], Pool.lane(static_cast<int>(A)),
+                                 Opt, H);
     });
-
-    // 2. One fused au_NN for the whole fleet: observe the completed
-    // transitions, advance the training schedule, select K actions with a
-    // single batched forward.
+    // One fused au_NN: observe the completed transitions, advance the
+    // training schedule, select K actions with a single batched forward.
     Eng.nnRlSessions(H.Model, Pool.Ptrs.data(), ExtIds.data(), Rewards.data(),
-                     Terms.data(), K, H.Output, /*Learning=*/true);
-
-    // 3. Write back and step every live actor (disjoint envs; parallel).
-    // Actors whose episode just ended skip the step — their au_NN above
-    // carried the terminal signal, mirroring trainRl's `continue`.
-    for (int A = 0; A < K; ++A)
-      Stepping[static_cast<size_t>(A)] = Terms[static_cast<size_t>(A)] ? 0 : 1;
-    TPool.parallelFor(0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
-      for (size_t A = B; A != E; ++A) {
-        if (!Stepping[A])
-          continue;
-        GameEnv &Env = VE.env(static_cast<int>(A));
-        int Action = 0;
-        Pool.lane(static_cast<int>(A))
-            .writeBack(H.Output.Name, Env.numActions(), &Action);
-        StepRewards[A] = Env.step(Action);
-        NewTerms[A] = Env.terminal() ? 1 : 0;
-      }
+                     Terms.data(), static_cast<int>(K), H.Output,
+                     /*Learning=*/true);
+    TPool.parallelFor(0, K, 1, [&](size_t B, size_t E) {
+      for (size_t A = B; A != E; ++A)
+        ActLane(A);
     });
 
-    // 4. Serial episode bookkeeping in fixed actor order.
-    for (int A = 0; A < K; ++A) {
-      size_t AI = static_cast<size_t>(A);
-      if (!Stepping[AI]) {
+    long PrevSteps = Res.StepsRun;
+    for (const LaneState &L : Lanes) {
+      if (L.Stepped)
+        ++Res.StepsRun;
+      else
         ++Res.Episodes;
-        EpSteps[AI] = 0;
-        Rewards[AI] = 0.0f;
-        Terms[AI] = 0;
-        VE.reset(A, makeSeed(Opt.Seed, NextJitter++));
-        continue;
-      }
-      Rewards[AI] = StepRewards[AI];
-      Terms[AI] = NewTerms[AI];
-      ++Res.StepsRun;
-      if (++EpSteps[AI] >= Opt.MaxEpisodeSteps)
-        Terms[AI] = 1; // Truncate over-long episodes.
     }
-
     // Periodic greedy evaluation, once per EvalEvery boundary crossed (a
     // tick advances up to K steps at once).
     if (Opt.EvalEvery > 0 &&
         Res.StepsRun / Opt.EvalEvery > PrevSteps / Opt.EvalEvery) {
-      RlEvalResult E = evalRlBatched(Factory, Eng, Main, Opt,
-                                     Opt.EvalEpisodes);
+      RlEvalResult E = evalRl(Envs, Main, Opt, Opt.EvalEpisodes);
       Res.Curve.push_back({Res.StepsRun, E.MeanProgress, E.SuccessRate});
     }
-    PrevSteps = Res.StepsRun;
   }
 
   Res.TrainSeconds = TrainTimer.seconds();
@@ -333,136 +277,119 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   Res.TraceBytes = Main.stats().traceBytes() - TraceStart;
   Res.ModelBytes = M->modelSizeBytes();
   Res.NumParams = M->numParams();
+  long Restores = 0;
+  double RestoreTotal = 0.0;
+  for (const LaneState &L : Lanes) {
+    Restores += L.Restores;
+    RestoreTotal += L.RestoreSeconds;
+  }
+  if (Restores > 0)
+    Res.RestoreSeconds = RestoreTotal / static_cast<double>(Restores);
   return Res;
 }
 
-RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
-                                     Engine &Eng, Session &Main,
-                                     const RlTrainOptions &Opt,
-                                     int Episodes) {
+RlEvalResult au::apps::evalRl(const std::vector<GameEnv *> &Envs,
+                              Session &Main, const RlTrainOptions &Opt,
+                              int Episodes) {
   assert(Episodes > 0 && "evaluation needs at least one episode");
-  VectorEnv VE(Factory, Episodes, Opt.Seed ^ 0xe7a1u);
-  // Same per-episode seeds as the serial evalRl.
-  VE.resetAll([&](int Ep) {
-    return makeSeed(Opt.Seed, 100 + static_cast<uint64_t>(Ep));
-  });
-  RlHandles H = makeHandles(VE.env(0), Main, Opt);
-  assert(Main.getModel(H.Model) && "evaluating an unconfigured model");
+  assert(!Envs.empty() && "evaluation needs at least one env");
+  const size_t L = std::min(Envs.size(), static_cast<size_t>(Episodes));
 
-  // One deployment-mode lane session per episode; learning is off at the
-  // engine batcher, so training chains are never disturbed regardless of
-  // Main's mode.
-  SessionPool Pool(Eng, Mode::TS, Episodes);
+  // Evaluation must not disturb training: stash each env's state, and play
+  // on deployment-mode lanes (learning is off at the engine batcher, so the
+  // training chains are never touched, whatever Main's mode).
+  std::vector<std::vector<uint8_t>> Saved(L);
+  for (size_t I = 0; I != L; ++I)
+    Envs[I]->saveState(Saved[I]);
 
-  RlEvalResult Res;
-  ThreadPool &TPool = ThreadPool::global();
-  Timer T;
-  long Steps = 0;
-
-  // Live lanes run in lockstep; lane i of a tick uses lane session i, so
-  // the session mapping is a pure function of which episodes are still
-  // running. Finished lanes retire in fixed episode order.
-  std::vector<int> Live;
-  std::vector<int> EpSteps(static_cast<size_t>(Episodes), 0);
-  for (int Ep = 0; Ep < Episodes; ++Ep) {
-    if (VE.env(Ep).terminal()) {
-      Res.MeanProgress += VE.env(Ep).progress();
-      Res.SuccessRate += VE.env(Ep).success() ? 1.0 : 0.0;
-    } else {
-      Live.push_back(Ep);
+  std::vector<double> Progress(static_cast<size_t>(Episodes), 0.0);
+  std::vector<uint8_t> Success(static_cast<size_t>(Episodes), 0);
+  std::vector<int> Episode(L), EpSteps(L);
+  /// Starts lane \p I's episode \p Ep (episodes i, i + L, ...), recording
+  /// and skipping any that end before a first step; an exhausted lane gets
+  /// Episode >= Episodes.
+  auto Start = [&](size_t I, int Ep) {
+    GameEnv &Env = *Envs[I];
+    for (; Ep < Episodes; Ep += static_cast<int>(L)) {
+      Env.reset(makeSeed(Opt.Seed, 100 + static_cast<uint64_t>(Ep)));
+      if (!Env.terminal() && Opt.MaxEpisodeSteps > 0)
+        break;
+      Progress[static_cast<size_t>(Ep)] = Env.progress();
+      Success[static_cast<size_t>(Ep)] = Env.success() ? 1 : 0;
     }
-  }
+    Episode[I] = Ep;
+    EpSteps[I] = 0;
+  };
+  for (size_t I = 0; I != L; ++I)
+    Start(I, static_cast<int>(I));
+  RlHandles H = makeHandles(*Envs[0], Main, Opt);
+  assert(Main.getModel(H.Model) && "evaluating an unconfigured model");
+  // After the names are interned, so each lane store mirrors them all.
+  SessionPool Pool(Main.engine(), Mode::TS, static_cast<int>(L));
 
+  // Live lanes run in lockstep; the batcher's row j is the j-th live lane.
+  std::vector<size_t> Live;
+  std::vector<Session *> LivePtrs;
   std::vector<NameId> ExtIds;
-  std::vector<float> ZeroRewards;
-  std::vector<uint8_t> NoTerms;
-  while (!Live.empty()) {
-    int M = static_cast<int>(Live.size());
-    ExtIds.assign(static_cast<size_t>(M), InvalidNameId);
-    TPool.parallelFor(0, static_cast<size_t>(M), 1, [&](size_t B, size_t E) {
-      for (size_t I = B; I != E; ++I)
-        ExtIds[I] = extractState(VE.env(Live[I]),
-                                 Pool.lane(static_cast<int>(I)), Opt, H);
+  std::vector<float> ZeroRewards(L, 0.0f);
+  std::vector<uint8_t> NoTerms(L, 0);
+  ThreadPool &TPool = ThreadPool::global();
+  double StepTime = 0.0;
+  long Steps = 0;
+  for (;;) {
+    Live.clear();
+    LivePtrs.clear();
+    for (size_t I = 0; I != L; ++I)
+      if (Episode[I] < Episodes) {
+        Live.push_back(I);
+        LivePtrs.push_back(Pool.Ptrs[I]);
+      }
+    if (Live.empty())
+      break;
+    size_t N = Live.size();
+    ExtIds.assign(N, InvalidNameId);
+    Timer T;
+    TPool.parallelFor(0, N, 1, [&](size_t B, size_t E) {
+      for (size_t J = B; J != E; ++J)
+        ExtIds[J] = extractState(*Envs[Live[J]], *LivePtrs[J], Opt, H);
     });
-    ZeroRewards.assign(static_cast<size_t>(M), 0.0f);
-    NoTerms.assign(static_cast<size_t>(M), 0);
-    Eng.nnRlSessions(H.Model, Pool.Ptrs.data(), ExtIds.data(),
-                     ZeroRewards.data(), NoTerms.data(), M, H.Output,
-                     /*Learning=*/false);
-    TPool.parallelFor(0, static_cast<size_t>(M), 1, [&](size_t B, size_t E) {
-      for (size_t I = B; I != E; ++I) {
-        GameEnv &Env = VE.env(Live[I]);
+    Main.engine().nnRlSessions(H.Model, LivePtrs.data(), ExtIds.data(),
+                               ZeroRewards.data(), NoTerms.data(),
+                               static_cast<int>(N), H.Output,
+                               /*Learning=*/false);
+    TPool.parallelFor(0, N, 1, [&](size_t B, size_t E) {
+      for (size_t J = B; J != E; ++J) {
+        GameEnv &Env = *Envs[Live[J]];
         int Action = 0;
-        Pool.lane(static_cast<int>(I))
-            .writeBack(H.Output.Name, Env.numActions(), &Action);
+        LivePtrs[J]->writeBack(H.Output.Name, Env.numActions(), &Action);
         Env.step(Action);
       }
     });
-    Steps += M;
+    StepTime += T.seconds();
+    Steps += static_cast<long>(N);
 
-    std::vector<int> Next;
-    Next.reserve(Live.size());
-    for (int I = 0; I < M; ++I) {
-      int Ep = Live[static_cast<size_t>(I)];
-      ++EpSteps[static_cast<size_t>(Ep)];
-      if (VE.env(Ep).terminal() ||
-          EpSteps[static_cast<size_t>(Ep)] >= Opt.MaxEpisodeSteps) {
-        Res.MeanProgress += VE.env(Ep).progress();
-        Res.SuccessRate += VE.env(Ep).success() ? 1.0 : 0.0;
-      } else {
-        Next.push_back(Ep);
-      }
+    for (size_t I : Live) {
+      GameEnv &Env = *Envs[I];
+      if (!Env.terminal() && ++EpSteps[I] < Opt.MaxEpisodeSteps)
+        continue;
+      Progress[static_cast<size_t>(Episode[I])] = Env.progress();
+      Success[static_cast<size_t>(Episode[I])] = Env.success() ? 1 : 0;
+      Start(I, Episode[I] + static_cast<int>(L));
     }
-    Live.swap(Next);
   }
 
-  Res.MeanProgress /= Episodes;
-  Res.SuccessRate /= Episodes;
-  Res.MeanStepSeconds =
-      Steps > 0 ? T.seconds() / static_cast<double>(Steps) : 0;
-  Pool.foldInto(Main);
-  return Res;
-}
-
-RlEvalResult au::apps::evalRl(GameEnv &Env, Session &S,
-                              const RlTrainOptions &Opt, int Episodes) {
-  assert(Episodes > 0 && "evaluation needs at least one episode");
-  RlHandles H = makeHandles(Env, S, Opt);
-  assert(S.getModel(H.Model) && "evaluating an unconfigured model");
-
-  // Evaluation must not disturb training: stash the env state and switch
-  // the session to deployment mode for the duration.
-  std::vector<uint8_t> Saved;
-  Env.saveState(Saved);
-  Mode PrevMode = S.mode();
-  S.switchMode(Mode::TS);
-
   RlEvalResult Res;
-  double StepTime = 0.0;
-  long Steps = 0;
   for (int Ep = 0; Ep < Episodes; ++Ep) {
-    Env.reset(makeSeed(Opt.Seed, 100 + static_cast<uint64_t>(Ep)));
-    int EpSteps = 0;
-    while (!Env.terminal() && EpSteps < Opt.MaxEpisodeSteps) {
-      Timer T;
-      NameId ExtId = extractState(Env, S, Opt, H);
-      S.nn(H.Model, ExtId, 0.0f, false, H.Output);
-      int Action = 0;
-      S.writeBack(H.Output.Name, Env.numActions(), &Action);
-      Env.step(Action);
-      StepTime += T.seconds();
-      ++Steps;
-      ++EpSteps;
-    }
-    Res.MeanProgress += Env.progress();
-    Res.SuccessRate += Env.success() ? 1.0 : 0.0;
+    Res.MeanProgress += Progress[static_cast<size_t>(Ep)];
+    Res.SuccessRate += Success[static_cast<size_t>(Ep)] ? 1.0 : 0.0;
   }
   Res.MeanProgress /= Episodes;
   Res.SuccessRate /= Episodes;
   Res.MeanStepSeconds = Steps > 0 ? StepTime / static_cast<double>(Steps) : 0;
 
-  S.switchMode(PrevMode);
-  Env.loadState(Saved);
+  for (size_t I = 0; I != L; ++I)
+    Envs[I]->loadState(Saved[I]);
+  Pool.foldInto(Main);
   return Res;
 }
 

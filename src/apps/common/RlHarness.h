@@ -12,6 +12,14 @@
 ///   loop { au_extract*(state) ; au_serialize ; au_NN(reward, term) ;
 ///          au_write_back(action) ; act ; if (term) au_restore }
 ///
+/// There is one trainer and one evaluator. Each runs over caller-owned
+/// envs, one lane Session per env over the caller's Engine, and fuses the
+/// lanes' au_NN calls into one Engine::nnRlSessions step per tick
+/// (DESIGN.md §8). One env is the paper's serial loop; K envs are a fleet of
+/// K actors in lockstep, each following the same protocol with its own
+/// checkpoint manager. Results are bitwise identical at any AU_NN_THREADS
+/// setting.
+///
 /// Two variants mirror the paper's comparison: All feeds the program
 /// variables selected by Algorithm 2 into a DNN; Raw feeds rendered frames
 /// into the DeepMind-style CNN. The harness measures training time, trace
@@ -25,7 +33,6 @@
 
 #include "analysis/FeatureExtraction.h"
 #include "apps/common/GameEnv.h"
-#include "apps/common/VectorEnv.h"
 #include "core/Engine.h"
 #include "nn/QLearner.h"
 
@@ -104,45 +111,36 @@ selectRlFeatures(GameEnv &Env, double Epsilon1 = 1e-6,
                  double Epsilon2 = 1e-4, int ProfileSteps = 200,
                  analysis::RlExtractionStats *Stats = nullptr);
 
-/// Trains an agent on \p Env through the primitives of \p S (the native
-/// Engine/Session API; DESIGN.md §10). The session must be in TR mode.
-RlTrainResult trainRl(GameEnv &Env, Session &S, const RlTrainOptions &Opt);
-
-/// Parallel-rollout training (DESIGN.md §8): \p NumActors environments from
-/// \p Factory run in lockstep ticks. Each actor is its own Session over
-/// \p Eng; per tick, feature extraction and env stepping parallelize across
-/// actor sessions on the global ThreadPool, the K au_NN calls fuse into one
-/// batched model step (Engine::nnRlSessions), transitions land in per-actor
-/// replay shards, and the training schedule advances once per tick. The
-/// actors' primitive counters fold into \p Main's stats, whose traceBytes()
-/// delta becomes the result's TraceBytes. Results are bitwise identical at
-/// any AU_NN_THREADS setting.
+/// Trains an agent on the K = Envs.size() caller-owned envs through lane
+/// Sessions over \p Main's Engine; \p Main must be in TR mode. The model is
+/// configured through \p Main and given K actors.
 ///
-/// Two deliberate departures from trainRl's schedule (documented in
-/// DESIGN.md §8): episodes restart with fresh jittered seeds instead of
-/// checkpoint/restore rollback, and callers typically set
-/// Opt.QCfg.TrainInterval = NumActors so one minibatch runs per tick — the
-/// standard vectorized-DQN schedule (same 1-trainStep-per-interval cadence
-/// as the serial TrainInterval=1 loop, K env steps per tick).
-RlTrainResult trainRlParallel(const GameEnvFactory &Factory, Engine &Eng,
-                              Session &Main, const RlTrainOptions &Opt,
-                              int NumActors);
+/// Each lane plays the paper's protocol on its own env and checkpoint
+/// manager: au_checkpoint at the start, au_restore after 7 of every 8
+/// episodes, and a fresh jittered episode plus a new au_checkpoint after
+/// every 8th. Lane k's n-th fresh episode has the level-seed jitter
+/// n * K + k, so with one env the run is the serial loop of the paper. The K
+/// au_NN calls of a tick fuse into one model step: transitions land in
+/// per-actor replay shards and the training schedule advances once per
+/// tick (callers of a fleet typically set Opt.QCfg.TrainInterval = K, the
+/// vectorized-DQN schedule of one minibatch per tick).
+///
+/// The lanes' primitive counters fold into \p Main's stats; the result's
+/// TraceBytes is the traceBytes() delta of \p Main, evaluation included.
+RlTrainResult trainRl(const std::vector<GameEnv *> &Envs, Session &Main,
+                      const RlTrainOptions &Opt);
 
-/// Greedy evaluation over \p Episodes jittered episodes. Leaves the
-/// session's mode as it found it. Works on the in-memory trained model.
-RlEvalResult evalRl(GameEnv &Env, Session &S, const RlTrainOptions &Opt,
-                    int Episodes);
-
-/// Greedy evaluation with the episodes run concurrently: each episode is
-/// one Session lane over \p Eng, action selection for all live lanes fuses
-/// into one batched inference per tick (Engine::nnRlSessions with learning
-/// off), and env stepping parallelizes across lanes. Uses the same
-/// per-episode seeds as evalRl; with one episode the two produce identical
-/// scores (a single-row batch is the serial TS path). Lane stats fold into
-/// \p Main; \p Main's mode is never touched.
-RlEvalResult evalRlBatched(const GameEnvFactory &Factory, Engine &Eng,
-                           Session &Main, const RlTrainOptions &Opt,
-                           int Episodes);
+/// Greedy evaluation over \p Episodes jittered episodes, played by
+/// L = min(Envs.size(), Episodes) deployment-mode lanes over \p Main's
+/// Engine: lane i plays episodes i, i + L, ..., and each tick fuses the live
+/// lanes' au_NN calls into one batched inference. Scores are summed in
+/// episode order, so the result does not depend on L. Each env is left in
+/// the state it was found in, the training chains are not touched, and
+/// \p Main's mode is never changed; the lanes' counters fold into \p Main.
+/// With one env, MeanStepSeconds is one game's per-iteration time (Table 3
+/// Exec).
+RlEvalResult evalRl(const std::vector<GameEnv *> &Envs, Session &Main,
+                    const RlTrainOptions &Opt, int Episodes);
 
 /// The scripted near-optimal player ("human players" reference).
 RlEvalResult evalHeuristic(GameEnv &Env, const RlTrainOptions &Opt,

@@ -290,7 +290,9 @@ bool SlModel::load(const std::string &Path) {
 // RlModel
 //===----------------------------------------------------------------------===//
 
-RlModel::RlModel(ModelConfig C) : Model(KindTy::Reinforcement, std::move(C)) {
+RlModel::RlModel(ModelConfig C)
+    : Model(KindTy::Reinforcement, std::move(C)), LastStates(1),
+      LastActions(1, -1), HaveLast(1, 0) {
   if (Cfg.LearningRate > 0)
     QCfg.LearningRate = Cfg.LearningRate;
 }
@@ -315,17 +317,17 @@ void RlModel::build(int InputSize, const WriteBackSpec &Output) {
   };
   Learner = std::make_unique<nn::QLearner>(MakeNet, Output.Size, QCfg,
                                            Cfg.Seed ^ 0x5eedu);
-  if (NumActorsCfg > 0)
-    Learner->configureActors(NumActorsCfg);
+  Learner->configureActors(numActors());
   Built = true;
 }
 
 void RlModel::configureActors(int NumActors) {
   assert(NumActors > 0 && "need at least one actor");
-  NumActorsCfg = NumActors;
-  ActorPrevStates.resize(static_cast<size_t>(NumActors));
-  ActorPrevActions.assign(static_cast<size_t>(NumActors), -1);
-  ActorHavePrev.assign(static_cast<size_t>(NumActors), 0);
+  if (NumActors == numActors())
+    return;
+  LastStates.resize(static_cast<size_t>(NumActors));
+  LastActions.assign(static_cast<size_t>(NumActors), -1);
+  HaveLast.assign(static_cast<size_t>(NumActors), 0);
   if (Built)
     Learner->configureActors(NumActors);
 }
@@ -338,21 +340,20 @@ void RlModel::stepActors(const float *States, int K, int D,
     build(D, Output);
   assert(D == InSize && "extracted state size changed between steps");
   assert(Output.Size == Outs.front().Size && "action count changed");
-  assert((!Learning || K == NumActorsCfg) &&
+  assert((!Learning || K == numActors()) &&
          "learning step must cover every configured actor");
 
-  // Observe each actor's completed transition in actor order, then advance
-  // the global training schedule exactly once for the whole tick — the
-  // batched analogue of the serial observe-then-select step.
+  // Rule TRAIN: observe each actor's completed transition in actor order,
+  // then advance the training schedule once for the whole tick.
   if (Learning) {
     int Observed = 0;
     for (int A = 0; A < K; ++A) {
-      if (!ActorHavePrev[static_cast<size_t>(A)])
+      size_t AI = static_cast<size_t>(A);
+      if (!HaveLast[AI])
         continue;
-      const std::vector<float> &Prev = ActorPrevStates[static_cast<size_t>(A)];
-      Learner->observeActor(A, Prev.data(), Prev.size(),
-                            ActorPrevActions[static_cast<size_t>(A)],
-                            Rewards[A], States + static_cast<size_t>(A) * D,
+      Learner->observeActor(A, LastStates[AI].data(), LastStates[AI].size(),
+                            LastActions[AI], Rewards[A],
+                            States + AI * static_cast<size_t>(D),
                             static_cast<size_t>(D), Terminals[A] != 0);
       ++Observed;
     }
@@ -360,62 +361,23 @@ void RlModel::stepActors(const float *States, int K, int D,
       Learner->finishTick(Observed);
   }
 
-  Learner->selectActionsBatch(States, K, D, Learning, ActionsOut);
+  Learner->selectActions(States, K, D, Learning, ActionsOut);
 
   if (!Learning)
     return; // Deployment-mode steps never disturb the transition chains.
   for (int A = 0; A < K; ++A) {
+    size_t AI = static_cast<size_t>(A);
     if (Terminals[A] != 0) {
       // The episode ended at this state; do not chain the next transition
-      // across the reset that follows.
-      ActorHavePrev[static_cast<size_t>(A)] = 0;
+      // across the au_restore or reset that follows.
+      HaveLast[AI] = 0;
       continue;
     }
-    const float *Row = States + static_cast<size_t>(A) * D;
-    ActorPrevStates[static_cast<size_t>(A)].assign(Row, Row + D);
-    ActorPrevActions[static_cast<size_t>(A)] = ActionsOut[A];
-    ActorHavePrev[static_cast<size_t>(A)] = 1;
+    const float *Row = States + AI * static_cast<size_t>(D);
+    LastStates[AI].assign(Row, Row + D);
+    LastActions[AI] = ActionsOut[A];
+    HaveLast[AI] = 1;
   }
-}
-
-int RlModel::step(const std::vector<float> &State, float Reward, bool Terminal,
-                  const WriteBackSpec &Output, bool Learning) {
-  if (!Built)
-    build(static_cast<int>(State.size()), Output);
-  return stepBuilt(State, Reward, Terminal, Output.Size, Learning);
-}
-
-int RlModel::stepBuilt(const std::vector<float> &State, float Reward,
-                       bool Terminal, int NumActions, bool Learning) {
-  assert(Built && "stepBuilt on an unbuilt RL model");
-  assert(static_cast<int>(State.size()) == InSize &&
-         "extracted state size changed between steps");
-  assert(NumActions == Outs.front().Size && "action count changed");
-  (void)NumActions;
-
-  if (HavePrev && Learning)
-    // PrevState is dead after this observe (reassigned or invalidated
-    // below), so hand its buffer to the replay ring instead of copying.
-    Learner->observe(std::move(PrevState), PrevAction, Reward, State,
-                     Terminal);
-
-  if (Terminal) {
-    // The episode ended at this state; do not chain the next transition
-    // across the au_restore rollback that follows.
-    if (Learning)
-      HavePrev = false;
-    return Learner->selectAction(State, Learning);
-  }
-
-  int Action = Learner->selectAction(State, Learning);
-  if (Learning) {
-    // Deployment-mode steps (e.g. evaluations interleaved with training)
-    // must not disturb the training transition chain.
-    PrevState = State;
-    PrevAction = Action;
-    HavePrev = true;
-  }
-  return Action;
 }
 
 std::vector<float> RlModel::qValues(const std::vector<float> &State) {

@@ -14,7 +14,8 @@
 /// Two concrete kinds realize the two algorithms: SlModel (AdamOpt
 /// regression over collected (feature, target) samples, trained offline
 /// after execution) and RlModel (online Q-learning driven by the au_NN
-/// reward/terminal arguments). Dispatch uses an LLVM-style kind tag.
+/// reward/terminal arguments, with one step, stepActors, for one actor or a
+/// fleet of K). Dispatch uses an LLVM-style kind tag.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -152,36 +153,26 @@ public:
     return M->kind() == KindTy::Reinforcement;
   }
 
-  /// One au_NN step: feeds the completed transition (previous state/action,
-  /// \p Reward, \p Terminal) to the learner when training, then selects the
-  /// next action for \p State. Builds the network on first use from
-  /// \p State's size and \p Output's action count. Terminal steps clear the
-  /// episode bookkeeping so a following au_restore starts cleanly.
-  int step(const std::vector<float> &State, float Reward, bool Terminal,
-           const WriteBackSpec &Output, bool Learning);
-
-  /// Hot-path step for an already built model: identical to step() but
-  /// takes only the action count, so the handle-keyed au_NN never
-  /// constructs a string spec per iteration.
-  int stepBuilt(const std::vector<float> &State, float Reward, bool Terminal,
-                int NumActions, bool Learning);
-
-  /// Enters K-actor mode: gives each actor its own transition chain and
-  /// shards the learner's replay per actor (DESIGN.md §8). May be called
-  /// before the model is built; the learner is configured at build time.
+  /// Gives the model \p NumActors concurrent actors, each with its own
+  /// transition chain and replay shard (DESIGN.md §8). A new model has one
+  /// actor, the paper's serial game loop; a call with the current count
+  /// does nothing, so a chain carries across calls. May be called before
+  /// the model is built; the learner is configured at build time.
   void configureActors(int NumActors);
 
-  int numActors() const { return NumActorsCfg; }
+  int numActors() const { return static_cast<int>(LastActions.size()); }
 
-  /// One fused au_NN step for \p K concurrent actors. \p States holds the
-  /// K extracted states back to back (K x D row-major); \p Rewards and
-  /// \p Terminals are per-actor. Per-actor completed transitions are
-  /// observed in actor order, one finishTick advances the global training
-  /// schedule, and all K action selections run as a single batched forward;
-  /// \p ActionsOut receives the K chosen actions. Builds the network on
-  /// first use from \p D and \p Output. When \p Learning, K must equal the
-  /// configured actor count; deployment-mode calls (evaluation) may use any
-  /// K and never disturb the training chains.
+  /// The au_NN step for \p K actors (K = 1 is Session::nn's RL form).
+  /// \p States holds the K extracted states back to back (K x D
+  /// row-major); \p Rewards and \p Terminals are per-actor. When
+  /// \p Learning, each actor's completed transition is observed in actor
+  /// order and one finishTick advances the training schedule, with K equal
+  /// to the configured actor count. The K action selections run as a single
+  /// batched forward; \p ActionsOut receives the K chosen actions. A
+  /// terminal step ends the actor's chain, so the au_restore that follows
+  /// starts cleanly. Builds the network on first use from \p D and
+  /// \p Output. Deployment-mode calls (evaluation) may use any K and never
+  /// disturb the chains.
   void stepActors(const float *States, int K, int D, const float *Rewards,
                   const uint8_t *Terminals, const WriteBackSpec &Output,
                   bool Learning, int *ActionsOut);
@@ -204,15 +195,11 @@ private:
 
   std::unique_ptr<nn::QLearner> Learner;
   nn::QConfig QCfg;
-  std::vector<float> PrevState;
-  int PrevAction = -1;
-  bool HavePrev = false;
-  // K-actor mode: one transition chain per actor (the serial chain above is
-  // untouched, so serial and batched stepping can coexist on one model).
-  int NumActorsCfg = 0;
-  std::vector<std::vector<float>> ActorPrevStates;
-  std::vector<int> ActorPrevActions;
-  std::vector<uint8_t> ActorHavePrev;
+  // One transition chain per actor: the state and action of its last
+  // non-terminal learning step, waiting for the next step's reward.
+  std::vector<std::vector<float>> LastStates;
+  std::vector<int> LastActions;
+  std::vector<uint8_t> HaveLast;
 };
 
 } // namespace au

@@ -164,16 +164,15 @@ void Session::nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
   V.copyTo(NnStaging.data());
 
   setWbOwner(Output.Name, ModelId);
-  bool Learning = ExecMode == Mode::TR;
-  int Action;
-  if (M->isBuilt()) {
-    Action = Rl->stepBuilt(NnStaging, Reward, Terminal, Output.Size, Learning);
-  } else {
-    // First step: the model builds from the state size and the output's
-    // string spec (persistence stores output names). Cold path only.
-    WriteBackSpec Spec{Db.nameOf(Output.Name), Output.Size};
-    Action = Rl->step(NnStaging, Reward, Terminal, Spec, Learning);
-  }
+  // The one-actor case of the fleet step. The output's string spec is only
+  // needed on the cold build path (persistence stores output names).
+  WriteBackSpec Spec{std::string(), Output.Size};
+  if (!M->isBuilt())
+    Spec.Name = Db.nameOf(Output.Name);
+  uint8_t Term = Terminal ? 1 : 0;
+  int Action = 0;
+  Rl->stepActors(NnStaging.data(), /*K=*/1, static_cast<int>(NnStaging.size()),
+                 &Reward, &Term, Spec, ExecMode == Mode::TR, &Action);
   float ActionF = static_cast<float>(Action);
   Db.set(Output.Name, &ActionF, 1);
   Db.reset(ExtId);

@@ -179,7 +179,9 @@ public:
   /// au_NN, reinforcement form (the paper's au_NN(model, ext, reward, term,
   /// wbName)): consumes pi[ExtName] as the state, feeds (reward, terminal)
   /// to the learner (TR trains online per Rule TRAIN; TS only predicts per
-  /// Rule TEST) and stores the selected action in pi[Output.Name].
+  /// Rule TEST) and stores the selected action in pi[Output.Name]. It is
+  /// the one-actor case of Engine::nnRlSessions: one RlModel::stepActors
+  /// with K = 1.
   void nn(const std::string &ModelName, const std::string &ExtName,
           float Reward, bool Terminal, const WriteBackSpec &Output);
 
@@ -240,6 +242,8 @@ public:
     Stats.NumSerialize += Delta.NumSerialize;
     Stats.NumNn += Delta.NumNn;
     Stats.NumWriteBack += Delta.NumWriteBack;
+    Stats.NumCheckpoint += Delta.NumCheckpoint;
+    Stats.NumRestore += Delta.NumRestore;
   }
 
   /// Looks up a configured model in the engine's theta; null when absent.

@@ -82,7 +82,9 @@ public:
   /// layout, so later forwards only read them (DESIGN.md §9).
   virtual void pack() const {}
 
-  /// A copy of this layer: parameters, gradients and packed caches.
+  /// A forward-only copy of this layer, for a published network: its
+  /// parameters and forward pack, without gradient accumulators or backward
+  /// caches. Only forward() and pack() may run on the copy.
   virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Monotonic parameter version. Packed-weight caches (DESIGN.md §9) store
@@ -92,6 +94,10 @@ public:
   /// Records that this layer's parameters changed (optimizer step, parameter
   /// load/restore, direct mutation through the raw accessors).
   void bumpParamGen() { ++ParamGen; }
+
+protected:
+  /// Selects the forward-only copy constructors behind clone().
+  struct ForwardOnlyCopy {};
 
 private:
   uint64_t ParamGen = 0;

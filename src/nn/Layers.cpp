@@ -50,6 +50,14 @@ Tensor Dense::forward(const Tensor &Input, LayerCtx *Ctx) const {
   return Y;
 }
 
+Dense::Dense(const Dense &Src, ForwardOnlyCopy)
+    : Layer(Src), In(Src.In), Out(Src.Out), W(Src.W), B(Src.B),
+      PackedWT(Src.PackedWT) {}
+
+std::unique_ptr<Layer> Dense::clone() const {
+  return std::unique_ptr<Layer>(new Dense(*this, ForwardOnlyCopy{}));
+}
+
 void Dense::pack() const {
   ensurePackedB(PackedWT, paramGen(), /*TransB=*/true, In, Out, W.data(), In);
 }
@@ -262,6 +270,14 @@ Tensor Conv2D::backward(const Tensor &GradOut, LayerCtx &Ctx,
 
 std::vector<ParamView> Conv2D::params() {
   return {{W.data(), GW.data(), W.size()}, {B.data(), GB.data(), B.size()}};
+}
+
+Conv2D::Conv2D(const Conv2D &Src, ForwardOnlyCopy)
+    : Layer(Src), InC(Src.InC), OutC(Src.OutC), K(Src.K), S(Src.S), W(Src.W),
+      B(Src.B) {}
+
+std::unique_ptr<Layer> Conv2D::clone() const {
+  return std::unique_ptr<Layer>(new Conv2D(*this, ForwardOnlyCopy{}));
 }
 
 //===----------------------------------------------------------------------===//

@@ -33,9 +33,7 @@ public:
                   bool NeedGradIn) override;
   std::vector<ParamView> params() override;
   void pack() const override;
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<Dense>(*this);
-  }
+  std::unique_ptr<Layer> clone() const override;
 
   int inSize() const { return In; }
   int outSize() const { return Out; }
@@ -52,6 +50,8 @@ public:
   }
 
 private:
+  Dense(const Dense &Src, ForwardOnlyCopy);
+
   int In;
   int Out;
   std::vector<float> W;  // Out x In, row-major.
@@ -87,9 +87,7 @@ public:
   Tensor backward(const Tensor &GradOut, LayerCtx &Ctx,
                   bool NeedGradIn) override;
   std::vector<ParamView> params() override;
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<Conv2D>(*this);
-  }
+  std::unique_ptr<Layer> clone() const override;
 
   int inChannels() const { return InC; }
   int outChannels() const { return OutC; }
@@ -106,6 +104,8 @@ public:
   }
 
 private:
+  Conv2D(const Conv2D &Src, ForwardOnlyCopy);
+
   int InC, OutC, K, S;
   std::vector<float> W;  // OutC x InC x K x K.
   std::vector<float> B;  // OutC.

@@ -102,7 +102,9 @@ public:
   /// (DESIGN.md §9), so that later forwards only read the network.
   void pack() const;
 
-  /// A deep copy: layers, parameters, gradients and packed caches.
+  /// A forward-only copy for publication: every layer with its parameters
+  /// and forward pack, without gradients or backward caches (Layer::clone).
+  /// Only forward() and pack() may run on it.
   Network clone() const;
 
 private:

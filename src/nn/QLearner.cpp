@@ -10,24 +10,10 @@
 using namespace au;
 using namespace au::nn;
 
-namespace {
-
-/// Single-state inference: a forward over a batch of one. Returns a
-/// workspace tensor; the caller releases it.
-Tensor forwardOne(const Network &Net, const std::vector<float> &State) {
-  Tensor X = Workspace::acquire({1, static_cast<int>(State.size())});
-  std::copy(State.begin(), State.end(), X.data());
-  Tensor Out = Net.forward(X);
-  Workspace::release(X);
-  return Out;
-}
-
-} // namespace
-
 QLearner::QLearner(std::function<Network()> MakeNet, int Actions,
                    QConfig Config, uint64_t BaseSeed)
     : Online(MakeNet()), Target(MakeNet()), Opt(Online, Config.LearningRate),
-      NumActions(Actions), Cfg(Config), Rand(BaseSeed), Seed(BaseSeed),
+      NumActions(Actions), Cfg(Config), Rand(BaseSeed),
       Eps(Config.EpsilonStart) {
   assert(NumActions > 1 && "Q-learning needs at least two actions");
   Target.copyParamsFrom(Online);
@@ -35,7 +21,11 @@ QLearner::QLearner(std::function<Network()> MakeNet, int Actions,
 }
 
 std::vector<float> QLearner::qValues(const std::vector<float> &State) {
-  Tensor Out = forwardOne(Online, State);
+  int D = static_cast<int>(State.size());
+  if (ActStaging.size() != State.size())
+    ActStaging = Tensor({1, D});
+  std::copy(State.begin(), State.end(), ActStaging.data());
+  Tensor Out = Online.forward(ActStaging);
   assert(Out.size() == static_cast<size_t>(NumActions) &&
          "network output arity does not match action count");
   std::vector<float> Q(Out.data(), Out.data() + Out.size());
@@ -43,58 +33,40 @@ std::vector<float> QLearner::qValues(const std::vector<float> &State) {
   return Q;
 }
 
-int QLearner::selectAction(const std::vector<float> &State, bool Learning) {
-  if (Learning && Rand.chance(Eps))
-    return static_cast<int>(Rand.uniformInt(NumActions));
-  return greedyAction(State);
-}
-
-int QLearner::greedyAction(const std::vector<float> &State) {
-  Tensor Out = forwardOne(Online, State);
-  int Act = static_cast<int>(Out.argmax());
-  Workspace::release(Out);
-  return Act;
-}
-
-void QLearner::observe(std::vector<float> State, int Action, float Reward,
-                       std::vector<float> NextState, bool Terminal) {
-  assert(Action >= 0 && Action < NumActions && "action out of range");
-  Replay.push(0, {std::move(State), Action, Reward, std::move(NextState),
-                  Terminal});
-  finishTick(1);
-}
-
 void QLearner::configureActors(int NumActors) {
   assert(NumActors > 0 && "need at least one actor");
-  if (NumActors == numActors())
-    return;
-  Replay.configure(NumActors, Cfg.ReplayCapacity);
-  Streams.clear();
-  Streams.reserve(static_cast<size_t>(NumActors));
-  for (int A = 0; A < NumActors; ++A)
-    Streams.push_back(Rng::stream(Seed, static_cast<uint64_t>(A)));
+  if (NumActors != numActors())
+    Replay.configure(NumActors, Cfg.ReplayCapacity);
 }
 
-void QLearner::selectActionsBatch(const float *States, int K, int D,
-                                  bool Learning, int *Actions) {
+void QLearner::selectActions(const float *States, int K, int D,
+                             bool Learning, int *Actions) {
   assert(K > 0 && D > 0 && "empty action-selection batch");
   assert((!Learning || K <= numActors()) &&
          "learning batch larger than configured actor count");
-  // One fused inference for all K actors. Exploration may discard some rows,
-  // but computing them keeps the batch shape fixed and the result a pure
+  // Epsilon-greedy draws first, serially in actor order on the calling
+  // thread: they come from one generator in a fixed order, so the chosen
+  // actions are identical at any thread count.
+  bool AnyGreedy = false;
+  for (int A = 0; A < K; ++A) {
+    Actions[A] = -1;
+    if (Learning && Rand.chance(Eps))
+      Actions[A] = static_cast<int>(Rand.uniformInt(NumActions));
+    else
+      AnyGreedy = true;
+  }
+  if (!AnyGreedy)
+    return; // Every actor explores: no forward is read.
+  // One fused inference for all K actors. Exploring rows are computed and
+  // discarded, which keeps the batch shape fixed and each row a pure
   // function of the states — no data-dependent batching.
   if (ActStaging.size() != static_cast<size_t>(K) * D)
     ActStaging = Tensor({K, D});
   std::copy(States, States + static_cast<size_t>(K) * D, ActStaging.data());
   Tensor Out = Online.forward(ActStaging);
-  // Serial epsilon-greedy pass in actor order: actor k's draws always come
-  // from stream k, so the chosen actions are identical at any thread count.
   for (int A = 0; A < K; ++A) {
-    if (Learning && Streams[static_cast<size_t>(A)].chance(Eps)) {
-      Actions[A] = static_cast<int>(
-          Streams[static_cast<size_t>(A)].uniformInt(NumActions));
+    if (Actions[A] >= 0)
       continue;
-    }
     const float *Row = Out.sampleData(A);
     Actions[A] = static_cast<int>(
         std::max_element(Row, Row + NumActions) - Row);
@@ -106,8 +78,8 @@ void QLearner::observeActor(int Actor, const float *State, size_t StateLen,
                             int Action, float Reward, const float *NextState,
                             size_t NextLen, bool Terminal) {
   assert(Action >= 0 && Action < NumActions && "action out of range");
-  Replay.emplace(Actor, State, StateLen, Action, Reward, NextState, NextLen,
-                 Terminal);
+  Replay.push(Actor, State, StateLen, Action, Reward, NextState, NextLen,
+              Terminal);
 }
 
 void QLearner::finishTick(int Observed) {
@@ -116,8 +88,8 @@ void QLearner::finishTick(int Observed) {
   Steps += Observed;
   decaySchedules();
   // Run every training step and target sync that came due while the tick's
-  // transitions were recorded — the same schedule the serial path follows
-  // one step at a time. With TrainInterval == K (the vectorized-DQN
+  // transitions were recorded, in step order. At K = 1 that is one step
+  // per tick. With TrainInterval == K (the vectorized-DQN
   // schedule) exactly one minibatch runs per K-actor tick.
   for (long S = Prev + 1; S <= Steps; ++S) {
     if (S >= Cfg.WarmupSteps && S % Cfg.TrainInterval == 0)
@@ -129,7 +101,7 @@ void QLearner::finishTick(int Observed) {
 
 void QLearner::decaySchedules() {
   // Linear epsilon decay over the configured horizon. Pure function of the
-  // step count, so serial and K-actor runs agree at equal Steps.
+  // step count, so runs of any actor count agree at equal Steps.
   if (Eps > Cfg.EpsilonEnd) {
     double Frac = static_cast<double>(Steps) / Cfg.EpsilonDecaySteps;
     Eps = Cfg.EpsilonStart +

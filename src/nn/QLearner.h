@@ -9,19 +9,15 @@
 /// experience replay and a target network — the setup of Mnih et al. that the
 /// paper's RL mode instantiates for `au_config(..., QLearn, ...)`).
 ///
-/// The runtime drives it through two calls per game-loop iteration:
-/// selectAction(state) during au_NN, and observe(reward, terminal, nextState)
-/// when the next au_NN arrives, matching the paper's "collect model
-/// inputs/outputs for a window of time, then invoke the training method".
-///
-/// The multi-actor mode (DESIGN.md §8) generalizes this to K concurrent
-/// rollouts: configureActors(K) shards the replay ring per actor and gives
-/// each actor its own counter-based exploration stream, selectActionsBatch
-/// fuses the K action selections into one forward, and
-/// observeActor/finishTick split the per-transition recording (safe from
-/// actor threads, disjoint shards) from the global training schedule (run
-/// once per tick on the driving thread). All of it is deterministic at any
-/// thread count.
+/// The runtime drives it once per au_NN tick of K actors (K = 1 is the
+/// paper's serial game loop; DESIGN.md §8): observeActor records each
+/// actor's completed transition into its own replay shard, finishTick runs
+/// the training schedule once for the tick, and selectActions picks the K
+/// next actions with one fused forward. This matches the paper's "collect
+/// model inputs/outputs for a window of time, then invoke the training
+/// method". Exploration and minibatch draws all come from the learner's one
+/// generator, taken on the driving thread in actor order, so everything is
+/// deterministic at any thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,39 +61,24 @@ public:
   QLearner(std::function<Network()> MakeNet, int NumActions, QConfig Config,
            uint64_t Seed);
 
-  /// Epsilon-greedy action for \p State; decays epsilon when \p Learning.
-  int selectAction(const std::vector<float> &State, bool Learning);
-
-  /// Greedy action (no exploration, no learning side effects).
-  int greedyAction(const std::vector<float> &State);
-
-  /// Records a completed transition and runs a training step when due. The
-  /// state vectors are taken by value and moved into the replay slot;
-  /// callers that no longer need them should std::move.
-  void observe(std::vector<float> State, int Action, float Reward,
-               std::vector<float> NextState, bool Terminal);
-
   /// Q-values for \p State from the online network.
   std::vector<float> qValues(const std::vector<float> &State);
 
-  //===--------------------------------------------------------------------===//
-  // Multi-actor batched mode (DESIGN.md §8)
-  //===--------------------------------------------------------------------===//
-
-  /// Enters K-actor mode: the replay ring is resharded per actor (dropping
-  /// any stored transitions) and each actor gets its own counter-based
-  /// exploration stream. Grow-only; call before training begins.
+  /// Shards the replay ring per actor (dropping any stored transitions)
+  /// for K concurrent actors. A new learner has one actor; a call with the
+  /// current count does nothing. Call before training begins.
   void configureActors(int NumActors);
 
-  int numActors() const { return static_cast<int>(Streams.size()); }
+  int numActors() const { return Replay.numShards(); }
 
   /// Epsilon-greedy actions for \p K states of \p D floats each, held back
   /// to back in \p States (K x D row-major), fused into one forward over
-  /// the online network. Exploration draws come from the per-actor
-  /// streams in actor order, so the result is independent of how the states
-  /// were produced. Does not decay epsilon; finishTick does.
-  void selectActionsBatch(const float *States, int K, int D, bool Learning,
-                          int *Actions);
+  /// the online network (skipped when every actor explores). When
+  /// \p Learning, the exploration draws come from the learner's generator
+  /// in actor order; at K = 1 that is the serial loop's draw sequence. Does
+  /// not decay epsilon; finishTick does.
+  void selectActions(const float *States, int K, int D, bool Learning,
+                     int *Actions);
 
   /// Records one completed transition into \p Actor's replay shard.
   /// Distinct actors may call concurrently; the global step count does not
@@ -109,7 +90,8 @@ public:
   /// Completes one tick in which \p Observed transitions were recorded:
   /// advances the step count, decays epsilon / anneals the learning rate,
   /// and runs every training step and target sync that came due — the same
-  /// schedule the serial observe() follows, applied once per tick.
+  /// schedule one observed step at a time would follow, applied once per
+  /// tick.
   void finishTick(int Observed);
 
   double epsilon() const { return Eps; }
@@ -133,16 +115,14 @@ private:
   Adam Opt;
   int NumActions;
   QConfig Cfg;
-  Rng Rand;
-  uint64_t Seed;
+  Rng Rand; ///< Exploration and minibatch draws, driving thread only.
   ShardedReplay Replay;
-  std::vector<Rng> Streams; ///< Per-actor exploration streams (K-actor mode).
   double Eps;
   long Steps = 0;
   long TrainSteps = 0;
-  // Reusable staging for the batched paths: minibatch tensors are assembled
-  // straight from the replay ring and action selection reuses one input
-  // tensor, so the steady state allocates nothing per call.
+  // Reusable staging: minibatch tensors are assembled straight from the
+  // replay ring, and action selection and qValues reuse one input tensor,
+  // so the steady state allocates nothing per call.
   Tensor BatchStates, BatchNext, BatchGrad, ActStaging;
   std::vector<const Transition *> BatchPtrs;
   ForwardCtx Ctx; ///< Online-network activations of the current minibatch.

@@ -5,23 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The experience-replay store behind QLearner, rebuilt for the parallel
-/// actor pipeline (DESIGN.md §8): a preallocated ring buffer split into one
-/// shard per actor. Two properties matter:
+/// The experience-replay store behind QLearner (DESIGN.md §8): a
+/// preallocated ring buffer split into one shard per actor, with one
+/// writer, push(). Two properties matter:
 ///
 ///  * Writes are lock-free across actors: actor k only ever touches shard
 ///    k, so K actors can record transitions concurrently with no
-///    synchronization and no allocation in the steady state (each ring slot
-///    keeps its state buffers across overwrites).
+///    synchronization, and no allocation once the ring has wrapped (each
+///    ring slot keeps its state buffers across overwrites).
 ///
 ///  * Reads are deterministic: the merged view presented to the sampler is
 ///    always shard 0's transitions oldest-first, then shard 1's, and so on —
 ///    a pure function of what was inserted, never of which thread inserted
 ///    it first. Training draws identical minibatches at any thread count.
 ///
-/// With one shard this is exactly the FIFO the serial QLearner used: index
-/// i is the i-th oldest transition, and capacity overflow evicts the
-/// oldest.
+/// With one shard (one actor, the paper's serial loop) this is a plain
+/// FIFO: index i is the i-th oldest transition, and capacity overflow
+/// evicts the oldest.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,20 +76,14 @@ public:
 
   size_t shardSize(int S) const { return shard(S).Count; }
 
-  /// Records \p T into \p ShardIdx, evicting that shard's oldest transition
-  /// when the shard is full. Distinct shards may be pushed concurrently;
-  /// one shard must not.
-  void push(int ShardIdx, Transition T) {
-    Shard &S = shard(ShardIdx);
-    S.Ring[S.slotForPush(ShardCap)] = std::move(T);
-  }
-
-  /// push() without the temporary: copies the raw state buffers straight
-  /// into the slot's retained vectors, so the steady-state record makes no
-  /// allocations at all (the actor hot path).
-  void emplace(int ShardIdx, const float *State, size_t StateLen, int Action,
-               float Reward, const float *NextState, size_t NextLen,
-               bool Terminal) {
+  /// Records one transition into \p ShardIdx, evicting that shard's oldest
+  /// transition when the shard is full. The state buffers are copied into
+  /// the slot's retained vectors, so once the ring has wrapped a push
+  /// allocates nothing. Distinct shards may be pushed concurrently; one
+  /// shard must not.
+  void push(int ShardIdx, const float *State, size_t StateLen, int Action,
+            float Reward, const float *NextState, size_t NextLen,
+            bool Terminal) {
     Shard &S = shard(ShardIdx);
     Transition &Slot = S.Ring[S.slotForPush(ShardCap)];
     Slot.State.assign(State, State + StateLen);

@@ -185,6 +185,17 @@ TEST(SlModelTest, LoadRejectsGarbage) {
   EXPECT_FALSE(M.load(Path.str()));
 }
 
+/// One RL au_NN step of a one-actor model (K = 1 of RlModel::stepActors);
+/// returns the chosen action.
+static int stepOne(RlModel &M, const std::vector<float> &State, float Reward,
+                   bool Terminal, const WriteBackSpec &Out, bool Learning) {
+  uint8_t Term = Terminal ? 1 : 0;
+  int Action = -1;
+  M.stepActors(State.data(), 1, static_cast<int>(State.size()), &Reward,
+               &Term, Out, Learning, &Action);
+  return Action;
+}
+
 static ModelConfig rlConfig(const char *Name) {
   ModelConfig C;
   C.Name = Name;
@@ -197,7 +208,7 @@ static ModelConfig rlConfig(const char *Name) {
 TEST(RlModelTest, BuildsOnFirstStepAndActs) {
   RlModel M(rlConfig("q"));
   WriteBackSpec Out{"output", 3};
-  int A = M.step({0.1f, 0.2f}, 0.0f, false, Out, true);
+  int A = stepOne(M, {0.1f, 0.2f}, 0.0f, false, Out, true);
   EXPECT_GE(A, 0);
   EXPECT_LT(A, 3);
   EXPECT_TRUE(M.isBuilt());
@@ -208,14 +219,14 @@ TEST(RlModelTest, BuildsOnFirstStepAndActs) {
 TEST(RlModelTest, DeploymentStepsDoNotDisturbChain) {
   RlModel M(rlConfig("q"));
   WriteBackSpec Out{"output", 2};
-  M.step({0.0f}, 0.0f, false, Out, true);
+  stepOne(M, {0.0f}, 0.0f, false, Out, true);
   long StepsBefore = 0;
   // Several deployment (Learning=false) steps must not feed the learner.
-  M.step({0.3f}, 0.0f, false, Out, false);
-  M.step({0.6f}, 0.0f, false, Out, false);
+  stepOne(M, {0.3f}, 0.0f, false, Out, false);
+  stepOne(M, {0.6f}, 0.0f, false, Out, false);
   StepsBefore = M.learner()->stepsObserved();
   // The next learning step observes exactly one more transition.
-  M.step({1.0f}, 1.0f, false, Out, true);
+  stepOne(M, {1.0f}, 1.0f, false, Out, true);
   EXPECT_EQ(M.learner()->stepsObserved(), StepsBefore + 1);
 }
 
@@ -224,7 +235,7 @@ TEST(RlModelTest, SaveLoadRoundTrip) {
   WriteBackSpec Out{"output", 4};
   Rng R(11);
   for (int I = 0; I < 30; ++I)
-    A.step({static_cast<float>(R.uniform())}, 0.1f, false, Out, true);
+    stepOne(A, {static_cast<float>(R.uniform())}, 0.1f, false, Out, true);
   TempPath Path("rl.aumodel");
   ASSERT_TRUE(A.save(Path.str()));
 

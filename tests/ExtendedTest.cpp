@@ -55,6 +55,17 @@ TEST(CustomNetworkTest, SupervisedModelUsesCallback) {
   EXPECT_NEAR(Pred, -1.0f, 0.7f);
 }
 
+/// One RL au_NN step of a one-actor model (K = 1 of RlModel::stepActors);
+/// returns the chosen action.
+static int stepOne(RlModel &M, const std::vector<float> &State, float Reward,
+                   bool Terminal, const WriteBackSpec &Out, bool Learning) {
+  uint8_t Term = Terminal ? 1 : 0;
+  int Action = -1;
+  M.stepActors(State.data(), 1, static_cast<int>(State.size()), &Reward,
+               &Term, Out, Learning, &Action);
+  return Action;
+}
+
 TEST(CustomNetworkTest, ReinforcementModelUsesCallback) {
   ModelConfig C;
   C.Name = "customrl";
@@ -64,7 +75,7 @@ TEST(CustomNetworkTest, ReinforcementModelUsesCallback) {
     return nn::buildDnn(In, {6, 6, 6}, Out, R);
   };
   RlModel M(C);
-  int A = M.step({0.1f, 0.2f}, 0.0f, false, {"output", 3}, true);
+  int A = stepOne(M, {0.1f, 0.2f}, 0.0f, false, {"output", 3}, true);
   EXPECT_GE(A, 0);
   EXPECT_LT(A, 3);
   // (In=2 -> 6 -> 6 -> 6 -> 3): (12+6) + (36+6)*2 + (18+3) = 123 params.
@@ -278,16 +289,16 @@ TEST(RlChainTest, TerminalBreaksTheTransitionChain) {
   RlModel M(C);
   WriteBackSpec Out{"output", 2};
   // Episode 1: three steps then terminal.
-  M.step({0.1f}, 0.0f, false, Out, true);
-  M.step({0.2f}, 0.5f, false, Out, true);
-  M.step({0.3f}, 0.5f, true, Out, true); // Terminal observation.
+  stepOne(M, {0.1f}, 0.0f, false, Out, true);
+  stepOne(M, {0.2f}, 0.5f, false, Out, true);
+  stepOne(M, {0.3f}, 0.5f, true, Out, true); // Terminal observation.
   long AfterEp1 = M.learner()->stepsObserved();
   EXPECT_EQ(AfterEp1, 2);
   // Episode 2 (after au_restore): the first step must NOT observe a
   // transition linking across the rollback.
-  M.step({0.1f}, 0.0f, false, Out, true);
+  stepOne(M, {0.1f}, 0.0f, false, Out, true);
   EXPECT_EQ(M.learner()->stepsObserved(), AfterEp1);
-  M.step({0.2f}, 0.5f, false, Out, true);
+  stepOne(M, {0.2f}, 0.5f, false, Out, true);
   EXPECT_EQ(M.learner()->stepsObserved(), AfterEp1 + 1);
 }
 
@@ -308,8 +319,10 @@ TEST(LrAnnealTest, RateDecaysTowardConfiguredEnd) {
       },
       2, Cfg, 10);
   std::vector<float> S = {0.0f};
-  for (int I = 0; I < 200; ++I) // Well past 2x the epsilon horizon.
-    Q.observe(S, 0, 0.0f, S, false);
+  for (int I = 0; I < 200; ++I) { // Well past 2x the epsilon horizon.
+    Q.observeActor(0, S.data(), S.size(), 0, 0.0f, S.data(), S.size(), false);
+    Q.finishTick(1);
+  }
   // No direct accessor for the optimizer rate; instead verify stability:
   // the annealed learner's parameters stay finite and the schedule code
   // ran without assertion. (The behavioral effect is covered by the

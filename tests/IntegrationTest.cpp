@@ -57,11 +57,11 @@ TEST(IntegrationRl, FlappyAllVariantTrainsAndImproves) {
   Opt.QCfg.EpsilonDecaySteps = 2500;
 
   RlEvalResult Before = evalRandom(Env, Opt, 10);
-  RlTrainResult Train = trainRl(Env, S, Opt);
+  RlTrainResult Train = trainRl({&Env}, S, Opt);
   EXPECT_EQ(Train.StepsRun, 4000);
   EXPECT_GT(Train.Episodes, 0);
   EXPECT_GT(Train.TraceBytes, 0u);
-  RlEvalResult After = evalRl(Env, S, Opt, 10);
+  RlEvalResult After = evalRl({&Env}, S, Opt, 10);
   // Learning must clearly beat random play even at this tiny budget.
   EXPECT_GT(After.MeanProgress, Before.MeanProgress);
 }
@@ -76,7 +76,7 @@ TEST(IntegrationRl, EvalDoesNotPerturbTraining) {
   Opt.EvalEvery = 200; // Interleaved evaluations.
   Opt.EvalEpisodes = 2;
   Opt.Seed = 22;
-  RlTrainResult Res = trainRl(Env, S, Opt);
+  RlTrainResult Res = trainRl({&Env}, S, Opt);
   EXPECT_EQ(Res.StepsRun, 600);
   EXPECT_EQ(Res.Curve.size(), 3u);
   EXPECT_EQ(S.mode(), Mode::TR) << "mode restored after evals";
@@ -91,7 +91,7 @@ TEST(IntegrationRl, CheckpointRestoreDrivesEpisodes) {
   Opt.TrainSteps = 1500;
   Opt.MaxEpisodeSteps = 120;
   Opt.Seed = 23;
-  RlTrainResult Res = trainRl(Env, S, Opt);
+  RlTrainResult Res = trainRl({&Env}, S, Opt);
   // Episode truncation at 120 steps guarantees several episodes, hence
   // several au_restore invocations.
   EXPECT_GT(Res.Episodes, 3);
@@ -110,7 +110,7 @@ TEST(IntegrationRl, RawVariantRunsWithCnn) {
   Opt.Seed = 24;
   Opt.QCfg.WarmupSteps = 50;
   Opt.QCfg.BatchSize = 8;
-  RlTrainResult Res = trainRl(Env, S, Opt);
+  RlTrainResult Res = trainRl({&Env}, S, Opt);
   EXPECT_EQ(Res.StepsRun, 250);
   // The raw-pixel trace dwarfs the program-variable trace (Table 2).
   EXPECT_GT(Res.TraceBytes, 250u * 16 * 16 * sizeof(float) / 2);
@@ -129,7 +129,7 @@ TEST(IntegrationRl, TrainedRlModelSurvivesSaveLoad) {
   {
     Engine Eng(Dir.str());
     Session S(Eng, Mode::TR);
-    trainRl(Env, S, Opt);
+    trainRl({&Env}, S, Opt);
     ASSERT_TRUE(S.saveModel(rlModelName(Env, RlVariant::All)));
   }
   {
@@ -140,7 +140,7 @@ TEST(IntegrationRl, TrainedRlModelSurvivesSaveLoad) {
     C.Algo = Algorithm::QLearn;
     Model *M = S.config(C); // CONFIG-TEST loads from disk.
     ASSERT_TRUE(M->isBuilt());
-    RlEvalResult R = evalRl(Env, S, Opt, 3);
+    RlEvalResult R = evalRl({&Env}, S, Opt, 3);
     EXPECT_GE(R.MeanProgress, 0.0);
   }
 }
@@ -159,7 +159,7 @@ TEST(IntegrationSelfTest, CoverageRewardFindsMoreBranches) {
   Opt.TrainSteps = 2500;
   Opt.MaxEpisodeSteps = 150;
   Opt.Seed = 26;
-  trainRl(CovEnv, S, Opt);
+  trainRl({&CovEnv}, S, Opt);
   int CovAgent = CovEnv.coverageCount();
   EXPECT_GT(CovAgent, MarioEnv::NumBranches / 3);
 }

@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "AllocCounter.h"
 #include "core/Model.h"
 #include "nn/Gemm.h"
 #include "nn/Layers.h"
@@ -34,34 +35,6 @@
 #include <numeric>
 #include <thread>
 
-//===----------------------------------------------------------------------===//
-// Global allocation counter: every heap allocation in this binary ticks it,
-// so a test can prove a region performs zero allocations (the workspace
-// arena's steady-state contract). Replacing the global operators is the only
-// way to observe allocations made inside the library.
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::atomic<long> GHeapAllocs{0};
-} // namespace
-
-void *operator new(std::size_t Sz) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Sz ? Sz : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Sz) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Sz ? Sz : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-
 using namespace au;
 using namespace au::nn;
 
@@ -87,14 +60,6 @@ Tensor randomTensor(std::vector<int> Shape, Rng &Rand) {
   for (float &V : T.values())
     V = static_cast<float>(Rand.uniform(-1.5, 1.5));
   return T;
-}
-
-/// Both engines, simd only where the CPU can run it.
-std::vector<Backend> comparableBackends() {
-  std::vector<Backend> Bs = {Backend::Blocked};
-  if (simdSupported())
-    Bs.push_back(Backend::Simd);
-  return Bs;
 }
 
 /// Collects a layer's parameter gradients as one flat vector.
@@ -1145,51 +1110,6 @@ struct SnapshotPredictWork : FamilyInputs {
     predictRows(Cnn->Net, Cnn->Norm, CnnIn.data(), 8, Out);
   }
 };
-
-/// Runs warm passes of a fresh \p Work on a pool of \p Threads, under each
-/// engine, and checks that a further eight allocate nothing on any thread.
-template <typename Work>
-void expectSteadyStateDoesNotAllocate(int Threads, const char *What) {
-  ThreadPool::setGlobalThreads(Threads);
-  for (Backend B : comparableBackends()) {
-    setBackend(B);
-    auto W = std::make_unique<Work>();
-
-    // Building the work above must have ticked the counter — guards
-    // against the replacement operators not being linked in, which would
-    // make the zero-alloc assertion below pass vacuously.
-    ASSERT_GT(GHeapAllocs.load(std::memory_order_relaxed), 0);
-
-    // Warm-up: buffers converge on the workload's high-water mark, on every
-    // thread that runs chunks. Chunks go to whichever thread claims them
-    // first, so first run one pass on each thread of the team: chunks that
-    // wait for one another run on distinct threads, and the loops nested in
-    // a pass run inline there. The passes take turns (one set of networks).
-    // parallelFor may run any loop inline, which would deadlock this
-    // barrier; it relies on the rule that a site its issuing thread has not
-    // measured is dispatched, and, for the next backend's call, on a
-    // measured cost (a whole pass per chunk) far above the inline cutoff.
-    std::atomic<int> Arrived{0};
-    std::mutex PassM;
-    ThreadPool::global().parallelFor(0, Threads, 1, [&](size_t, size_t) {
-      ++Arrived;
-      while (Arrived.load() < Threads)
-        std::this_thread::yield();
-      std::lock_guard<std::mutex> G(PassM);
-      W->pass();
-    });
-    for (int I = 0; I < 3; ++I)
-      W->pass();
-
-    long Before = GHeapAllocs.load(std::memory_order_relaxed);
-    for (int I = 0; I < 8; ++I)
-      W->pass();
-    long After = GHeapAllocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(After, Before)
-        << "steady-state " << What << " allocated under backend "
-        << backendName(B) << " at " << Threads << " threads";
-  }
-}
 
 } // namespace
 

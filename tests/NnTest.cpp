@@ -493,6 +493,23 @@ TEST(SupervisedTest, NormalizationExportImport) {
 // Q-learning
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// K = 1 action selection: one state, one fused forward.
+int selectOne(QLearner &Q, const std::vector<float> &S, bool Learning) {
+  int A = -1;
+  Q.selectActions(S.data(), 1, static_cast<int>(S.size()), Learning, &A);
+  return A;
+}
+
+/// Records one transition as actor 0 and finishes the tick.
+void observeOne(QLearner &Q, const std::vector<float> &S, int A, float R,
+                const std::vector<float> &Next, bool Terminal) {
+  Q.observeActor(0, S.data(), S.size(), A, R, Next.data(), Next.size(),
+                 Terminal);
+  Q.finishTick(1);
+}
+} // namespace
+
 TEST(QLearnerTest, SolvesTwoArmedBandit) {
   // One state, two actions; action 1 always pays more.
   QConfig Cfg;
@@ -508,11 +525,11 @@ TEST(QLearnerTest, SolvesTwoArmedBandit) {
       2, Cfg, 63);
   std::vector<float> S = {1.0f};
   for (int I = 0; I < 800; ++I) {
-    int A = Q.selectAction(S, true);
+    int A = selectOne(Q, S, true);
     float Reward = A == 1 ? 1.0f : -1.0f;
-    Q.observe(S, A, Reward, S, false);
+    observeOne(Q, S, A, Reward, S, false);
   }
-  EXPECT_EQ(Q.greedyAction(S), 1);
+  EXPECT_EQ(selectOne(Q, S, false), 1);
   std::vector<float> Qs = Q.qValues(S);
   EXPECT_GT(Qs[1], Qs[0]);
 }
@@ -533,12 +550,12 @@ TEST(QLearnerTest, LearnsStateDependentPolicy) {
   for (int I = 0; I < 1500; ++I) {
     bool InA = R.chance(0.5);
     std::vector<float> S = {InA ? 0.0f : 1.0f};
-    int A = Q.selectAction(S, true);
+    int A = selectOne(Q, S, true);
     float Reward = (InA ? A == 0 : A == 1) ? 1.0f : -1.0f;
-    Q.observe(S, A, Reward, S, true);
+    observeOne(Q, S, A, Reward, S, true);
   }
-  EXPECT_EQ(Q.greedyAction({0.0f}), 0);
-  EXPECT_EQ(Q.greedyAction({1.0f}), 1);
+  EXPECT_EQ(selectOne(Q, {0.0f}, false), 0);
+  EXPECT_EQ(selectOne(Q, {1.0f}, false), 1);
 }
 
 TEST(QLearnerTest, EpsilonDecaysToFloor) {
@@ -555,7 +572,7 @@ TEST(QLearnerTest, EpsilonDecaysToFloor) {
       2, Cfg, 68);
   std::vector<float> S = {0.0f};
   for (int I = 0; I < 200; ++I)
-    Q.observe(S, 0, 0.0f, S, false);
+    observeOne(Q, S, 0, 0.0f, S, false);
   EXPECT_NEAR(Q.epsilon(), 0.1, 1e-9);
 }
 
@@ -571,6 +588,6 @@ TEST(QLearnerTest, ReplayCapacityBounded) {
       2, Cfg, 70);
   std::vector<float> S = {0.0f};
   for (int I = 0; I < 200; ++I)
-    Q.observe(S, 0, 0.0f, S, false);
+    observeOne(Q, S, 0, 0.0f, S, false);
   EXPECT_EQ(Q.replaySize(), 50u);
 }
