@@ -20,6 +20,10 @@
 // Latency is per client call: a batched client's call completes when its
 // round's fused pass completes, so the round time is every rider's latency.
 //
+// Both cases serve from the published snapshot, and every reply is checked
+// bitwise against the live model's prediction for the same row; any
+// mismatch is reported on stderr and the bench exits non-zero.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -28,6 +32,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -74,7 +79,24 @@ struct ServeResult {
   double CallsPerSec = 0.0;
   double P50Us = 0.0;
   double P99Us = 0.0;
+  long Mismatches = 0; ///< Replies not bitwise equal to the reference.
 };
+
+/// The live model's predictions for the probe rows of sessions 0..K-1,
+/// OutDim floats per row: what every served reply must equal bitwise.
+std::vector<float> referenceReplies(Engine &Eng, NameId ModelId, int K) {
+  std::vector<float> Rows(static_cast<size_t>(K) * FeatDim), Ref;
+  for (int S = 0; S < K; ++S)
+    probeRow(S, Rows.data() + static_cast<size_t>(S) * FeatDim);
+  static_cast<SlModel *>(Eng.getModel(ModelId))
+      ->predictRows(Rows.data(), K, Ref);
+  return Ref;
+}
+
+bool sameReply(const float *Pred, const std::vector<float> &Ref, int S) {
+  return std::memcmp(Pred, Ref.data() + static_cast<size_t>(S) * OutDim,
+                     OutDim * sizeof(float)) == 0;
+}
 
 double percentile(std::vector<double> &Xs, double P) {
   std::sort(Xs.begin(), Xs.end());
@@ -83,12 +105,11 @@ double percentile(std::vector<double> &Xs, double P) {
 }
 
 /// K single-session loops, one per-call au_NN each per round.
-ServeResult servePerCall(Engine &Eng, NameId ModelId, int K, long Rounds) {
+ServeResult servePerCall(Engine &Eng, NameId ModelId, int K, long Rounds,
+                         const std::vector<float> &Ref) {
   std::vector<std::unique_ptr<Session>> Sess;
-  for (int S = 0; S < K; ++S) {
+  for (int S = 0; S < K; ++S)
     Sess.push_back(std::make_unique<Session>(Eng, Mode::TS));
-    Sess.back()->setSharedInference(true);
-  }
   NameId Feat = Eng.intern("feat");
   WriteBackHandle Out{Eng.intern("out"), OutDim};
   std::vector<float> Rows(static_cast<size_t>(K) * FeatDim);
@@ -98,6 +119,7 @@ ServeResult servePerCall(Engine &Eng, NameId ModelId, int K, long Rounds) {
   std::vector<double> CallUs;
   CallUs.reserve(static_cast<size_t>(Rounds) * K);
   float Pred[OutDim];
+  ServeResult Res;
   Timer Total;
   for (long R = 0; R < Rounds; ++R)
     for (int S = 0; S < K; ++S) {
@@ -107,10 +129,10 @@ ServeResult servePerCall(Engine &Eng, NameId ModelId, int K, long Rounds) {
       C.nn(ModelId, Feat, {Out});
       C.writeBack(Out.Name, OutDim, Pred);
       CallUs.push_back(T.seconds() * 1e6);
+      Res.Mismatches += !sameReply(Pred, Ref, S);
     }
   double Secs = Total.seconds();
 
-  ServeResult Res;
   Res.CallsPerSec = static_cast<double>(Rounds) * K / Secs;
   Res.P50Us = percentile(CallUs, 0.50);
   Res.P99Us = percentile(CallUs, 0.99);
@@ -118,7 +140,8 @@ ServeResult servePerCall(Engine &Eng, NameId ModelId, int K, long Rounds) {
 }
 
 /// K sessions served by one fused nnBatchSessions pass per round.
-ServeResult serveBatched(Engine &Eng, NameId ModelId, int K, long Rounds) {
+ServeResult serveBatched(Engine &Eng, NameId ModelId, int K, long Rounds,
+                         const std::vector<float> &Ref) {
   std::vector<std::unique_ptr<Session>> Sess;
   std::vector<Session *> Ptrs;
   for (int S = 0; S < K; ++S) {
@@ -135,7 +158,8 @@ ServeResult serveBatched(Engine &Eng, NameId ModelId, int K, long Rounds) {
 
   std::vector<double> RoundUs;
   RoundUs.reserve(static_cast<size_t>(Rounds));
-  float Pred[OutDim];
+  std::vector<float> Preds(static_cast<size_t>(K) * OutDim);
+  ServeResult Res;
   Timer Total;
   for (long R = 0; R < Rounds; ++R) {
     Timer T;
@@ -144,12 +168,15 @@ ServeResult serveBatched(Engine &Eng, NameId ModelId, int K, long Rounds) {
           Feat, FeatDim, Rows.data() + static_cast<size_t>(S) * FeatDim);
     Eng.nnBatchSessions(ModelId, Ptrs.data(), ExtIds.data(), K, Outs);
     for (int S = 0; S < K; ++S)
-      Sess[static_cast<size_t>(S)]->writeBack(Out.Name, OutDim, Pred);
+      Sess[static_cast<size_t>(S)]->writeBack(
+          Out.Name, OutDim, Preds.data() + static_cast<size_t>(S) * OutDim);
     RoundUs.push_back(T.seconds() * 1e6);
+    for (int S = 0; S < K; ++S)
+      Res.Mismatches +=
+          !sameReply(Preds.data() + static_cast<size_t>(S) * OutDim, Ref, S);
   }
   double Secs = Total.seconds();
 
-  ServeResult Res;
   Res.CallsPerSec = static_cast<double>(Rounds) * K / Secs;
   // Every rider of a round completes with the round.
   Res.P50Us = percentile(RoundUs, 0.50);
@@ -178,14 +205,22 @@ int main() {
   NameId ModelId = trainServedModel(Eng, Trainer);
 
   const long Rounds = scaled(2000, 50);
+  long Mismatches = 0;
   for (int K : {1, 2, 4, 8, 16}) {
+    const std::vector<float> Ref = referenceReplies(Eng, ModelId, K);
     // Warm both paths (snapshot refresh, staging growth), then measure.
-    servePerCall(Eng, ModelId, K, 10);
-    serveBatched(Eng, ModelId, K, 10);
-    ServeResult Per = servePerCall(Eng, ModelId, K, Rounds);
-    ServeResult Bat = serveBatched(Eng, ModelId, K, Rounds);
+    servePerCall(Eng, ModelId, K, 10, Ref);
+    serveBatched(Eng, ModelId, K, 10, Ref);
+    ServeResult Per = servePerCall(Eng, ModelId, K, Rounds, Ref);
+    ServeResult Bat = serveBatched(Eng, ModelId, K, Rounds, Ref);
     emit("per_call", K, Per, 0.0);
     emit("batched", K, Bat, Bat.CallsPerSec / Per.CallsPerSec);
+    if (Per.Mismatches || Bat.Mismatches)
+      std::fprintf(stderr,
+                   "K = %d: %ld per-call and %ld batched replies differ "
+                   "from the live model's\n",
+                   K, Per.Mismatches, Bat.Mismatches);
+    Mismatches += Per.Mismatches + Bat.Mismatches;
   }
-  return 0;
+  return Mismatches ? 1 : 0;
 }

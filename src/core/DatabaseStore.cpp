@@ -11,10 +11,40 @@ static const std::vector<float> EmptyList;
 
 DatabaseStore::InternAuthority::~InternAuthority() = default;
 
+size_t SerializedView::numSpans() const {
+  const DatabaseStore::Slot &S = Store->slot(Id);
+  if (!S.Mapped)
+    return 0;
+  return S.Lazy ? S.Srcs.size() : !S.Data.empty();
+}
+
+const float *SerializedView::spanData(size_t I) const {
+  assert(I < numSpans() && "span index out of range");
+  const DatabaseStore::Slot &S = Store->slot(Id);
+  if (!S.Lazy)
+    return S.Data.data();
+  const DatabaseStore::Slot::Src &Src = S.Srcs[I];
+  const DatabaseStore::Slot &From = Store->slot(Src.Id);
+  assert(From.WriteGen == Src.WriteGen &&
+         "serialize source mutated before the combined entry was consumed");
+  return From.Data.data();
+}
+
 void SerializedView::copyTo(float *Dst) const {
-  for (const Span &S : Spans) {
-    std::memcpy(Dst, S.Data, S.Len * sizeof(float));
-    Dst += S.Len;
+  const DatabaseStore::Slot &S = Store->slot(Id);
+  if (!S.Mapped)
+    return;
+  if (!S.Lazy) {
+    if (!S.Data.empty())
+      std::memcpy(Dst, S.Data.data(), S.Data.size() * sizeof(float));
+    return;
+  }
+  for (const DatabaseStore::Slot::Src &Src : S.Srcs) {
+    const DatabaseStore::Slot &From = Store->slot(Src.Id);
+    assert(From.WriteGen == Src.WriteGen &&
+           "serialize source mutated before the combined entry was consumed");
+    std::memcpy(Dst, From.Data.data(), Src.Len * sizeof(float));
+    Dst += Src.Len;
   }
 }
 
@@ -57,28 +87,6 @@ const std::vector<float> &DatabaseStore::get(NameId Id) const {
   if (S.Lazy)
     materialize(S);
   return S.Data;
-}
-
-SerializedView DatabaseStore::view(NameId Id) const {
-  SerializedView V;
-  const Slot &S = slot(Id);
-  if (!S.Mapped)
-    return V;
-  if (!S.Lazy) {
-    if (!S.Data.empty())
-      V.Spans.push_back({S.Data.data(), S.Data.size()});
-    V.Total = S.Data.size();
-    return V;
-  }
-  V.Spans.reserve(S.Srcs.size());
-  for (const Slot::Src &Src : S.Srcs) {
-    const Slot &From = slot(Src.Id);
-    assert(From.WriteGen == Src.WriteGen &&
-           "serialize source mutated before the combined entry was consumed");
-    V.Spans.push_back({From.Data.data(), Src.Len});
-  }
-  V.Total = S.LazySize;
-  return V;
 }
 
 void DatabaseStore::materialize(const Slot &S) const {

@@ -41,28 +41,31 @@
 
 namespace au {
 
-/// Zero-copy view of one database-store entry: an ordered span list over
-/// the backing slot buffers. Valid until the next mutation of any source
-/// slot (in the Fig. 8 loop, a view produced by serialize is consumed by
-/// the immediately following au_NN, which holds). copyTo() is the one
-/// gather the consumer pays.
+class DatabaseStore;
+
+/// Zero-copy view of one database-store entry: its ordered span list over
+/// the backing slot buffers, read in place from the entry's own slot, so
+/// taking a view allocates nothing. Valid until the next mutation of the
+/// entry or of any source slot (in the Fig. 8 loop, a view produced by
+/// serialize is consumed by the immediately following au_NN, which holds).
+/// copyTo() is the one gather the consumer pays.
 class SerializedView {
 public:
   size_t size() const { return Total; }
-  size_t numSpans() const { return Spans.size(); }
-  const float *spanData(size_t I) const { return Spans[I].Data; }
+  size_t numSpans() const;
+  const float *spanData(size_t I) const;
 
   /// Gathers the spans into \p Dst (which must hold size() floats).
   void copyTo(float *Dst) const;
 
 private:
   friend class DatabaseStore;
-  struct Span {
-    const float *Data;
-    size_t Len;
-  };
-  std::vector<Span> Spans;
-  size_t Total = 0;
+  SerializedView(const DatabaseStore &S, NameId I, size_t N)
+      : Store(&S), Id(I), Total(N) {}
+
+  const DatabaseStore *Store;
+  NameId Id;
+  size_t Total;
 };
 
 /// pi ::= Name -> list of Value. Copyable so tests and the executable
@@ -119,7 +122,11 @@ public:
   const std::vector<float> &get(NameId Id) const;
 
   /// Span view of the entry without materializing it.
-  SerializedView view(NameId Id) const;
+  SerializedView view(NameId Id) const {
+    const Slot &S = slot(Id);
+    return {*this, Id,
+            !S.Mapped ? 0 : S.Lazy ? S.LazySize : S.Data.size()};
+  }
 
   /// Replaces the list under \p Id (copying variant reuses the slot's
   /// buffer; no allocation once capacity is warm).
@@ -210,6 +217,8 @@ public:
                    uint64_t Gen);
 
 private:
+  friend class SerializedView;
+
   /// One arena slot. Data/Lazy bookkeeping is mutable so that get() can
   /// materialize a lazy concatenation without breaking logical constness
   /// (materialization never changes the entry's value).

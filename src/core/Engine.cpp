@@ -184,49 +184,54 @@ EngineModelEntry *Engine::entryByName(const std::string &Name) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-session inference batchers
+// au_NN: one body per form, for K sessions
 //===----------------------------------------------------------------------===//
 
-void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
-                             const NameId *ExtIds, int K,
-                             const std::vector<WriteBackHandle> &Outputs) {
-  assert(K > 0 && Sessions && ExtIds && "nnBatchSessions of no sessions");
-  std::lock_guard<std::mutex> BL(BatchM);
-  EngineModelEntry *Entry = entryById(ModelId);
-  assert(Entry && Entry->M && "au_NN on an unconfigured model");
-  auto *Sl = static_cast<SlModel *>(Entry->M.get());
-  assert(SlModel::classof(Sl) && "supervised au_NN form on an RL model");
-  assert(!Outputs.empty() && "au_NN must declare at least one output");
-
-  // Gather session k's serialized features into row k of one K x D staging
-  // block. Rows are disjoint and each chunk touches only its own session
-  // store, so the gather parallelizes without changing any result.
-  size_t D = Sessions[0]->Db.view(ExtIds[0]).size();
-  assert(D > 0 && "au_NN with an empty feature list");
-  NnStaging.resize(static_cast<size_t>(K) * D);
+/// Gathers session k's serialized list pi_k[ExtIds[k]] into row k of \p In
+/// (K x D, row-major) and returns D. Rows are disjoint and each chunk
+/// touches only its own session's store, so the gather parallelizes
+/// without changing any result; at K = 1 it runs inline.
+static size_t gatherRows(Session *const *Sessions, const NameId *ExtIds,
+                         int K, std::vector<float> &In) {
+  assert(K > 0 && Sessions && ExtIds && "au_NN of no sessions");
+  size_t D = Sessions[0]->db().view(ExtIds[0]).size();
+  assert(D > 0 && "au_NN with an empty input list");
+  In.resize(static_cast<size_t>(K) * D);
   ThreadPool::global().parallelFor(
       0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
         for (size_t S = B; S != E; ++S) {
-          SerializedView V = Sessions[S]->Db.view(ExtIds[S]);
-          assert(V.size() == D && "session feature sizes diverged");
-          V.copyTo(NnStaging.data() + S * D);
+          SerializedView V = Sessions[S]->db().view(ExtIds[S]);
+          assert(V.size() == D && "session input sizes diverged");
+          V.copyTo(In.data() + S * D);
         }
       });
+  return D;
+}
 
-  // ONE forward for the whole tenant set — this is where K per-call
-  // predictions collapse into a single batched network pass. Serve from
-  // the latest published snapshot when one exists; fall back to the live
-  // model otherwise (single-tenant semantics).
-  std::shared_ptr<const ModelSnapshot> Snap;
+void Engine::serveSl(EngineModelEntry *Entry,
+                     std::shared_ptr<const ModelSnapshot> &Snap,
+                     NameId ModelId, Session *const *Sessions,
+                     const NameId *ExtIds, int K,
+                     const std::vector<WriteBackHandle> &Outputs,
+                     NnStaging &St) {
+  assert(Entry && Entry->M && "au_NN on an unconfigured model");
+  assert(SlModel::classof(Entry->M.get()) &&
+         "supervised au_NN form on an RL model");
+  assert(!Outputs.empty() && "au_NN must declare at least one output");
+  gatherRows(Sessions, ExtIds, K, St.In);
+
+  // ONE forward for all K rows, on the latest published snapshot; the live
+  // model serves only while nothing is published.
   if (Entry->refresh(Snap))
-    nn::predictRows(Snap->Net, Snap->Norm, NnStaging.data(), K, NnOut);
+    nn::predictRows(Snap->Net, Snap->Norm, St.In.data(), K, St.Out);
   else
-    Sl->predictRows(NnStaging.data(), K, NnOut);
+    static_cast<SlModel *>(Entry->M.get())
+        ->predictRows(St.In.data(), K, St.Out);
 
   // Scatter each session's predictions into its own store and reset its
-  // feature list (Rules TRAIN/TEST reset extName), again disjoint per
+  // input list (Rules TRAIN/TEST reset extName), again disjoint per
   // session. au_NN counts once per session, in the session's own stats.
-  const size_t NY = NnOut.size() / static_cast<size_t>(K);
+  const size_t NY = St.Out.size() / static_cast<size_t>(K);
   ThreadPool::global().parallelFor(
       0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
         for (size_t S = B; S != E; ++S) {
@@ -236,7 +241,7 @@ void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
           for (const WriteBackHandle &O : Outputs) {
             Sess.setWbOwner(O.Name, ModelId);
             assert(Offset + O.Size <= NY && "declared outputs exceed model");
-            Sess.Db.set(O.Name, NnOut.data() + S * NY + Offset, O.Size);
+            Sess.Db.set(O.Name, St.Out.data() + S * NY + Offset, O.Size);
             Offset += O.Size;
           }
           Sess.Db.reset(ExtIds[S]);
@@ -244,38 +249,25 @@ void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
       });
 }
 
-void Engine::nnRlSessions(NameId ModelId, Session *const *Sessions,
-                          const NameId *ExtIds, const float *Rewards,
-                          const uint8_t *Terminals, int K,
-                          const WriteBackHandle &Output, bool Learning) {
-  assert(K > 0 && Sessions && ExtIds && "nnRlSessions of no sessions");
-  std::lock_guard<std::mutex> BL(BatchM);
-  Model *M = getModel(ModelId);
+void Engine::stepRl(Model *M, NameId ModelId, Session *const *Sessions,
+                    const NameId *ExtIds, const float *Rewards,
+                    const uint8_t *Terminals, int K,
+                    const WriteBackHandle &Output, bool Learning,
+                    NnStaging &St) {
   assert(M && "au_NN on an unconfigured model");
   assert(RlModel::classof(M) && "RL au_NN form on a supervised model");
-  auto *Rl = static_cast<RlModel *>(M);
+  size_t D = gatherRows(Sessions, ExtIds, K, St.In);
 
-  size_t D = Sessions[0]->Db.view(ExtIds[0]).size();
-  assert(D > 0 && "au_NN with an empty state list");
-  NnStaging.resize(static_cast<size_t>(K) * D);
-  ThreadPool::global().parallelFor(
-      0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
-        for (size_t S = B; S != E; ++S) {
-          SerializedView V = Sessions[S]->Db.view(ExtIds[S]);
-          assert(V.size() == D && "session state sizes diverged");
-          V.copyTo(NnStaging.data() + S * D);
-        }
-      });
-
-  // One fused model step for the whole fleet (observe, train when due,
-  // batched action selection). The output's string spec is only needed on
-  // the cold build path.
-  ActionsScratch.resize(static_cast<size_t>(K));
+  // One model step for all K actors (observe, train when due, batched
+  // action selection). The output's string spec is only needed on the
+  // cold build path (persistence stores output names).
+  St.Actions.resize(static_cast<size_t>(K));
   WriteBackSpec Spec{std::string(), Output.Size};
   if (!M->isBuilt())
-    Spec.Name = nameOf(Output.Name);
-  Rl->stepActors(NnStaging.data(), K, static_cast<int>(D), Rewards, Terminals,
-                 Spec, Learning, ActionsScratch.data());
+    Spec.Name = Sessions[0]->Db.nameOf(Output.Name);
+  static_cast<RlModel *>(M)->stepActors(St.In.data(), K, static_cast<int>(D),
+                                        Rewards, Terminals, Spec, Learning,
+                                        St.Actions.data());
 
   ThreadPool::global().parallelFor(
       0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
@@ -283,9 +275,31 @@ void Engine::nnRlSessions(NameId ModelId, Session *const *Sessions,
           Session &Sess = *Sessions[S];
           ++Sess.Stats.NumNn;
           Sess.setWbOwner(Output.Name, ModelId);
-          float ActionF = static_cast<float>(ActionsScratch[S]);
+          float ActionF = static_cast<float>(St.Actions[S]);
           Sess.Db.set(Output.Name, &ActionF, 1);
           Sess.Db.reset(ExtIds[S]);
         }
       });
+}
+
+//===----------------------------------------------------------------------===//
+// Cross-session inference batchers
+//===----------------------------------------------------------------------===//
+
+void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
+                             const NameId *ExtIds, int K,
+                             const std::vector<WriteBackHandle> &Outputs) {
+  std::lock_guard<std::mutex> BL(BatchM);
+  std::shared_ptr<const ModelSnapshot> Snap;
+  serveSl(entryById(ModelId), Snap, ModelId, Sessions, ExtIds, K, Outputs,
+          Staging);
+}
+
+void Engine::nnRlSessions(NameId ModelId, Session *const *Sessions,
+                          const NameId *ExtIds, const float *Rewards,
+                          const uint8_t *Terminals, int K,
+                          const WriteBackHandle &Output, bool Learning) {
+  std::lock_guard<std::mutex> BL(BatchM);
+  stepRl(getModel(ModelId), ModelId, Sessions, ExtIds, Rewards, Terminals, K,
+         Output, Learning, Staging);
 }

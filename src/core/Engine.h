@@ -18,17 +18,22 @@
 ///  - Training mutates the *live* model and must stay on one thread per
 ///    model (the semantics' single TR execution). publishModel() copies the
 ///    live network into an immutable ModelSnapshot, packs it, and installs
-///    it with a release-store of the version counter. Any number of TS-mode
-///    readers then share that one snapshot: each holds a
-///    shared_ptr<const ModelSnapshot>, refreshed with an acquire-load, and
-///    runs forward on it with no context of its own, never touching the
-///    live model. The active NN engine (nn::setBackend) must not change
-///    while readers serve, since a published network is packed for one
-///    engine. Lock order: BatchM -> ModelsM -> NamesM (and entry SnapM
+///    it with a release-store of the version counter. Every TS-mode
+///    supervised au_NN then reads that one snapshot: a Session or a batcher
+///    holds a shared_ptr<const ModelSnapshot>, refreshed with an
+///    acquire-load, and runs forward on it with no context of its own,
+///    never touching the live model. The live model serves only while
+///    nothing is published. The active NN engine (nn::setBackend) must not
+///    change while readers serve, since a published network is packed for
+///    one engine. Lock order: BatchM -> ModelsM -> NamesM (and entry SnapM
 ///    innermost); no path takes them in any other order.
-///  - nnBatchSessions()/nnRlSessions() fuse K sessions' au_NN calls into
-///    one forward under BatchM; the per-session gathers and scatters touch
-///    disjoint stores and parallelize on the global ThreadPool.
+///  - Each au_NN form has one body (serveSl, stepRl) for K sessions.
+///    nnBatchSessions()/nnRlSessions() run it under BatchM on the engine's
+///    staging; Session::nn runs it with K = 1 on the session's own staging
+///    and cached model entry, taking neither BatchM nor ModelsM, so
+///    concurrent single-session readers stay concurrent. The per-session
+///    gathers and scatters touch disjoint stores and parallelize on the
+///    global ThreadPool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,7 +108,7 @@ public:
 
   /// au_config against the shared store: Rule CONFIG-TRAIN creates the
   /// model if absent; Rule CONFIG-TEST (\p M == TS) loads it from ModelDir
-  /// and publishes its parameters so shared-inference readers can serve it
+  /// and publishes its parameters so TS readers can serve it
   /// immediately. Idempotent per name.
   Model *config(const ModelConfig &C, Mode M);
 
@@ -142,21 +147,19 @@ public:
   /// Fused supervised au_NN for \p K sessions: gathers session k's
   /// serialized features pi_k[ExtIds[k]] into row k of one K x D staging
   /// block (parallel, disjoint stores), predicts all K rows with ONE
-  /// forward call — on the latest published snapshot when one exists, else
-  /// on the live model — and scatters each
-  /// declared output into each session's store (parallel). Counts one
-  /// au_NN per session; deployment-mode only. This is the multi-tenant
-  /// serving hot path: K per-call predictions collapse into one batched
-  /// network pass.
+  /// forward call on the latest published snapshot (the live model only
+  /// while nothing is published), and scatters each declared output into
+  /// each session's store (parallel). Counts one au_NN per session;
+  /// deployment-mode only. This is the multi-tenant serving hot path: K
+  /// per-call predictions collapse into one batched network pass.
   void nnBatchSessions(NameId ModelId, Session *const *Sessions,
                        const NameId *ExtIds, int K,
                        const std::vector<WriteBackHandle> &Outputs);
 
-  /// Fused RL au_NN for \p K sessions (the actor fleet of DESIGN.md §8,
-  /// now a thin layer over the session plane): gather K states, one
-  /// batched model step (observe + train-when-due + select), scatter K
-  /// actions. \p Learning selects the TR/TS regime explicitly since the
-  /// sessions may be in mixed modes.
+  /// Fused RL au_NN for \p K sessions (the actor fleet of DESIGN.md §8):
+  /// gather K states, one batched model step (observe + train-when-due +
+  /// select), scatter K actions. \p Learning selects the TR/TS regime
+  /// explicitly since the sessions may be in mixed modes.
   void nnRlSessions(NameId ModelId, Session *const *Sessions,
                     const NameId *ExtIds, const float *Rewards,
                     const uint8_t *Terminals, int K,
@@ -169,6 +172,24 @@ private:
   /// the new high-water mark. Throws StoreDivergenceError when the replay
   /// cannot keep positions aligned (someone interned into \p Db directly).
   size_t appendNamesTo(DatabaseStore &Db, size_t From) const;
+
+  /// The one body of each au_NN form (Fig. 8 Rules TEST and TRAIN) for
+  /// \p K sessions: gather session k's serialized list into row k of
+  /// \p St, one forward (serveSl, on the snapshot \p Snap refreshes to)
+  /// or one model step (stepRl), then scatter row k into session k's store
+  /// and reset its input list. Take no engine lock; the batchers hold
+  /// BatchM around them, Session::nn calls them with K = 1.
+  static void serveSl(EngineModelEntry *Entry,
+                      std::shared_ptr<const ModelSnapshot> &Snap,
+                      NameId ModelId, Session *const *Sessions,
+                      const NameId *ExtIds, int K,
+                      const std::vector<WriteBackHandle> &Outputs,
+                      NnStaging &St);
+  static void stepRl(Model *M, NameId ModelId, Session *const *Sessions,
+                     const NameId *ExtIds, const float *Rewards,
+                     const uint8_t *Terminals, int K,
+                     const WriteBackHandle &Output, bool Learning,
+                     NnStaging &St);
 
   EngineModelEntry *entryById(NameId Id);
   EngineModelEntry *entryByName(const std::string &Name);
@@ -187,9 +208,7 @@ private:
   /// the parallelism is inside: gather/scatter shards and the batched
   /// forward) and guards the staging below.
   std::mutex BatchM;
-  std::vector<float> NnStaging;
-  std::vector<float> NnOut;
-  std::vector<int> ActionsScratch;
+  NnStaging Staging;
 };
 
 } // namespace au

@@ -323,8 +323,6 @@ void RlModel::build(int InputSize, const WriteBackSpec &Output) {
 
 void RlModel::configureActors(int NumActors) {
   assert(NumActors > 0 && "need at least one actor");
-  if (NumActors == numActors())
-    return;
   LastStates.resize(static_cast<size_t>(NumActors));
   LastActions.assign(static_cast<size_t>(NumActors), -1);
   HaveLast.assign(static_cast<size_t>(NumActors), 0);

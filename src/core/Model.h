@@ -154,10 +154,12 @@ public:
   }
 
   /// Gives the model \p NumActors concurrent actors, each with its own
-  /// transition chain and replay shard (DESIGN.md §8). A new model has one
-  /// actor, the paper's serial game loop; a call with the current count
-  /// does nothing, so a chain carries across calls. May be called before
-  /// the model is built; the learner is configured at build time.
+  /// transition chain and replay shard (DESIGN.md §8), and starts every
+  /// chain empty, so a training run never links its first step to the
+  /// last step of an earlier run. A new model has one actor, the paper's
+  /// serial game loop. The replay keeps its contents unless the count
+  /// changes. May be called before the model is built; the learner is
+  /// configured at build time.
   void configureActors(int NumActors);
 
   int numActors() const { return static_cast<int>(LastActions.size()); }

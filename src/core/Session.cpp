@@ -43,12 +43,8 @@ Model *Session::config(const ModelConfig &C) {
   ++Stats.NumConfig;
   // Model names live in the same table as database names, so nn(NameId, ...)
   // indexes theta directly.
-  NameId Id = intern(C.Name);
-  Model *M = Eng.config(C, ExecMode);
-  if (Id >= ModelCache.size())
-    ModelCache.resize(Id + 1, nullptr);
-  ModelCache[Id] = M;
-  return M;
+  intern(C.Name);
+  return Eng.config(C, ExecMode);
 }
 
 //===----------------------------------------------------------------------===//
@@ -105,10 +101,17 @@ std::string Session::serialize(std::initializer_list<const char *> Names) {
 
 void Session::nn(NameId ModelId, NameId ExtId,
                  const std::vector<WriteBackHandle> &Outputs) {
+  if (ExecMode == Mode::TS) {
+    // Rule TEST: the one-session case of the serving batcher.
+    ModelRef &R = modelRef(ModelId);
+    Session *Self = this;
+    Engine::serveSl(R.Entry, R.Snap, ModelId, &Self, &ExtId, /*K=*/1,
+                    Outputs, Staging);
+    return;
+  }
   ++Stats.NumNn;
-  Model *M = getModel(ModelId);
+  [[maybe_unused]] Model *M = getModel(ModelId);
   assert(M && "au_NN on an unconfigured model");
-  auto *Sl = static_cast<SlModel *>(M);
   assert(SlModel::classof(M) && "supervised au_NN form on an RL model");
   assert(!Outputs.empty() && "au_NN must declare at least one output");
 
@@ -118,102 +121,25 @@ void Session::nn(NameId ModelId, NameId ExtId,
   for (const WriteBackHandle &O : Outputs)
     setWbOwner(O.Name, ModelId);
 
-  if (ExecMode == Mode::TR) {
-    // Training is offline for SL: remember the features; the labels arrive
-    // through the write-backs of this loop iteration.
-    PendingSample P;
-    P.ModelId = ModelId;
-    P.X.resize(V.size());
-    V.copyTo(P.X.data());
-    P.Outputs = Outputs;
-    Pending.push_back(std::move(P));
-  } else {
-    // Rule TEST: gather the spans into the staging buffer, run one forward
-    // row, and scatter the predictions into pi. Under shared inference the
-    // row is served from the engine's latest published snapshot; otherwise
-    // (and while nothing is published) from the live model, exactly as
-    // before the split.
-    NnStaging.resize(V.size());
-    V.copyTo(NnStaging.data());
-    if (!(SharedInference &&
-          predictShared(ModelId, NnStaging.data(), /*Rows=*/1, NnOut)))
-      Sl->predictRows(NnStaging.data(), /*Rows=*/1, NnOut);
-    size_t Offset = 0;
-    for (const WriteBackHandle &O : Outputs) {
-      assert(Offset + O.Size <= NnOut.size() &&
-             "declared outputs exceed model");
-      Db.set(O.Name, NnOut.data() + Offset, O.Size);
-      Offset += O.Size;
-    }
-  }
-  // Both TRAIN and TEST reset the model-input list (extName -> bottom).
+  // Training is offline for SL: remember the features; the labels arrive
+  // through the write-backs of this loop iteration.
+  PendingSample P;
+  P.ModelId = ModelId;
+  P.X.resize(V.size());
+  V.copyTo(P.X.data());
+  P.Outputs = Outputs;
+  Pending.push_back(std::move(P));
+  // Rule TRAIN resets the model-input list (extName -> bottom).
   Db.reset(ExtId);
 }
 
 void Session::nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
                  const WriteBackHandle &Output) {
-  ++Stats.NumNn;
-  Model *M = getModel(ModelId);
-  assert(M && "au_NN on an unconfigured model");
-  assert(RlModel::classof(M) && "RL au_NN form on a supervised model");
-  auto *Rl = static_cast<RlModel *>(M);
-
-  SerializedView V = Db.view(ExtId);
-  assert(V.size() > 0 && "au_NN with an empty state list");
-  NnStaging.resize(V.size());
-  V.copyTo(NnStaging.data());
-
-  setWbOwner(Output.Name, ModelId);
-  // The one-actor case of the fleet step. The output's string spec is only
-  // needed on the cold build path (persistence stores output names).
-  WriteBackSpec Spec{std::string(), Output.Size};
-  if (!M->isBuilt())
-    Spec.Name = Db.nameOf(Output.Name);
+  // The one-actor case of the fleet step.
   uint8_t Term = Terminal ? 1 : 0;
-  int Action = 0;
-  Rl->stepActors(NnStaging.data(), /*K=*/1, static_cast<int>(NnStaging.size()),
-                 &Reward, &Term, Spec, ExecMode == Mode::TR, &Action);
-  float ActionF = static_cast<float>(Action);
-  Db.set(Output.Name, &ActionF, 1);
-  Db.reset(ExtId);
-}
-
-void Session::nnBatch(NameId ModelId, NameId ExtId, int Rows,
-                      const std::vector<WriteBackHandle> &Outputs) {
-  ++Stats.NumNn;
-  assert(ExecMode == Mode::TS && "nnBatch is a deployment-mode primitive");
-  assert(Rows > 0 && "nnBatch of no rows");
-  Model *M = getModel(ModelId);
-  assert(M && "au_NN on an unconfigured model");
-  auto *Sl = static_cast<SlModel *>(M);
-  assert(SlModel::classof(M) && "supervised au_NN form on an RL model");
-  assert(!Outputs.empty() && "au_NN must declare at least one output");
-
-  SerializedView V = Db.view(ExtId);
-  assert(V.size() > 0 && V.size() % Rows == 0 &&
-         "pi[ExtId] does not hold Rows equal-size feature vectors");
-
-  for (const WriteBackHandle &O : Outputs)
-    setWbOwner(O.Name, ModelId);
-
-  NnStaging.resize(V.size());
-  V.copyTo(NnStaging.data());
-  if (!(SharedInference &&
-        predictShared(ModelId, NnStaging.data(), Rows, NnOut)))
-    Sl->predictRows(NnStaging.data(), Rows, NnOut);
-
-  const size_t NY = NnOut.size() / Rows;
-  size_t Offset = 0;
-  for (const WriteBackHandle &O : Outputs) {
-    assert(Offset + O.Size <= NY && "declared outputs exceed model");
-    ScatterBuf.resize(static_cast<size_t>(Rows) * O.Size);
-    for (int R = 0; R != Rows; ++R)
-      std::copy_n(NnOut.data() + R * NY + Offset, O.Size,
-                  ScatterBuf.data() + static_cast<size_t>(R) * O.Size);
-    Db.set(O.Name, ScatterBuf.data(), ScatterBuf.size());
-    Offset += O.Size;
-  }
-  Db.reset(ExtId);
+  Session *Self = this;
+  Engine::stepRl(getModel(ModelId), ModelId, &Self, &ExtId, &Reward, &Term,
+                 /*K=*/1, Output, ExecMode == Mode::TR, Staging);
 }
 
 void Session::nn(const std::string &ModelName, const std::string &ExtName,
@@ -354,18 +280,18 @@ void Session::restore() {
 
 Model *Session::getModel(const std::string &Name) { return Eng.getModel(Name); }
 
+Session::ModelRef &Session::modelRef(NameId Id) {
+  if (Id >= Models.size())
+    Models.resize(Id + 1);
+  ModelRef &R = Models[Id];
+  if (!R.Entry)
+    R.Entry = Eng.entryById(Id);
+  return R;
+}
+
 Model *Session::getModel(NameId Id) {
-  // Fast path: the per-session cache, filled by config() and on first
-  // lookup, makes the per-call model resolution lock-free.
-  if (Id < ModelCache.size() && ModelCache[Id])
-    return ModelCache[Id];
-  Model *M = Eng.getModel(Id);
-  if (M) {
-    if (Id >= ModelCache.size())
-      ModelCache.resize(Id + 1, nullptr);
-    ModelCache[Id] = M;
-  }
-  return M;
+  EngineModelEntry *E = modelRef(Id).Entry;
+  return E ? E->M.get() : nullptr;
 }
 
 double Session::trainSupervised(const std::string &ModelName, int Epochs,
@@ -383,25 +309,8 @@ std::string Session::modelPath(const std::string &ModelName) const {
   return Eng.modelPath(ModelName);
 }
 
-//===----------------------------------------------------------------------===//
-// Shared-inference serving
-//===----------------------------------------------------------------------===//
-
-bool Session::predictShared(NameId ModelId, const float *Xs, int Rows,
-                            std::vector<float> &Out) {
-  if (ModelId >= Serving.size())
-    Serving.resize(ModelId + 1);
-  Served &Sv = Serving[ModelId];
-  if (!Sv.Entry)
-    Sv.Entry = Eng.entryById(ModelId);
-  if (!Sv.Entry || !Sv.Entry->refresh(Sv.Snap))
-    return false;
-  nn::predictRows(Sv.Snap->Net, Sv.Snap->Norm, Xs, Rows, Out);
-  return true;
-}
-
 uint64_t Session::servingVersion(NameId ModelId) const {
-  return ModelId < Serving.size() && Serving[ModelId].Snap
-             ? Serving[ModelId].Snap->Version
+  return ModelId < Models.size() && Models[ModelId].Snap
+             ? Models[ModelId].Snap->Version
              : 0;
 }

@@ -12,10 +12,12 @@
 /// what Fig. 8 scopes to a single execution, so many sessions can serve
 /// concurrently over one Engine.
 ///
-/// Every primitive of Fig. 1 is implemented here exactly once — a
-/// program's main session, the RlHarness lane sessions and the Engine
-/// batchers all run through the same Session methods. String-keyed overloads are one-line
-/// interning shims over the handle-keyed hot path (DESIGN.md §7).
+/// Every primitive of Fig. 1 is implemented once. au_NN has one body per
+/// form, shared with the Engine batchers: a Session's au_NN is their
+/// one-session case (K = 1), and every TS-mode supervised au_NN serves from
+/// the engine's latest published snapshot (the live model only while
+/// nothing is published). String-keyed overloads are one-line interning
+/// shims over the handle-keyed hot path (DESIGN.md §7).
 ///
 /// A session's name table mirrors the Engine's master table: intern() asks
 /// the Engine for the id and then replays any names this store has not seen
@@ -70,6 +72,15 @@ struct SessionStats {
 struct WriteBackHandle {
   NameId Name = InvalidNameId;
   int Size = 1;
+};
+
+/// Reusable au_NN staging: the gathered K x D input block, the model's
+/// outputs for it and the K chosen actions (RL). Owned by each Session and
+/// by the Engine's batchers.
+struct NnStaging {
+  std::vector<float> In;
+  std::vector<float> Out;
+  std::vector<int> Actions;
 };
 
 /// Thrown when a session store's name table stops mirroring the
@@ -172,7 +183,9 @@ public:
 
   /// au_NN, supervised form: consumes pi[ExtName] as the feature vector and
   /// declares the outputs this model predicts. TR records a pending sample
-  /// completed by the write-backs; TS writes predictions into pi.
+  /// completed by the write-backs; TS writes predictions into pi, served
+  /// from the latest published snapshot (Engine::nnBatchSessions with
+  /// K = 1, without its lock).
   void nn(const std::string &ModelName, const std::string &ExtName,
           const std::vector<WriteBackSpec> &Outputs);
 
@@ -186,20 +199,12 @@ public:
           float Reward, bool Terminal, const WriteBackSpec &Output);
 
   /// Handle-keyed au_NN forms. The feature/state list is gathered from the
-  /// serialize spans into a reusable staging buffer and, in TS mode, fed
-  /// through the batched forward engine (Rows = 1), so the steady state
+  /// serialize spans into a reusable staging buffer, so the steady state
   /// allocates nothing per call.
   void nn(NameId ModelId, NameId ExtId,
           const std::vector<WriteBackHandle> &Outputs);
   void nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
           const WriteBackHandle &Output);
-
-  /// Batched TS-mode au_NN: pi[ExtId] holds \p Rows feature vectors back to
-  /// back; one forward call predicts all of them and each declared
-  /// output receives its Rows x Size predictions concatenated row-major.
-  /// Deployment-mode only (TR samples are labeled per iteration).
-  void nnBatch(NameId ModelId, NameId ExtId, int Rows,
-               const std::vector<WriteBackHandle> &Outputs);
 
   /// au_write_back: Rule WRITE-BACK copies pi[Name] into the program
   /// variable. In TR mode, supervised outputs flow the opposite way: the
@@ -264,15 +269,13 @@ public:
   std::string modelPath(const std::string &ModelName) const;
 
   //===--------------------------------------------------------------------===//
-  // Shared-inference serving (DESIGN.md §10)
+  // Snapshot serving (DESIGN.md §10)
   //===--------------------------------------------------------------------===//
 
-  /// When enabled, TS-mode supervised au_NN serves from the engine's latest
-  /// *published* snapshot instead of touching the live (possibly training)
-  /// model: many sessions on many threads then run inference concurrently
-  /// on that one immutable network while one trainer publishes. Off by
-  /// default: the single-tenant path reads the live model directly.
-  void setSharedInference(bool On) { SharedInference = On; }
+  /// Does nothing: every TS-mode supervised au_NN serves from the latest
+  /// published snapshot. Kept only because perfbench/cpp/ServeTenants.cpp
+  /// still calls it.
+  void setSharedInference(bool) {}
 
   /// The snapshot version this session last served \p ModelId from (0 =
   /// never served / no snapshot yet).
@@ -304,11 +307,17 @@ private:
     return Out < WbOwner.size() ? WbOwner[Out] : InvalidNameId;
   }
 
-  /// Serves one TS prediction from the engine's published snapshot;
-  /// returns false, to fall back to the live model, while none is
-  /// published.
-  bool predictShared(NameId ModelId, const float *Xs, int Rows,
-                     std::vector<float> &Out);
+  /// What this session knows of one model of theta: its engine entry
+  /// (stable for the engine's life) and the snapshot it last served.
+  struct ModelRef {
+    EngineModelEntry *Entry = nullptr;
+    std::shared_ptr<const ModelSnapshot> Snap;
+  };
+
+  /// The reference for \p Id; the entry is looked up in the engine (under
+  /// its lock) only until it is found, so steady-state au_NN resolves its
+  /// model without a lock.
+  ModelRef &modelRef(NameId Id);
 
   Engine &Eng;
   Mode ExecMode;
@@ -318,24 +327,15 @@ private:
   size_t Synced = 0;
   DatabaseStore Db;
   CheckpointManager Ckpt;
-  std::vector<Model *> ModelCache; ///< NameId -> model (engine-backed).
-  std::vector<NameId> WbOwner;     ///< Output id -> owning model id.
+  std::vector<ModelRef> Models; ///< NameId -> model reference.
+  std::vector<NameId> WbOwner; ///< Output id -> owning model id.
   std::vector<PendingSample> Pending;
   SessionStats Stats;
-  bool SharedInference = false;
-  /// What shared inference serves one model from.
-  struct Served {
-    EngineModelEntry *Entry = nullptr;
-    std::shared_ptr<const ModelSnapshot> Snap; ///< Last snapshot served.
-  };
-  std::vector<Served> Serving; ///< NameId -> serving state.
 
-  // Reusable hot-path staging (DESIGN.md §7): model inputs gathered from
-  // serialize spans, batched predictions, per-output scatter, and numeric
-  // conversions. Capacity warms up once; the loop allocates nothing.
-  std::vector<float> NnStaging;
-  std::vector<float> NnOut;
-  std::vector<float> ScatterBuf;
+  // Reusable hot-path staging (DESIGN.md §7): au_NN inputs gathered from
+  // serialize spans and their outputs, and numeric conversions. Capacity
+  // warms up once; the loop allocates nothing.
+  NnStaging Staging;
   std::vector<float> ConvStaging;
 };
 

@@ -675,44 +675,6 @@ TEST(SessionTest, StringAndHandleTracesAreEquivalent) {
   EXPECT_EQ(S.db().lifetimeAppended(), H.db().lifetimeAppended());
 }
 
-TEST(SessionTest, NnBatchMatchesScalarPredictions) {
-  Engine Eng;
-  Session S(Eng, Mode::TR);
-  ModelConfig C;
-  C.Name = "m";
-  C.HiddenLayers = {16};
-  C.Seed = 33;
-  S.config(C);
-  Rng R(34);
-  for (int I = 0; I < 80; ++I) {
-    float X = static_cast<float>(R.uniform(-1, 1));
-    S.extract("F", X);
-    S.nn("m", "F", {{"Y", 1}});
-    float Label = 3 * X - 1;
-    S.writeBack("Y", 1, &Label);
-  }
-  S.trainSupervised("m", 30, 16);
-  S.switchMode(Mode::TS);
-
-  NameId M = S.intern("m"), F = S.intern("F"), Y = S.intern("Y");
-  const int Rows = 6;
-  float Xs[Rows] = {-0.9f, -0.3f, 0.0f, 0.2f, 0.6f, 1.0f};
-
-  float Scalar[Rows];
-  for (int I = 0; I < Rows; ++I) {
-    S.extract(F, Xs[I]);
-    S.nn(M, F, {{Y, 1}});
-    S.writeBack(Y, 1, &Scalar[I]);
-  }
-
-  S.extract(F, Rows, Xs); // All rows back to back.
-  S.nnBatch(M, F, Rows, {{Y, 1}});
-  float Batched[Rows];
-  S.writeBack(Y, Rows, Batched);
-  for (int I = 0; I < Rows; ++I)
-    EXPECT_FLOAT_EQ(Batched[I], Scalar[I]) << "row " << I;
-}
-
 TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {
   // Many regions, objects and pi slots; repeated mutate/restore rounds with
   // different dirty subsets each round must restore bit-identically while

@@ -2,12 +2,14 @@
 //
 // The Engine/Session split of DESIGN.md §10: store-divergence detection,
 // published-snapshot/live prediction equivalence, the
-// cross-session inference batcher, and a multi-tenant stress test with
-// concurrent TS readers under a live TR trainer. The stress test doubles as
-// a race detector under the TSan CI job.
+// cross-session inference batcher, concurrent default TS sessions, a
+// multi-tenant stress test with concurrent TS readers under a live TR
+// trainer, and the zero-allocation steady state of every au_NN form. The
+// concurrent tests double as race detectors under the TSan CI job.
 //
 //===----------------------------------------------------------------------===//
 
+#include "AllocCounter.h"
 #include "core/Engine.h"
 
 #include <gtest/gtest.h>
@@ -104,30 +106,74 @@ TEST(EngineSession, SharedInferenceMatchesLiveModelBitwise) {
   Session Trainer(Eng, Mode::TR);
   NameId ModelId = trainSmallModel(Eng, Trainer, "M");
 
-  Session Live(Eng, Mode::TS);
-  Session Shared(Eng, Mode::TS);
-  Shared.setSharedInference(true);
-
-  NameId Feat = Live.intern("feat");
-  WriteBackHandle Out{Live.intern("out"), OutDim};
+  Session Reader(Eng, Mode::TS);
+  NameId Feat = Reader.intern("feat");
+  WriteBackHandle Out{Reader.intern("out"), OutDim};
 
   float X[FeatDim];
   probeRow(0, X);
-  float FromLive[OutDim], FromShared[OutDim];
+  std::vector<float> FromLive;
+  static_cast<SlModel *>(Eng.getModel(ModelId))
+      ->predictRows(X, /*Rows=*/1, FromLive);
 
-  Live.extract(Feat, FeatDim, X);
-  Live.nn(ModelId, Feat, {Out});
-  Live.writeBack(Out.Name, OutDim, FromLive);
+  float FromSession[OutDim];
+  Reader.extract(Feat, FeatDim, X);
+  Reader.nn(ModelId, Feat, {Out});
+  Reader.writeBack(Out.Name, OutDim, FromSession);
 
-  Shared.extract(Feat, FeatDim, X);
-  Shared.nn(ModelId, Feat, {Out});
-  Shared.writeBack(Out.Name, OutDim, FromShared);
-
-  // The published snapshot is a packed copy of the live network, served by
-  // the same nn::predictRows routine, so the results are bitwise identical.
-  EXPECT_EQ(Shared.servingVersion(ModelId), Eng.modelVersion(ModelId));
+  // A Session serves from the published snapshot, a packed copy of the
+  // live network run by the same nn::predictRows routine, so its reply is
+  // bitwise the live model's.
+  EXPECT_EQ(Reader.servingVersion(ModelId), Eng.modelVersion(ModelId));
+  ASSERT_EQ(FromLive.size(), static_cast<size_t>(OutDim));
   for (int J = 0; J < OutDim; ++J)
-    EXPECT_EQ(FromLive[J], FromShared[J]);
+    EXPECT_EQ(FromSession[J], FromLive[static_cast<size_t>(J)]);
+}
+
+TEST(EngineSession, DefaultSessionsServeTheSnapshotConcurrently) {
+  // Two default TS sessions on two threads serve a freshly trained model.
+  // Both must read the published snapshot, never the live network, whose
+  // forward repacks its weights on first use.
+  Engine Eng;
+  Session Trainer(Eng, Mode::TR);
+  NameId ModelId = trainSmallModel(Eng, Trainer, "M");
+  NameId Feat = Trainer.intern("feat");
+  WriteBackHandle Out{Trainer.intern("out"), OutDim};
+
+  constexpr int NumReaders = 2, Reads = 50;
+  std::vector<std::unique_ptr<Session>> Readers;
+  for (int KR = 0; KR < NumReaders; ++KR)
+    Readers.push_back(std::make_unique<Session>(Eng, Mode::TS));
+  std::vector<std::vector<float>> Replies(NumReaders);
+  std::vector<uint64_t> Versions(NumReaders, 0);
+
+  std::vector<std::thread> Threads;
+  for (int KR = 0; KR < NumReaders; ++KR)
+    Threads.emplace_back([&, KR] {
+      Session &S = *Readers[static_cast<size_t>(KR)];
+      float X[FeatDim], Pred[OutDim];
+      probeRow(KR, X);
+      for (int I = 0; I < Reads; ++I) {
+        S.extract(Feat, FeatDim, X);
+        S.nn(ModelId, Feat, {Out});
+        S.writeBack(Out.Name, OutDim, Pred);
+      }
+      Versions[static_cast<size_t>(KR)] = S.servingVersion(ModelId);
+      Replies[static_cast<size_t>(KR)].assign(Pred, Pred + OutDim);
+    });
+  for (auto &T : Threads)
+    T.join();
+
+  auto *Sl = static_cast<SlModel *>(Eng.getModel(ModelId));
+  for (int KR = 0; KR < NumReaders; ++KR) {
+    EXPECT_EQ(Versions[static_cast<size_t>(KR)], Eng.modelVersion(ModelId))
+        << "reader " << KR;
+    float X[FeatDim];
+    probeRow(KR, X);
+    std::vector<float> Expected;
+    Sl->predictRows(X, /*Rows=*/1, Expected);
+    EXPECT_EQ(Replies[static_cast<size_t>(KR)], Expected) << "reader " << KR;
+  }
 }
 
 TEST(EngineSession, NnBatchSessionsMatchesPerSessionCalls) {
@@ -214,10 +260,8 @@ TEST(EngineSessionStress, ConcurrentReadersUnderLiveTrainer) {
   // but the test pins each thread to exactly one session for its
   // lifetime — the ISSUE's serving scenario).
   std::vector<std::unique_ptr<Session>> Readers;
-  for (int KR = 0; KR < NumReaders; ++KR) {
+  for (int KR = 0; KR < NumReaders; ++KR)
     Readers.push_back(std::make_unique<Session>(Eng, Mode::TS));
-    Readers.back()->setSharedInference(true);
-  }
 
   struct Observation {
     uint64_t Version;
@@ -301,4 +345,137 @@ TEST(EngineSessionStress, ConcurrentReadersUnderLiveTrainer) {
     EXPECT_EQ(St.NumNn, Reads);
     EXPECT_EQ(St.NumWriteBack, Reads);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Every au_NN form allocates nothing in its steady state
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One Flappy-shaped iteration of the paper's RL loop on a TR session:
+/// five scalar extracts, a serialize, the RL au_NN (a minibatch due on
+/// every call, a terminal step now and then) and the action write-back.
+/// The replay ring is small and has wrapped before the first measured pass.
+struct FlappyIterationWork {
+  static constexpr int NumFeatures = 5;
+  Engine Eng;
+  Session S{Eng, Mode::TR};
+  NameId ModelId = InvalidNameId;
+  std::vector<NameId> Feats;
+  WriteBackHandle Out;
+  float Reward = 0.0f;
+  long Tick = 0;
+
+  FlappyIterationWork() {
+    ModelConfig C;
+    C.Name = "flappy";
+    C.Algo = Algorithm::QLearn;
+    C.HiddenLayers = {32, 32};
+    C.Seed = 5;
+    nn::QConfig Q;
+    Q.ReplayCapacity = 16;
+    Q.BatchSize = 8;
+    Q.WarmupSteps = 8;
+    Q.TargetSyncInterval = 5;
+    Q.TrainInterval = 1;
+    Q.EpsilonStart = Q.EpsilonEnd = 0.5;
+    static_cast<RlModel *>(S.config(C))->setQConfig(Q);
+    ModelId = S.intern("flappy");
+    for (const char *F : {"birdY", "birdV", "pipeDx", "gap1Y", "diffY"})
+      Feats.push_back(S.intern(F));
+    Out = {S.intern("output"), 2};
+    for (int I = 0; I < 40; ++I)
+      pass();
+  }
+
+  void pass() {
+    ++Tick;
+    for (int J = 0; J < NumFeatures; ++J)
+      S.extract(Feats[static_cast<size_t>(J)],
+                static_cast<float>((Tick * 7 + J) % 11) * 0.1f);
+    NameId Ext = S.serialize(Feats);
+    S.nn(ModelId, Ext, Reward, /*Terminal=*/Tick % 9 == 0, Out);
+    int Action = 0;
+    S.writeBack(Out.Name, Out.Size, &Action);
+    Reward = Action == 0 ? 0.5f : -0.5f;
+  }
+};
+
+/// A TS session's supervised au_NN served from the published snapshot.
+struct SnapshotServeWork {
+  Engine Eng;
+  Session Trainer{Eng, Mode::TR};
+  Session Reader{Eng, Mode::TS};
+  NameId ModelId = trainSmallModel(Eng, Trainer, "M");
+  NameId Feat = Reader.intern("feat");
+  std::vector<WriteBackHandle> Outs{{Reader.intern("out"), OutDim}};
+  float X[FeatDim];
+  float Pred[OutDim];
+
+  SnapshotServeWork() {
+    probeRow(0, X);
+    pass();
+    EXPECT_EQ(Reader.servingVersion(ModelId), Eng.modelVersion(ModelId));
+  }
+
+  void pass() {
+    Reader.extract(Feat, FeatDim, X);
+    Reader.nn(ModelId, Feat, Outs);
+    Reader.writeBack(Outs[0].Name, OutDim, Pred);
+  }
+};
+
+/// One round of eight tenants served by Engine::nnBatchSessions.
+struct TenantRoundWork {
+  static constexpr int K = 8;
+  Engine Eng;
+  Session Trainer{Eng, Mode::TR};
+  NameId ModelId = trainSmallModel(Eng, Trainer, "M");
+  NameId Feat = Trainer.intern("feat");
+  std::vector<WriteBackHandle> Outs{{Trainer.intern("out"), OutDim}};
+  std::vector<std::unique_ptr<Session>> Tenants;
+  std::vector<Session *> Ptrs;
+  std::vector<NameId> ExtIds = std::vector<NameId>(K, Feat);
+  float Rows[K][FeatDim];
+  float Pred[OutDim];
+
+  TenantRoundWork() {
+    for (int S = 0; S < K; ++S) {
+      Tenants.push_back(std::make_unique<Session>(Eng, Mode::TS));
+      Ptrs.push_back(Tenants.back().get());
+      probeRow(S, Rows[S]);
+    }
+  }
+
+  void pass() {
+    for (int S = 0; S < K; ++S)
+      Ptrs[static_cast<size_t>(S)]->extract(Feat, FeatDim, Rows[S]);
+    Eng.nnBatchSessions(ModelId, Ptrs.data(), ExtIds.data(), K, Outs);
+    for (Session *S : Ptrs)
+      S->writeBack(Outs[0].Name, OutDim, Pred);
+  }
+};
+
+} // namespace
+
+TEST(EngineSession, SteadyStateAuNnDoesNotAllocate) {
+  expectSteadyStateDoesNotAllocate<FlappyIterationWork>(
+      1, "Flappy iteration (RL Session::nn)");
+  expectSteadyStateDoesNotAllocate<SnapshotServeWork>(
+      1, "snapshot-served SL Session::nn");
+  expectSteadyStateDoesNotAllocate<TenantRoundWork>(
+      1, "8-tenant nnBatchSessions round");
+  nn::setBackend(nn::defaultBackend());
+}
+
+TEST(EngineSession, SteadyStateAuNnDoesNotAllocateAtFourThreads) {
+  expectSteadyStateDoesNotAllocate<FlappyIterationWork>(
+      4, "Flappy iteration (RL Session::nn)");
+  expectSteadyStateDoesNotAllocate<SnapshotServeWork>(
+      4, "snapshot-served SL Session::nn");
+  expectSteadyStateDoesNotAllocate<TenantRoundWork>(
+      4, "8-tenant nnBatchSessions round");
+  nn::setBackend(nn::defaultBackend());
+  ThreadPool::setGlobalThreads(1);
 }

@@ -358,6 +358,28 @@ TEST(RlParallel, TrainFoldsLaneStatsIntoMainOnce) {
   ThreadPool::setGlobalThreads(1);
 }
 
+TEST(RlParallel, EachTrainCallStartsWithEmptyChains) {
+  // A training run's first tick has no previous step to complete, so it
+  // observes nothing, whether or not an earlier run trained the same model:
+  // the last step of that run must not be linked to this run's first state.
+  for (int K : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "K = " << K);
+    RlTrainOptions Opt = smallOptions();
+    Opt.TrainSteps = 40;
+    Engine Eng;
+    Session S(Eng, Mode::TR);
+    Fleet F(K);
+    RlTrainResult First = trainRl(F.Ptrs, S, Opt);
+    nn::QLearner *L =
+        static_cast<RlModel *>(S.getModel(First.ModelName))->learner();
+    long Observed = L->stepsObserved();
+    EXPECT_GT(Observed, 0);
+    Opt.TrainSteps = 1; // One tick.
+    trainRl(F.Ptrs, S, Opt);
+    EXPECT_EQ(L->stepsObserved(), Observed);
+  }
+}
+
 TEST(RlParallel, BatchedEvalSingleEpisodeMatchesSerialEval) {
   // One lane on the env training left mid-episode, against one lane on a
   // fresh env: each episode is reset to its own seed, so the scores match
